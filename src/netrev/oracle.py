@@ -505,10 +505,14 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     Buyers are approached in the strategy's order (IE families redraw
     random sets/orders every trial); each buyer i sees the total weight M
     of itself plus previously accepting buyers, is offered price
-    (1 - p_i) * M, and accepts when its valuation, uniform on [0, M],
-    reaches the price -- including the trivial M = 0 offer of price 0.
-    Draws are addressed per (trial, buyer), so results depend only on
-    ``seed``, never on chunk boundaries.
+    (1 - p_i) * M, and accepts with probability p_i: when its valuation
+    quantile, uniform on [0, 1], reaches 1 - p_i.  That holds for M = 0
+    too, as in the closed forms: a buyer offered a zero-weight product at
+    price 0 still accepts only with probability p_i.  Draws are addressed
+    per (trial, buyer), so results depend only on ``seed``, never on chunk
+    boundaries.  The standard error merges per-chunk centered moments
+    (Chan, Golub and LeVeque 1979), so it survives a revenue whose spread
+    is tiny next to its mean.
     """
     _require_normalized(g, "simulate")
     trials = int(trials)
@@ -521,7 +525,7 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     Wm = _dense_weights(g)
     sw = np.asarray(g.self_weights)
     seed = int(seed)
-    total, total_sq = 0.0, 0.0
+    done, mean, m2 = 0, 0.0, 0.0
     counts = np.zeros(n, dtype=np.int64)
     rows = None
     for start in range(0, trials, _CHUNK):
@@ -536,18 +540,17 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
             b = order[:, s]
             M = sw[b] + np.einsum("mj,jm->m", accepted, Wm[:, b])
             pr = prices[rows, b]
-            ok = (M <= 0.0) | (u[rows, b] >= 1.0 - pr)
+            ok = u[rows, b] >= 1.0 - pr
             revenue += np.where(ok, (1.0 - pr) * M, 0.0)
             accepted[rows, b] = ok
             np.add.at(counts, b[ok], 1)
-        total += float(np.sum(revenue))
-        total_sq += float(np.sum(revenue * revenue))
-    mean = total / trials
-    if trials > 1:
-        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        std_error = math.sqrt(var / trials)
-    else:
-        std_error = 0.0
+        chunk_mean = float(np.mean(revenue))
+        chunk_m2 = float(np.sum((revenue - chunk_mean) ** 2))
+        delta = chunk_mean - mean
+        done += m
+        mean += delta * m / done
+        m2 += chunk_m2 + delta * delta * (done - m) * m / done
+    std_error = math.sqrt(m2 / (trials - 1) / trials) if trials > 1 else 0.0
     return SimulationReport(mean=mean, std_error=std_error, trials=trials,
                             seed=seed,
                             acceptance_counts=tuple(int(c) for c in counts))

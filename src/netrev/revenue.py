@@ -50,6 +50,15 @@ def _require_normalized(g: SocialNetwork, what: str) -> None:
             "apply eliminate_selfloops first")
 
 
+def _require_keys(doc: dict, family: str, *keys: str) -> None:
+    """Reject a strategy document that lacks any of ``keys``."""
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValidationError(
+            f"{family} strategy document is missing key(s): "
+            + ", ".join(missing))
+
+
 # ---------------------------------------------------------------------------
 # Strategy types
 # ---------------------------------------------------------------------------
@@ -93,6 +102,7 @@ class MarketingStrategy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MarketingStrategy":
+        _require_keys(doc, "marketing", "order", "prices")
         return cls(tuple(doc["order"]), tuple(doc["prices"]))
 
 
@@ -115,6 +125,7 @@ class IEStrategy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "IEStrategy":
+        _require_keys(doc, "ie", "influence_set", "p")
         return cls(frozenset(doc["influence_set"]), doc["p"])
 
 
@@ -193,6 +204,7 @@ class GeneralizedIEStrategy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneralizedIEStrategy":
+        _require_keys(doc, "generalized_ie", "K", "q")
         return cls(doc["K"], tuple(doc["q"]), doc.get("seed"))
 
 

@@ -103,6 +103,21 @@ def test_eval_rejects_unknown_strategy_document(cycle4_file, tmp_path, capsys):
     assert "unrecognized strategy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, missing", [
+    ({"order": [0, 1, 2, 3]}, "prices"),
+    ({"influence_set": [1, 3]}, "p"),
+    ({"K": 2, "seed": 0}, "q"),
+])
+def test_eval_rejects_strategy_missing_key(cycle4_file, tmp_path, capsys,
+                                           doc, missing):
+    bad = tmp_path / "partial.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["eval", "--input", cycle4_file, "--strategy", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and missing in err
+
+
 def test_eval_missing_input_file(tmp_path, ie_strategy_file, capsys):
     rc = main(["eval", "--input", str(tmp_path / "ghost.txt"),
                "--strategy", ie_strategy_file])

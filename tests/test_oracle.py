@@ -242,6 +242,25 @@ def test_simulate_random_ie_closed_form(random_net):
     assert abs(rep.mean - random_ie_revenue(g, s.q, s.p)) <= 3.5 * rep.std_error
 
 
+def test_simulate_ie_closed_form_on_directed_network(random_net):
+    # no self-weights: the first buyers approached see M = 0 and, as in
+    # the closed form, accept with probability p
+    g = random_net(73, n=12, directed=True, density=0.4)
+    s = IEStrategy(frozenset({0, 3, 7}), 0.7)
+    rep = simulate(g, s, 200_000, seed=8)
+    assert abs(rep.mean - ie_revenue(g, s.influence_set, s.p)) \
+        <= 4.0 * rep.std_error
+
+
+def test_simulate_std_error_survives_cancellation():
+    # revenue is 1e4 in (nearly) every trial plus 5e-5 half the time: a
+    # spread 1e-9 of the mean, lost by the raw sum-of-squares formula
+    g = SocialNetwork(False, 2, [], self_weights=[1e10, 1e-4])
+    s = MarketingStrategy((0, 1), (1.0 - 1e-6, 0.5))
+    rep = simulate(g, s, 100_000, seed=0)
+    assert rep.std_error == pytest.approx(2.5e-5 / math.sqrt(1e5), rel=0.02)
+
+
 def test_simulate_validation(cycle4, random_net):
     with pytest.raises(ValidationError):
         simulate(cycle4, IEStrategy(frozenset(), 0.6), 0)

@@ -23,6 +23,8 @@ from netrev import (
     sdp_ie,
     solve_sdp,
 )
+from netrev.sdprelax import (CONSTRAINT_SIGNS, _active_rows, _al_value_grad,
+                              default_rank)
 
 
 def test_headline_parameters():
@@ -92,6 +94,65 @@ def test_solver_exact_on_bipartite_cycle(cycle4):
     sol = solve_sdp(build_sdp(cycle4, 0.5), seed=0)
     assert sol.converged
     assert sol.objective_value == pytest.approx(1.0, abs=1e-5)
+
+
+def _dense_al_reference(prob, X, II, JJ, SS, lam, mu):
+    """The augmented Lagrangian written out over dense (n+1)^2 matrices and
+    per-row vector gathers: the formula the flat-Gram evaluation replaces."""
+    C = prob.coefficient_matrix()
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    V = X / norms
+    ci = (SS[:, 0] * np.sum(V[II] * V[JJ], axis=1)
+          + SS[:, 1] * (V[II] @ V[0]) + SS[:, 2] * (V[JJ] @ V[0]) + 1.0)
+    mult = np.maximum(0.0, lam - mu * ci)
+    obj = prob.constant + np.sum(C * (V @ V.T))
+    pen = np.sum(mult * mult - lam * lam) / (2.0 * mu)
+    A = C.copy()
+    np.add.at(A, (II, JJ), 0.5 * mult * SS[:, 0])
+    np.add.at(A, (JJ, II), 0.5 * mult * SS[:, 0])
+    z = np.zeros(prob.num_vectors)
+    np.add.at(z, II, 0.5 * mult * SS[:, 1])
+    np.add.at(z, JJ, 0.5 * mult * SS[:, 2])
+    A[0, :] += z
+    A[:, 0] += z
+    gV = -2.0 * (A @ V)
+    gX = (gV - np.sum(gV * V, axis=1, keepdims=True) * V) / norms
+    return pen - obj, gX.ravel()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_al_evaluation_matches_dense_formula_and_finite_differences(
+        directed, random_net):
+    g = random_net(40 + directed, n=8, directed=directed,
+                   self_weights=not directed)
+    prob = build_sdp(g, 0.6)
+    m, rank = prob.num_vectors, default_rank(g.n)
+    rng = np.random.default_rng(3)
+    # random active rows, repeated pairs included, and multipliers chosen so
+    # that some rows are slack and some are penalized
+    L = 40
+    II = rng.integers(1, m - 1, size=L)
+    JJ = rng.integers(II + 1, m)
+    SS = CONSTRAINT_SIGNS[rng.integers(0, 4, size=L)]
+    lam = rng.uniform(0.0, 2.0, size=L)
+    mu = 1.5
+    Cf = prob.coefficient_matrix().ravel()
+    args = (prob, Cf, *_active_rows(II, JJ, SS, m), lam, mu)
+    X = rng.standard_normal((m, rank))
+
+    F, grad = _al_value_grad(X.ravel(), *args)
+    F_ref, grad_ref = _dense_al_reference(prob, X, II, JJ, SS, lam, mu)
+    assert F == pytest.approx(F_ref, abs=1e-10)
+    np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-10)
+
+    h = 1e-6
+    fd = np.empty(X.size)
+    for k in range(X.size):
+        e = np.zeros(X.size)
+        e[k] = h
+        fd[k] = (_al_value_grad(X.ravel() + e, *args)[0]
+                 - _al_value_grad(X.ravel() - e, *args)[0]) / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
 
 def test_solution_angles_shape(cycle4):
