@@ -35,12 +35,20 @@ from .strategies import generalized_ie, ie_baseline, ie_bipartite, ie_tuned
 _ORACLE_TABLE_LIMIT = 16
 
 
-def _default_seed() -> int:
+def _default_seed() -> str:
+    """NETREV_SEED if an integer, else "0"; argparse checks it with _seed."""
     raw = os.environ.get("NETREV_SEED", "")
     try:
-        return int(raw)
+        return str(int(raw))
     except ValueError:
-        return 0
+        return "0"
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="network file (netmodel text format)")
         sp.add_argument("--output", help="write the JSON report here "
                                          "(default: stdout)")
-        sp.add_argument("--seed", type=int, default=seed_default)
+        sp.add_argument("--seed", type=_seed, default=seed_default)
 
     sp = sub.add_parser("gen", help="generate a network file")
     sp.add_argument("--kind", required=True,
@@ -414,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--parts", nargs=2, type=int, metavar=("A", "B"))
     sp.add_argument("--pricing-prob", type=float,
                     help="pricing probability for the set_edge gadget")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--output")
     sp.set_defaults(func=_cmd_gen)
 
@@ -456,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="conditional revenue optima of a gadget")
     sp.add_argument("--kind", required=True, choices=GADGET_KINDS)
     sp.add_argument("--pricing-prob", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=seed_default)
+    sp.add_argument("--seed", type=_seed, default=seed_default)
     sp.add_argument("--output")
     sp.set_defaults(func=_cmd_gadget_table)
 
@@ -484,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory of *.txt network files")
     sp.add_argument("--output")
     sp.add_argument("--csv", help="also export the rows as CSV")
-    sp.add_argument("--seed", type=int, default=seed_default)
+    sp.add_argument("--seed", type=_seed, default=seed_default)
     sp.add_argument("--trials", type=int, default=100,
                     help="rounding trials per sdp-ie run")
     sp.add_argument("--jobs", type=int, default=1)

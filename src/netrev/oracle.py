@@ -22,11 +22,12 @@ from numpy.random import Generator, Philox, SeedSequence, default_rng
 from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
                        gadget)
 from .revenue import (GeneralizedIEStrategy, IEStrategy, MarketingStrategy,
-                      RandomIEStrategy, _check_exploit_prob,
+                      RandomIEStrategy, _check_exploit_prob, _influence_mask,
                       _require_normalized, ie_coefficients_batch, ie_revenue,
                       strategy_family)
 
 _CHUNK = 1 << 15
+_SIM_CELLS = 1 << 17
 _TINY = 1e-12
 
 _ENUMERATION_LIMIT = 22
@@ -144,14 +145,6 @@ def best_ie_exhaustive(g: SocialNetwork, p: Optional[float] = None) -> OracleRep
 # Continuous strategy search
 # ---------------------------------------------------------------------------
 
-def _dense_weights(g: SocialNetwork) -> np.ndarray:
-    """W[j, i] = influence weight of j on i (symmetric when undirected)."""
-    Wm = np.zeros((g.n, g.n))
-    src, dst, w = g.influence_pairs()
-    Wm[src, dst] = w
-    return Wm
-
-
 def _sorted_revenue(Wm: np.ndarray, sw: np.ndarray, prices: np.ndarray) -> float:
     """Revenue of an undirected price vector under its best (sorted) order."""
     pos = np.empty(prices.size, dtype=np.int64)
@@ -228,7 +221,7 @@ def _undirected_starts(n, free_nodes, rng):
 
 def _search_undirected(g: SocialNetwork, pins: dict, seed) -> OracleReport:
     n = g.n
-    Wm = _dense_weights(g)
+    Wm = g.in_weight_matrix()
     sw = np.asarray(g.self_weights)
     rng = default_rng(seed)
     free_nodes = np.array([i for i in range(n) if i not in pins], dtype=np.int64)
@@ -262,7 +255,7 @@ def _perm_revenue_batch(Wm, sw, pos, Pr) -> np.ndarray:
 
 def _search_directed(g: SocialNetwork, seed) -> OracleReport:
     n = g.n
-    Wm = _dense_weights(g)
+    Wm = g.in_weight_matrix()
     sw = np.asarray(g.self_weights)
     pos = _all_positions(n)
     m = pos.shape[0]
@@ -329,7 +322,7 @@ def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
     prices = np.asarray(prices, dtype=np.float64)
     if prices.shape != (n,):
         raise ValidationError("prices must supply one probability per buyer")
-    Wm = _dense_weights(g)
+    Wm = g.in_weight_matrix()
     sw = np.asarray(g.self_weights)
     pos = _all_positions(n)
     best_val, best_row = -np.inf, 0
@@ -370,9 +363,7 @@ def _selection_pins(kind: str, constraint) -> dict:
 
 
 def _subset_report(g: SocialNetwork, members, p: float) -> OracleReport:
-    A = frozenset(int(i) for i in members)
-    if not A <= set(range(g.n)):
-        raise ValidationError(f"influence set {sorted(A)} out of range")
+    A = frozenset(int(i) for i in members)  # ie_revenue checks the range
     return OracleReport(best_value=ie_revenue(g, A, p),
                         best_witness=IEStrategy(A, p),
                         search_space_size=1, method="exhaustive")
@@ -432,7 +423,8 @@ _STREAM_KEYS = {"acceptance": 0xACC, "ordering": 0x08D, "assignment": 0xA55}
 
 def _stream_uniforms(seed: int, stream: str, start: int, count: int,
                      width: int) -> np.ndarray:
-    """Uniforms addressed by (trial, buyer), independent of chunking.
+    """Uniforms addressed by (trial, buyer), independent of chunking,
+    returned buyer-major: entry [i, t] is buyer i's draw in trial start + t.
 
     Philox advances its counter once per block of four 64-bit outputs, so
     each trial is padded to a whole number of blocks and trial t always
@@ -442,7 +434,7 @@ def _stream_uniforms(seed: int, stream: str, start: int, count: int,
     bg = Philox(SeedSequence([int(seed), _STREAM_KEYS[stream]]))
     bg.advance(start * blocks)
     vals = Generator(bg).random((count, 4 * blocks))
-    return vals[:, :width]
+    return np.ascontiguousarray(vals[:, :width].T)
 
 
 @dataclass(frozen=True)
@@ -466,34 +458,27 @@ class SimulationReport:
                 "acceptance_counts": list(self.acceptance_counts)}
 
 
-def _chunk_plan(g: SocialNetwork, strategy, seed, start, m):
-    """Per-trial approach orders and price matrices for one chunk."""
-    n = g.n
+def _chunk_keys(strategy, n: int, seed: int, start: int, m: int):
+    """Pricing probabilities and approach keys of one chunk, buyer-major.
+
+    Both broadcast to (n, m).  In trial t buyer i is approached before
+    buyer j when ``keys[i, t] < keys[j, t]``: a fixed order keys by
+    position, the IE families by class plus a uniform ordering draw.
+    """
     if isinstance(strategy, MarketingStrategy):
-        order = np.broadcast_to(np.asarray(strategy.order, dtype=np.int64), (m, n))
-        prices = np.broadcast_to(np.asarray(strategy.prices), (m, n))
-        return order, prices
+        return np.asarray(strategy.prices)[:, None], strategy.positions()[:, None]
     keys = _stream_uniforms(seed, "ordering", start, m, n)
     if isinstance(strategy, IEStrategy):
-        member = np.zeros(n, dtype=bool)
-        member[list(strategy.influence_set)] = True
-        member = np.broadcast_to(member, (m, n))
-        prices = np.where(member, 1.0, strategy.p)
-        order = np.argsort(~member + keys, axis=1)
-        return order, prices
+        member = _influence_mask(strategy.influence_set, n)[:, None]
+        return np.where(member, 1.0, strategy.p), ~member + keys
     if isinstance(strategy, RandomIEStrategy):
         member = _stream_uniforms(seed, "assignment", start, m, n) < strategy.q
-        prices = np.where(member, 1.0, strategy.p)
-        order = np.argsort(~member + keys, axis=1)
-        return order, prices
+        return np.where(member, 1.0, strategy.p), ~member + keys
     if isinstance(strategy, GeneralizedIEStrategy):
         draws = _stream_uniforms(seed, "assignment", start, m, n)
-        cum = np.cumsum(np.asarray(strategy.q))
-        cls = np.searchsorted(cum, draws, side="right")
+        cls = np.searchsorted(np.cumsum(strategy.q), draws, side="right")
         cls = np.minimum(cls, strategy.K - 1)
-        prices = strategy.class_prices[cls]
-        order = np.argsort(cls + keys, axis=1)
-        return order, prices
+        return strategy.class_prices[cls], cls + keys
     raise ValidationError(
         f"cannot simulate strategy of type {type(strategy).__name__}")
 
@@ -508,11 +493,17 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     (1 - p_i) * M, and accepts with probability p_i: when its valuation
     quantile, uniform on [0, 1], reaches 1 - p_i.  That holds for M = 0
     too, as in the closed forms: a buyer offered a zero-weight product at
-    price 0 still accepts only with probability p_i.  Draws are addressed
-    per (trial, buyer), so results depend only on ``seed``, never on chunk
-    boundaries.  The standard error merges per-chunk centered moments
-    (Chan, Golub and LeVeque 1979), so it survives a revenue whose spread
-    is tiny next to its mean.
+    price 0 still accepts only with probability p_i.
+
+    Acceptance does not depend on M, so a trial's acceptances a are drawn
+    up front; with g_i = a_i (1 - p_i) it earns sum_i g_i w[i, i] plus
+    w a_j g_i over stored edges (j, i, w) with j approached first (an
+    undirected edge pays whichever endpoint comes later).  Cost is
+    O(trials (n + |E|)), in chunks of about ``_SIM_CELLS`` buyer or edge
+    cells.  Draws are addressed per (trial, buyer), so results depend only
+    on ``seed``, never on chunk boundaries.  The standard error merges
+    per-chunk centered moments (Chan, Golub and LeVeque 1979), so it
+    survives a revenue whose spread is tiny next to its mean.
     """
     _require_normalized(g, "simulate")
     trials = int(trials)
@@ -522,28 +513,21 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
         raise ValidationError(
             f"strategy covers {strategy.n} buyers, network has {g.n}")
     n = g.n
-    Wm = _dense_weights(g)
-    sw = np.asarray(g.self_weights)
+    src, dst, w = g.edge_src, g.edge_dst, g.edge_weight
+    chunk = max(1, _SIM_CELLS // max(1, n, w.size))
     seed = int(seed)
     done, mean, m2 = 0, 0.0, 0.0
     counts = np.zeros(n, dtype=np.int64)
-    rows = None
-    for start in range(0, trials, _CHUNK):
-        m = min(_CHUNK, trials - start)
-        if rows is None or rows.size != m:
-            rows = np.arange(m)
-        order, prices = _chunk_plan(g, strategy, seed, start, m)
-        u = _stream_uniforms(seed, "acceptance", start, m, n)
-        accepted = np.zeros((m, n))
-        revenue = np.zeros(m)
-        for s in range(n):
-            b = order[:, s]
-            M = sw[b] + np.einsum("mj,jm->m", accepted, Wm[:, b])
-            pr = prices[rows, b]
-            ok = u[rows, b] >= 1.0 - pr
-            revenue += np.where(ok, (1.0 - pr) * M, 0.0)
-            accepted[rows, b] = ok
-            np.add.at(counts, b[ok], 1)
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        prices, keys = _chunk_keys(strategy, n, seed, start, m)
+        accepted = _stream_uniforms(seed, "acceptance", start, m, n) >= 1.0 - prices
+        gain = np.where(accepted, 1.0 - prices, 0.0)
+        forward = keys[src] < keys[dst]
+        revenue = g.self_weights @ gain + w @ np.where(
+            forward, accepted[src] * gain[dst],
+            0.0 if g.directed else accepted[dst] * gain[src])
+        counts += np.sum(accepted, axis=1)
         chunk_mean = float(np.mean(revenue))
         chunk_m2 = float(np.sum((revenue - chunk_mean) ** 2))
         delta = chunk_mean - mean

@@ -263,19 +263,24 @@ def strategy_revenue(g: SocialNetwork, strategy: MarketingStrategy) -> float:
     return total
 
 
+def _influence_mask(A: Iterable[int], n: int) -> np.ndarray:
+    """Membership vector of influence set ``A``; members must lie in [0, n)."""
+    A = {int(i) for i in A}
+    bad = sorted(i for i in A if not 0 <= i < n)
+    if bad:
+        raise ValidationError(f"influence set member {bad[0]} out of range for n={n}")
+    in_A = np.zeros(n, dtype=bool)
+    in_A[list(A)] = True
+    return in_A
+
+
 def ie_revenue_coefficients(g: SocialNetwork, A: Iterable[int]) -> tuple[float, float]:
     """Pair ``(C, D)`` with ``ie_revenue(g, A, p) == p (1 - p) (C + p D / 2)``.
 
     ``C`` aggregates self-weights of priced buyers plus influence from the
     free set; ``D`` aggregates influence among priced buyers.
     """
-    A = frozenset(int(i) for i in A)
-    for i in A:
-        if not 0 <= i < g.n:
-            raise ValidationError(f"influence set member {i} out of range")
-    in_A = np.zeros(g.n, dtype=bool)
-    if A:
-        in_A[list(A)] = True
+    in_A = _influence_mask(A, g.n)
     src, dst, w = g.influence_pairs()
     priced_dst = ~in_A[dst]
     C = float(np.sum(g.self_weights[~in_A]))

@@ -255,6 +255,42 @@ def test_simulate_agrees_with_closed_form(cycle4_file, ie_strategy_file,
     assert abs(doc["z_score"]) < 4.0
 
 
+def test_simulate_rejects_influence_member_out_of_range(cycle4_file,
+                                                        tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"influence_set": [1, 4], "p": 0.5}))
+    rc = main(["simulate", "--input", cycle4_file, "--strategy", str(bad),
+               "--trials", "100"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    assert "out of range" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sdp-ie", "--input", "net.txt"],
+    ["ie", "--input", "net.txt"],
+    ["simulate", "--input", "net.txt", "--strategy", "s.json"],
+    ["gen", "--kind", "cycle", "--n", "4"],
+    ["gadget-table", "--kind", "three_path"],
+    ["table", "--corpus", "corpus"],
+])
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_negative_seed_env_var_is_a_usage_error(cycle4_file, capsys,
+                                                monkeypatch):
+    monkeypatch.setenv("NETREV_SEED", "-4")
+    with pytest.raises(SystemExit) as exc:
+        main(["ie", "--input", cycle4_file])
+    assert exc.value.code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netrev import oracle
 from netrev import (
+    SIX_CLASS_PRESET_Q,
+    GeneralizedIEStrategy,
     IEStrategy,
     MarketingStrategy,
     RandomIEStrategy,
@@ -213,6 +217,8 @@ def test_simulate_all_free_earns_nothing(cycle4):
     assert rep.mean == 0.0
     assert rep.std_error == 0.0
     assert rep.acceptance_counts == (1000, 1000, 1000, 1000)
+    empty = simulate(SocialNetwork(False, 0), MarketingStrategy((), ()), 10)
+    assert empty.mean == 0.0 and empty.acceptance_counts == ()
 
 
 def test_simulate_is_deterministic_per_seed(random_net):
@@ -266,6 +272,107 @@ def test_simulate_validation(cycle4, random_net):
         simulate(cycle4, IEStrategy(frozenset(), 0.6), 0)
     with pytest.raises(ValidationError):
         simulate(cycle4, MarketingStrategy((0, 1), (0.6, 0.6)), 10)
+    # -1 would otherwise index buyer 3, and 4 past the end
+    for member in (4, -1):
+        with pytest.raises(ValidationError, match="out of range"):
+            simulate(cycle4, IEStrategy(frozenset({0, member}), 0.6), 10)
+
+
+def _sequential_reference(g, strategy, trials, seed):
+    """The sequential-offer process walked one approach step at a time
+    across all trials: buyer b sees M = w[b, b] plus the weight of earlier
+    acceptors and, offered (1 - p_b) M, accepts when u >= 1 - p_b."""
+    n = g.n
+
+    def draws(stream):  # (trials, n), trial-major
+        return oracle._stream_uniforms(seed, stream, 0, trials, n).T
+
+    if isinstance(strategy, MarketingStrategy):
+        order = np.tile(strategy.order, (trials, 1))
+        prices = np.tile(strategy.prices, (trials, 1))
+    else:
+        if isinstance(strategy, GeneralizedIEStrategy):
+            cls = np.searchsorted(np.cumsum(strategy.q), draws("assignment"),
+                                  side="right")
+            cls = np.minimum(cls, strategy.K - 1)
+            prices = strategy.class_prices[cls]
+        else:
+            if isinstance(strategy, IEStrategy):
+                member = np.zeros((trials, n), dtype=bool)
+                member[:, sorted(strategy.influence_set)] = True
+            else:
+                member = draws("assignment") < strategy.q
+            prices = np.where(member, 1.0, strategy.p)
+            cls = ~member
+        order = np.argsort(cls + draws("ordering"), axis=1)
+    Wm = g.in_weight_matrix()
+    u = draws("acceptance")
+    rows = np.arange(trials)
+    accepted = np.zeros((trials, n))
+    revenue = np.zeros(trials)
+    counts = np.zeros(n, dtype=np.int64)
+    for s in range(n):
+        b = order[:, s]
+        M = g.self_weights[b] + np.einsum("mj,jm->m", accepted, Wm[:, b])
+        pr = prices[rows, b]
+        ok = u[rows, b] >= 1.0 - pr
+        revenue += np.where(ok, (1.0 - pr) * M, 0.0)
+        accepted[rows, b] = ok
+        np.add.at(counts, b[ok], 1)
+    return revenue, counts
+
+
+def _four_families(n):
+    rng = np.random.default_rng(n)
+    return [MarketingStrategy(tuple(int(i) for i in rng.permutation(n)),
+                              tuple(rng.uniform(0.5, 1.0, size=n))),
+            IEStrategy(frozenset({0, 3, 7}), 0.7),
+            RandomIEStrategy(0.3, 0.65),
+            GeneralizedIEStrategy(6, tuple(SIX_CLASS_PRESET_Q))]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("family", range(4))
+def test_simulate_matches_sequential_process(random_net, directed, family):
+    g = random_net(74, n=12, directed=directed, density=0.8,
+                   self_weights=not directed)
+    s = _four_families(g.n)[family]
+    trials = 6000
+    assert trials > 2 * (oracle._SIM_CELLS // max(g.n, g.num_edges))
+    rep = simulate(g, s, trials, seed=9)
+    revenue, counts = _sequential_reference(g, s, trials, seed=9)
+    assert rep.acceptance_counts == tuple(int(c) for c in counts)
+    assert rep.mean == pytest.approx(np.mean(revenue), rel=1e-12)
+    assert rep.std_error == pytest.approx(
+        np.std(revenue, ddof=1) / math.sqrt(trials), rel=1e-12)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_simulate_does_not_depend_on_chunk_size(random_net, monkeypatch,
+                                                directed):
+    g = random_net(75, n=12, directed=directed, density=0.8,
+                   self_weights=not directed)
+    trials = 700
+    full = [simulate(g, s, trials, seed=3) for s in _four_families(g.n)]
+    monkeypatch.setattr(oracle, "_SIM_CELLS", 3 * max(g.n, g.num_edges))
+    for s, ref in zip(_four_families(g.n), full):
+        rep = simulate(g, s, trials, seed=3)
+        assert rep.acceptance_counts == ref.acceptance_counts
+        assert rep.mean == pytest.approx(ref.mean, rel=1e-12)
+        assert rep.std_error == pytest.approx(ref.std_error, rel=1e-12)
+
+
+def test_simulate_memory_grows_with_edges_not_n_squared():
+    # a dense n x n matrix at n=5000 alone would take 200 MB
+    g = generate("path", 5000)
+    tracemalloc.start()
+    try:
+        for s in _four_families(g.n):
+            simulate(g, s, 20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_oracle_report_serialization(cycle4):
