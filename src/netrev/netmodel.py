@@ -386,6 +386,8 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
         raise ValidationError("generate requires n >= 1")
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
+    if not 0.0 <= density <= 1.0:
+        raise ValidationError("density must lie in [0, 1]")
     if kind == "cycle":
         if n < 3:
             raise ValidationError("cycle requires n >= 3")
@@ -420,10 +422,10 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
         a, b = parts
         if a + b != n or a < 1 or b < 1:
             raise ValidationError(f"parts {parts} must be positive and sum to n={n}")
-        pairs = [(i, a + j) for i in range(a) for j in range(b)]
-        pairs = _thin(pairs, density, rng)
-        w = draw_weights(len(pairs))
-        return SocialNetwork(False, n, [(i, j, wk) for (i, j), wk in zip(pairs, w)])
+        src, dst = _sample_pairs((np.arange(a, n) for _ in range(a)),
+                                 density, rng)
+        w = draw_weights(src.size)
+        return SocialNetwork(False, n, zip(src, dst, w))
 
     # kind == "random"
     if rng is None:
@@ -431,28 +433,35 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
             raise ValidationError("random generator requires a seed")
         rng = np.random.default_rng(seed)
     if directed:
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        candidates = (np.delete(np.arange(n), i) for i in range(n))
     else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs = _thin(pairs, density, rng)
-    w = draw_weights(len(pairs))
+        candidates = (np.arange(i + 1, n) for i in range(n))
+    src, dst = _sample_pairs(candidates, density, rng)
+    w = draw_weights(src.size)
     self_w = None
     if self_weight_range is not None:
         if directed:
             raise ValidationError("self-weights apply to undirected networks only")
         lo, hi = self_weight_range
         self_w = rng.uniform(lo, hi, size=n)
-    return SocialNetwork(directed, n, [(i, j, wk) for (i, j), wk in zip(pairs, w)],
-                         self_weights=self_w)
+    return SocialNetwork(directed, n, zip(src, dst, w), self_weights=self_w)
 
 
-def _thin(pairs: list, density: float, rng) -> list:
-    if density >= 1.0:
-        return pairs
-    if not 0.0 <= density < 1.0:
-        raise ValidationError("density must lie in [0, 1]")
-    keep = rng.random(len(pairs)) < density
-    return [p for p, k in zip(pairs, keep) if k]
+def _sample_pairs(candidates: Iterable[np.ndarray], density: float, rng):
+    """Pairs ``(i, j)`` over the candidate columns ``j`` of each row ``i``,
+    each kept with probability ``density``.
+
+    Each row draws one uniform per candidate, rows in order: the same
+    uniforms as one draw over all pairs in lexicographic order, while only
+    one row of candidates is held at a time (at least one row is expected).
+    """
+    src, dst = [], []
+    for i, cols in enumerate(candidates):
+        if density < 1.0:
+            cols = cols[rng.random(cols.size) < density]
+        src.append(np.full(cols.size, i, dtype=np.int64))
+        dst.append(cols)
+    return np.concatenate(src), np.concatenate(dst)
 
 
 # ---------------------------------------------------------------------------

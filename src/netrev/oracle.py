@@ -123,7 +123,7 @@ def best_ie_exhaustive(g: SocialNetwork, p: Optional[float] = None) -> OracleRep
     used_grid = False
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        members = ((idx[:, None] >> bit[None, :]) & 1).astype(np.float64)
+        members = ((idx[None, :] >> bit[:, None]) & 1).astype(bool).T
         C, D = ie_coefficients_batch(g, members)
         if p is None:
             vals, popt, grid = _optimal_p_for_sets(C, D, scale)

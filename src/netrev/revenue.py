@@ -22,6 +22,7 @@ from .netmodel import SocialNetwork, UnsupportedOperationError, ValidationError
 PRICE_PROB_MIN = 0.5
 PRICE_PROB_MAX = 1.0
 _PROB_TOL = 1e-12
+_BATCH_CELLS = 1 << 19
 
 
 def _check_price_prob(p, name: str = "p"):
@@ -280,13 +281,8 @@ def ie_revenue_coefficients(g: SocialNetwork, A: Iterable[int]) -> tuple[float, 
     ``C`` aggregates self-weights of priced buyers plus influence from the
     free set; ``D`` aggregates influence among priced buyers.
     """
-    in_A = _influence_mask(A, g.n)
-    src, dst, w = g.influence_pairs()
-    priced_dst = ~in_A[dst]
-    C = float(np.sum(g.self_weights[~in_A]))
-    C += float(np.sum(w[priced_dst & in_A[src]]))
-    D = float(np.sum(w[priced_dst & ~in_A[src]]))
-    return C, D
+    C, D = ie_coefficients_batch(g, _influence_mask(A, g.n)[None, :])
+    return float(C[0]), float(D[0])
 
 
 def ie_revenue(g: SocialNetwork, A, p: Optional[float] = None) -> float:
@@ -312,24 +308,36 @@ def ie_revenue(g: SocialNetwork, A, p: Optional[float] = None) -> float:
 
 
 def ie_coefficients_batch(g: SocialNetwork, members: np.ndarray):
-    """Vectorized :func:`ie_revenue_coefficients` over many influence sets.
+    """:func:`ie_revenue_coefficients` of many influence sets at once.
 
-    ``members`` is a (T, n) boolean/0-1 matrix, one candidate set per row;
-    returns float vectors ``(C, D)`` of length T.
+    ``members`` is a (T, n) matrix with one candidate set per row; its
+    entries must be 0 or 1 (boolean input is taken as is).  Returns float
+    vectors ``(C, D)`` of length T.  Sets are priced over the stored edge
+    list in blocks of about ``_BATCH_CELLS`` buyer or edge cells:
+    O(T (n + |E|)) time and bounded memory, with no n x n matrix.
     """
-    M = np.asarray(members, dtype=np.float64)
+    M = np.asarray(members)
     if M.ndim != 2 or M.shape[1] != g.n:
         raise ValidationError(f"membership matrix must have {g.n} columns")
-    src, dst, w = g.influence_pairs()
-    out_w = np.zeros(g.n)
-    in_w = np.zeros(g.n)
-    np.add.at(out_w, src, w)
-    np.add.at(in_w, dst, w)
-    adj = np.zeros((g.n, g.n))
-    np.add.at(adj, (src, dst), w)
-    quad = np.sum((M @ adj) * M, axis=1)  # sum_e w_e m_src m_dst
-    C = (np.sum(g.self_weights) - M @ g.self_weights) + (M @ out_w - quad)
-    D = np.sum(w) - M @ out_w - M @ in_w + quad
+    T, n = M.shape
+    src, dst, w = g.edge_src, g.edge_dst, g.edge_weight
+    # cap[i] is buyer i's valuation cap when every other buyer owns the
+    # product; priced, it splits into C (self-weight plus influence from
+    # the free set) and D (influence from the other priced buyers).
+    in_w = np.bincount(dst, w, n)
+    if not g.directed:  # each stored edge is an influence pair both ways
+        in_w += np.bincount(src, w, n)
+        w = 2.0 * w
+    cap = g.self_weights + in_w
+    C, D = np.empty(T), np.empty(T)
+    rows = max(1, _BATCH_CELLS // max(1, n, w.size))
+    for start in range(0, T, rows):
+        block = M[start:start + rows].T
+        if block.dtype != bool and not np.all((block == 0) | (block == 1)):
+            raise ValidationError("membership entries must be 0 or 1")
+        priced = ~np.ascontiguousarray(block, dtype=bool)  # buyer-major
+        D[start:start + rows] = w @ (priced[src] & priced[dst])
+        C[start:start + rows] = cap @ priced - D[start:start + rows]
     return C, D
 
 

@@ -66,6 +66,16 @@ def test_gen_rejects_bad_size(capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("density", ["3", "-0.5"])
+def test_gen_rejects_density_outside_unit_interval(capsys, density):
+    rc = main(["gen", "--kind", "random", "--n", "5", "--seed", "1",
+               "--density", density])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "density" in captured.err
+    assert captured.out == ""
+
+
 def test_gen_unknown_kind_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--kind", "moebius", "--n", "4"])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +165,66 @@ def test_generate_random_is_seed_deterministic():
     a = generate("random", 8, density=0.5, weight_range=(0.1, 1.0), seed=9)
     b = generate("random", 8, density=0.5, weight_range=(0.1, 1.0), seed=9)
     assert save_network(a) == save_network(b)
+
+
+def _tuple_generate(kind, n, directed, density, weight_range,
+                    self_weight_range, seed):
+    """The generator as once written: every candidate pair as a Python
+    tuple, thinned by one draw of uniforms in lexicographic order."""
+    rng = np.random.default_rng(seed)
+    if kind == "bipartite":
+        a = (n + 1) // 2
+        pairs = [(i, j) for i in range(a) for j in range(a, n)]
+    elif directed:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if density < 1.0:
+        keep = rng.random(len(pairs)) < density
+        pairs = [p for p, k in zip(pairs, keep) if k]
+    w = rng.uniform(*weight_range, size=len(pairs))
+    self_w = None
+    if self_weight_range is not None:
+        self_w = rng.uniform(*self_weight_range, size=n)
+    return SocialNetwork(directed, n, [(i, j, wk) for (i, j), wk in zip(pairs, w)],
+                         self_weights=self_w)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 0.999, 1.0])
+@pytest.mark.parametrize("kind,directed", [("random", False), ("random", True),
+                                           ("bipartite", False)])
+def test_generate_matches_tuple_generator(kind, directed, density):
+    for n in (1, 2, 3, 8, 41, 120):
+        if kind == "bipartite" and n < 2:
+            continue
+        sw = (0.2, 1.0) if kind == "random" and not directed else None
+        got = generate(kind, n, directed=directed, density=density,
+                       weight_range=(0.1, 1.0), self_weight_range=sw,
+                       seed=n + 100)
+        want = _tuple_generate(kind, n, directed, density, (0.1, 1.0), sw,
+                               n + 100)
+        assert got == want
+        assert np.array_equal(got.edge_weight, want.edge_weight)
+
+
+def test_generate_memory_grows_with_edges_not_n_squared():
+    # the n(n-1)/2 candidate pairs at n=3000 as tuples alone take ~400 MB
+    tracemalloc.start()
+    try:
+        g = generate("random", 3000, density=4 / 2999, weight_range=(0.1, 1.0),
+                     seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4000 < g.num_edges < 8000
+    assert peak < 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind,density", itertools.product(
+    ["random", "bipartite", "cycle"], [3.0, 1.0 + 1e-9, -0.1, math.nan]))
+def test_generate_rejects_density_outside_unit_interval(kind, density):
+    with pytest.raises(ValidationError, match="density"):
+        generate(kind, 5, density=density, seed=1)
 
 
 def test_gadget_shapes():

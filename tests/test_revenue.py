@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netrev import revenue
 from netrev import (
     GeneralizedIEStrategy,
     IEStrategy,
@@ -127,6 +129,98 @@ def test_ie_batch_matches_scalar(random_net):
     np.testing.assert_allclose(
         ie_revenue_batch(g, members, 0.7),
         [ie_revenue(g, frozenset(np.nonzero(r)[0]), 0.7) for r in members])
+
+
+def _dense_coefficients(g, members):
+    """The batch formula on a dense n x n weight matrix, as a reference."""
+    M = np.asarray(members, dtype=np.float64)
+    src, dst, w = g.influence_pairs()
+    out_w = np.zeros(g.n)
+    in_w = np.zeros(g.n)
+    np.add.at(out_w, src, w)
+    np.add.at(in_w, dst, w)
+    adj = np.zeros((g.n, g.n))
+    np.add.at(adj, (src, dst), w)
+    quad = np.sum((M @ adj) * M, axis=1)
+    C = (np.sum(g.self_weights) - M @ g.self_weights) + (M @ out_w - quad)
+    D = np.sum(w) - M @ out_w - M @ in_w + quad
+    return C, D
+
+
+_BATCH_NETWORKS = {
+    "undirected_self_weights": lambda: generate(
+        "random", 30, density=0.3, weight_range=(0.1, 1.0),
+        self_weight_range=(0.2, 1.0), seed=21),
+    "directed": lambda: generate(
+        "random", 30, directed=True, density=0.3, weight_range=(0.1, 1.0),
+        seed=22),
+    "edge_free": lambda: SocialNetwork(False, 9, [],
+                                       self_weights=np.linspace(0.5, 2.0, 9)),
+    "empty": lambda: SocialNetwork(False, 0, []),
+}
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+@pytest.mark.parametrize("rows", [0, 1, 40])
+@pytest.mark.parametrize("name", sorted(_BATCH_NETWORKS))
+def test_ie_batch_matches_dense_formula(monkeypatch, name, rows, dtype):
+    g = _BATCH_NETWORKS[name]()
+    members = (np.random.default_rng(rows).random((rows, g.n)) < 0.4
+               ).astype(dtype)
+    C_ref, D_ref = _dense_coefficients(g, members)
+    scale = 1e-12 * max(1.0, 2.0 * g.W + g.N)
+    for cells in (revenue._BATCH_CELLS, max(1, g.n, g.num_edges)):
+        # the second budget holds one row per block: 40 rows, 40 blocks
+        monkeypatch.setattr(revenue, "_BATCH_CELLS", cells)
+        C, D = ie_coefficients_batch(g, members)
+        assert C.shape == D.shape == (rows,)
+        np.testing.assert_allclose(C, C_ref, rtol=1e-12, atol=scale)
+        np.testing.assert_allclose(D, D_ref, rtol=1e-12, atol=scale)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_ie_batch_revenue_is_never_negative(random_net, directed):
+    # sets that leave the priced side almost no influence: the dense
+    # formula's cancellation read some of these as slightly negative
+    g = random_net(24, n=11, directed=directed, density=0.9,
+                   self_weights=not directed)
+    rng = np.random.default_rng(5)
+    members = rng.random((3000, g.n)) < rng.uniform(0.5, 1.0, (3000, 1))
+    members[0] = True
+    revenues = ie_revenue_batch(g, members, 0.6)
+    assert revenues[0] == 0.0
+    assert np.all(revenues >= 0.0)
+
+
+@pytest.mark.parametrize("row", [[0.5] * 4, [0, 2, 0, 1], [0, 1, -1, 0],
+                                 [0, np.nan, 1, 1]])
+def test_ie_batch_rejects_entries_other_than_zero_one(cycle4, row):
+    with pytest.raises(ValidationError):
+        ie_coefficients_batch(cycle4, np.array([[1, 0, 1, 0], row]))
+    with pytest.raises(ValidationError):
+        ie_revenue_batch(cycle4, np.array([row]), 0.6)
+
+
+def test_ie_batch_rejects_wrong_shape(cycle4):
+    with pytest.raises(ValidationError):
+        ie_coefficients_batch(cycle4, np.ones((2, 3), dtype=bool))
+    with pytest.raises(ValidationError):
+        ie_coefficients_batch(cycle4, np.ones(4, dtype=bool))
+
+
+def test_ie_batch_memory_grows_with_edges_not_n_squared():
+    # a dense n x n matrix at n=5000 alone would take 200 MB
+    g = generate("path", 5000)
+    members = np.random.default_rng(2).random((200, g.n)) < 0.3
+    tracemalloc.start()
+    try:
+        revenues = ie_revenue_batch(g, members, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+    assert revenues[0] == pytest.approx(
+        ie_revenue(g, frozenset(np.nonzero(members[0])[0]), 0.6))
 
 
 # ---------------------------------------------------------------------------
