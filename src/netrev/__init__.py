@@ -13,7 +13,7 @@ from .netmodel import (GADGET_KINDS, GADGET_SELECTION_NODES, ParseError,
 from .revenue import (GeneralizedIEStrategy, IEStrategy, MarketingStrategy,
                       MyopicQuote, RandomIEStrategy, RevenueBounds,
                       best_ordering_for_prices, class_moments,
-                      generalized_ie_moments, generalized_ie_revenue,
+                      generalized_ie_revenue,
                       ie_coefficients_batch, ie_revenue, ie_revenue_batch,
                       ie_revenue_coefficients, myopic_price,
                       price_for_probability, pricing_classes,
@@ -40,7 +40,7 @@ from .oracle import (OracleReport, SimulationReport, best_ie_exhaustive,
 from .certificates import (CERTIFICATE_KINDS, CertificateReport,
                            ratio_certificate)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CERTIFICATE_KINDS", "CertificateReport", "DIRECTED_ROUNDING",
@@ -57,7 +57,7 @@ __all__ = [
     "best_strategy_search", "build_sdp", "class_moments", "class_ratio",
     "class_ratio_terms", "default_rounding_schedule", "eliminate_selfloops",
     "gadget", "gadget_revenue_table", "generalized_ie",
-    "generalized_ie_moments", "generalized_ie_revenue", "generate",
+    "generalized_ie_revenue", "generate",
     "ie_baseline", "ie_bipartite", "ie_coefficients_batch", "ie_revenue",
     "ie_revenue_batch", "ie_revenue_coefficients", "ie_tuned", "load_network",
     "myopic_price", "network_from_json", "optimize_class_assignment",

@@ -3,36 +3,46 @@
 Each certificate minimizes (or maximizes) one of the library's worst-case
 ratio expressions over its constrained domain by a dense vectorized grid
 scan followed by local refinement, and reports the certified value with its
-optimizer.  Kinds:
+optimizer.  Kinds, with the library formula each one evaluates:
 
 ``sdp_directed``   worst per-edge revenue ratio of rotate-and-round versus
-                   the directed relaxation objective, min over angle triples.
+                   the directed relaxation objective (the edge terms of
+                   ``build_sdp``, angles mapped by ``rotate`` and
+                   ``rotated_pair_angle``), min over angle triples.
 ``sdp_undirected`` same for undirected edge terms.
 ``sdp_self``       same for self-weight terms (depends only on gamma).
 ``rounding_undirected``  the two minima governing randomized rounding of an
-                   undirected pricing vector (self-weight term over x; edge
-                   term over y <= x).
-``rounding_directed``    the single directed rounding term (its x-dependence
-                   cancels; certified over the full (x, y) square).
+                   undirected pricing vector: ``RoundingSchedule.self_term``
+                   over x and ``RoundingSchedule.edge_term`` over y <= x,
+                   each divided by the same term of ``strategy_revenue``
+                   under the sorted order.
+``rounding_directed``    the directed ``RoundingSchedule.edge_term`` over the
+                   same marketing term (its x-dependence cancels; certified
+                   over the full (x, y) square).
 ``random_ie``      best achievable ratio of the single-set random IE family,
-                   max over (q, p) at a given self-weight ratio lam.
-``class_ie``       ratio terms of a K-class assignment vector.
+                   ``random_ie_revenue / revenue_bounds().upper`` through
+                   ``class_moments`` of its two classes, max over (q, p) at
+                   a given self-weight ratio lam.
+``class_ie``       ``class_ratio_terms`` of a K-class assignment vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .netmodel import ValidationError
-from .revenue import class_moments, pricing_classes
+from .revenue import (GeneralizedIEStrategy, _check_exploit_prob,
+                      _random_ie_classes, class_moments)
 from .strategies import (DIRECTED_ROUNDING, RoundingSchedule,
-                         SIX_CLASS_PRESET_Q, UNDIRECTED_ROUNDING,
-                         UNDIRECTED_ROUNDING_FLAT)
+                         SIX_CLASS_PRESET_Q, TUNED_EXPLOIT_PROB,
+                         UNDIRECTED_ROUNDING, UNDIRECTED_ROUNDING_FLAT,
+                         _tuned_inclusion_prob, class_ratio_terms)
 from .sdprelax import (DIRECTED_SDP_GAMMA, DIRECTED_SDP_PRICING,
                        UNDIRECTED_SDP_GAMMA, UNDIRECTED_SDP_PRICING,
                        _rotated_pair_angles, rotate)
@@ -193,19 +203,26 @@ def _certify_sdp_pair(kind: str, p: float, gamma: float, step: float,
         grid_step=step)
 
 
-def _certify_sdp_self(gamma: float, step: float, refine: bool) -> CertificateReport:
-    xs = np.minimum(np.arange(step, math.pi + 0.5 * step, step), math.pi)
-    vals = rotate(xs, gamma) / (1.0 - np.cos(xs))
+def _grid_min_1d(fn, xs: np.ndarray, lo: float, hi: float, step: float,
+                 refine: bool) -> tuple[float, float]:
+    """Minimum ``(value, x)`` of ``fn`` over the grid ``xs``, polished within
+    two steps of the best cell (kept inside [lo, hi]) when ``refine``."""
+    vals = fn(xs)
     k = int(np.argmin(vals))
     x, val = float(xs[k]), float(vals[k])
     if refine:
-        lo = max(1e-9, x - 2 * step)
-        hi = min(math.pi, x + 2 * step)
-        res = minimize_scalar(
-            lambda t: rotate(t, gamma) / (1.0 - math.cos(t)),
-            bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+        res = minimize_scalar(lambda t: float(fn(t)),
+                              bounds=(max(lo, x - 2 * step), min(hi, x + 2 * step)),
+                              method="bounded", options={"xatol": 1e-10})
         if res.fun < val:
             x, val = float(res.x), float(res.fun)
+    return val, x
+
+
+def _certify_sdp_self(gamma: float, step: float, refine: bool) -> CertificateReport:
+    xs = np.minimum(np.arange(step, math.pi + 0.5 * step, step), math.pi)
+    val, x = _grid_min_1d(lambda t: rotate(t, gamma) / (1.0 - np.cos(t)),
+                          xs, 1e-9, math.pi, step, refine)
     return CertificateReport(kind="sdp_self", params={"gamma": gamma},
                              value=_TWO_OVER_PI * val, argopt={"theta": x},
                              grid_step=step)
@@ -225,46 +242,41 @@ def _resolve_schedule(schedule) -> RoundingSchedule:
     raise ValidationError(f"unknown rounding schedule {schedule!r}")
 
 
+def _rounding_self_ratio(sched: RoundingSchedule, x):
+    """Rounded over marketing revenue per unit self-weight at price x."""
+    x = np.asarray(x, dtype=np.float64)
+    return sched.self_term(x) / (x * (1.0 - x))
+
+
+def _rounding_edge_ratio(sched: RoundingSchedule, x, y, directed: bool):
+    """Rounded over marketing revenue per unit weight of an edge whose
+    endpoints have prices x >= y (so the x buyer is approached first)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return sched.edge_term(x, y, directed) / (x * y * (1.0 - y))
+
+
+def _pair_grid_min(ratio, step: float, cap: float, sorted_pairs: bool):
+    """Grid minimum ``[value, x, y]`` of ``ratio(x, y)`` over x in [1/2, 1]
+    and y in [1/2, cap], restricted to y <= x when ``sorted_pairs``."""
+    gx = np.minimum(np.arange(0.5, 1.0 + 0.5 * step, step), 1.0)
+    gy = np.arange(0.5, cap, step)
+    R = ratio(gx[None, :], gy[:, None])
+    if sorted_pairs:
+        R = np.where(gy[:, None] <= gx[None, :] + 1e-12, R, np.inf)
+    yi, xi = np.unravel_index(int(np.argmin(R)), R.shape)
+    return [float(R[yi, xi]), float(gx[xi]), float(gy[yi])]
+
+
 def _certify_rounding_undirected(schedule, step: float,
                                  refine: bool) -> CertificateReport:
     sched = _resolve_schedule(schedule)
-    ph = sched.p_hat
-    m = ph * (1.0 - ph)
-
-    def I(v):
-        return sched.alpha(np.asarray(v, dtype=np.float64)) \
-            * (np.asarray(v, dtype=np.float64) - 0.5)
-
-    def left_fn(x):
-        x = np.asarray(x, dtype=np.float64)
-        return m * (1.0 - I(x)) / (x * (1.0 - x))
-
-    def right_fn(x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        Ex, Ey = 1.0 - I(x), 1.0 - I(y)
-        return m * (I(x) * Ey + Ex * I(y) + ph * Ex * Ey) / (x * y * (1.0 - y))
-
+    left_fn = partial(_rounding_self_ratio, sched)
+    right_fn = partial(_rounding_edge_ratio, sched, directed=False)
     cap = 1.0 - 1e-9
-    xs = np.arange(0.5, cap, step)
-    lv = left_fn(xs)
-    k = int(np.argmin(lv))
-    left_x, left_val = float(xs[k]), float(lv[k])
-    if refine:
-        res = minimize_scalar(lambda t: float(left_fn(t)),
-                              bounds=(max(0.5, left_x - 2 * step),
-                                      min(cap, left_x + 2 * step)),
-                              method="bounded", options={"xatol": 1e-10})
-        if res.fun < left_val:
-            left_x, left_val = float(res.x), float(res.fun)
-
-    gx = np.arange(0.5, 1.0 + 0.5 * step, step)
-    gx = np.minimum(gx, 1.0)
-    gy = np.arange(0.5, cap, step)
-    R = right_fn(gx[None, :], gy[:, None])
-    R = np.where(gy[:, None] <= gx[None, :] + 1e-12, R, np.inf)
-    yi, xi = np.unravel_index(int(np.argmin(R)), R.shape)
-    right = [float(R[yi, xi]), float(gx[xi]), float(gy[yi])]
+    left_val, left_x = _grid_min_1d(left_fn, np.arange(0.5, cap, step),
+                                    0.5, cap, step, refine)
+    right = _pair_grid_min(right_fn, step, cap, sorted_pairs=True)
     if refine:
         for _ in range(8):
             v0 = right[0]
@@ -283,7 +295,7 @@ def _certify_rounding_undirected(schedule, step: float,
     value = min(left_val, right[0])
     return CertificateReport(
         kind="rounding_undirected",
-        params={"schedule": sched.name, "p_hat": ph},
+        params={"schedule": sched.name, "p_hat": sched.p_hat},
         value=value,
         argopt=({"x": left_x} if left_val <= right[0]
                 else {"x": right[1], "y": right[2]}),
@@ -293,24 +305,9 @@ def _certify_rounding_undirected(schedule, step: float,
 
 
 def _certify_rounding_directed(step: float, refine: bool) -> CertificateReport:
-    sched = DIRECTED_ROUNDING
-    ph = sched.p_hat
-    m = ph * (1.0 - ph)
-
-    def ratio(x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        Ix, Iy = x - 0.5, y - 0.5
-        Ex, Ey = 1.0 - Ix, 1.0 - Iy
-        return m * (Ix * Ey + 0.5 * ph * Ex * Ey) / (x * y * (1.0 - y))
-
+    ratio = partial(_rounding_edge_ratio, DIRECTED_ROUNDING, directed=True)
     cap = 1.0 - 1e-9
-    gx = np.arange(0.5, 1.0 + 0.5 * step, step)
-    gx = np.minimum(gx, 1.0)
-    gy = np.arange(0.5, cap, step)
-    R = ratio(gx[None, :], gy[:, None])
-    yi, xi = np.unravel_index(int(np.argmin(R)), R.shape)
-    best = [float(R[yi, xi]), float(gx[xi]), float(gy[yi])]
+    best = _pair_grid_min(ratio, step, cap, sorted_pairs=False)
     if refine:
         res = minimize_scalar(lambda t: float(ratio(best[1], t)),
                               bounds=(0.5, cap), method="bounded",
@@ -318,7 +315,7 @@ def _certify_rounding_directed(step: float, refine: bool) -> CertificateReport:
         if res.fun < best[0]:
             best[0], best[2] = float(res.fun), float(res.x)
     return CertificateReport(
-        kind="rounding_directed", params={"p_hat": ph},
+        kind="rounding_directed", params={"p_hat": DIRECTED_ROUNDING.p_hat},
         value=best[0], argopt={"x": best[1], "y": best[2]},
         grid_step=step,
         details={"x_free": "the ratio is constant in x",
@@ -330,32 +327,31 @@ def _certify_rounding_directed(step: float, refine: bool) -> CertificateReport:
 # ---------------------------------------------------------------------------
 
 def _random_ie_ratio(q, p, lam: float, directed: bool):
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    m = (1.0 - q) * p * (1.0 - p)
+    """``random_ie_revenue / revenue_bounds().upper`` on a network with
+    N / W = lam (N = 0 when directed), broadcast over ``q`` and ``p``: the
+    two-class moments give S1 per unit self-weight and S2 per unit edge
+    weight (S2 / 2 directed), against (W + N) / 4."""
+    S1, S2 = class_moments(*_random_ie_classes(q, p))
     if directed:
-        return 4.0 * m * (q + 0.5 * p * (1.0 - q))
-    return 4.0 * m * (lam + 2.0 * q + p * (1.0 - q)) / (1.0 + lam)
+        return 4.0 * (0.5 * S2)
+    return 4.0 * (S1 * lam + S2) / (1.0 + lam)
 
 
 def _tuned_random_ie(lam: float, directed: bool) -> dict:
-    p = 2.0 - math.sqrt(2.0)
-    if directed:
-        q = 1.0 - math.sqrt(2.0) / 2.0
-    else:
-        q = max(1.0 - math.sqrt(2.0) * (2.0 + lam) / 4.0, 0.0)
+    q, p = _tuned_inclusion_prob(lam, directed), TUNED_EXPLOIT_PROB
     return {"q": q, "p": p,
             "value": float(_random_ie_ratio(q, p, lam, directed))}
 
 
 def _certify_random_ie(lam: float, directed: bool, step: float,
                        refine: bool) -> CertificateReport:
-    if lam < 0:
-        raise ValidationError("self-weight ratio lam must be non-negative")
     qs = np.arange(0.0, 1.0 + 0.5 * step, step)
     ps = np.arange(0.5, 1.0 + 0.5 * step, step)
     qs, ps = np.minimum(qs, 1.0), np.minimum(ps, 1.0)
-    R = _random_ie_ratio(qs[:, None], ps[None, :], lam, directed)
+    # in blocks of q rows: the two-class arrays of the whole grid would hold
+    # several (q, p, 2) temporaries at once
+    R = np.concatenate([_random_ie_ratio(qb[:, None], ps, lam, directed)
+                        for qb in np.array_split(qs, 16)])
     qi, pi_ = np.unravel_index(int(np.argmax(R)), R.shape)
     best = [float(R[qi, pi_]), float(qs[qi]), float(ps[pi_])]
     if refine:
@@ -381,23 +377,17 @@ def _certify_random_ie(lam: float, directed: bool, step: float,
 # ---------------------------------------------------------------------------
 
 def _certify_class_ie(K: int, q, directed: bool) -> CertificateReport:
-    K = int(K)
     if q is None:
         if K != 6:
             raise ValidationError("default assignment vector exists for K=6 only")
         q = SIX_CLASS_PRESET_Q
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (K,):
-        raise ValidationError(f"q must have length K={K}")
-    if abs(float(np.sum(q)) - 1.0) > 1e-9 or np.any(q < -1e-9):
-        raise ValidationError("q must lie on the probability simplex")
-    S1, S2 = class_moments(np.clip(q, 0.0, None), pricing_classes(K))
-    t1, t2 = 4.0 * S1, 4.0 * S2
+    strategy = GeneralizedIEStrategy(K, tuple(q))
+    t1, t2 = class_ratio_terms(strategy.K, strategy.q)
     undirected = min(t1, t2)
     directed_value = 0.5 * t2
     return CertificateReport(
         kind="class_ie",
-        params={"K": K, "q": [float(x) for x in q], "directed": directed},
+        params={"K": strategy.K, "q": list(strategy.q), "directed": directed},
         value=directed_value if directed else undirected,
         argopt={}, grid_step=None,
         details={"self_term": t1, "edge_term": t2,
@@ -420,16 +410,14 @@ def ratio_certificate(kind: str, grid_step: Optional[float] = None,
     ``q``, ``directed`` for class_ie.
     """
     step = 1e-3 if grid_step is None else float(grid_step)
-    if step <= 0:
-        raise ValidationError("grid_step must be positive")
-    if kind == "sdp_directed":
-        p = float(params.pop("p", DIRECTED_SDP_PRICING))
-        gamma = float(params.pop("gamma", DIRECTED_SDP_GAMMA))
-        _no_extras(kind, params)
-        return _certify_sdp_pair(kind, p, gamma, step, refine)
-    if kind == "sdp_undirected":
-        p = float(params.pop("p", UNDIRECTED_SDP_PRICING))
-        gamma = float(params.pop("gamma", UNDIRECTED_SDP_GAMMA))
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"grid_step must be finite and positive, got {step}")
+    if kind in ("sdp_directed", "sdp_undirected"):
+        directed = kind == "sdp_directed"
+        p = _check_exploit_prob(params.pop(
+            "p", DIRECTED_SDP_PRICING if directed else UNDIRECTED_SDP_PRICING))
+        gamma = float(params.pop(
+            "gamma", DIRECTED_SDP_GAMMA if directed else UNDIRECTED_SDP_GAMMA))
         _no_extras(kind, params)
         return _certify_sdp_pair(kind, p, gamma, step, refine)
     if kind == "sdp_self":
@@ -445,6 +433,9 @@ def ratio_certificate(kind: str, grid_step: Optional[float] = None,
         return _certify_rounding_directed(step, refine)
     if kind == "random_ie":
         lam = float(params.pop("lam", 0.0))
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValidationError(
+                f"self-weight ratio lam must be finite and non-negative, got {lam}")
         directed = bool(params.pop("directed", False))
         _no_extras(kind, params)
         return _certify_random_ie(lam, directed, step, refine)

@@ -25,10 +25,8 @@ from .netmodel import (GADGET_KINDS, SocialNetwork, ValidationError, gadget,
                        generate, load_network, save_network)
 from .oracle import (best_ie_exhaustive, best_ordering_exhaustive,
                      best_strategy_search, gadget_revenue_table, simulate)
-from .revenue import (GeneralizedIEStrategy, IEStrategy, MarketingStrategy,
-                      RandomIEStrategy, generalized_ie_revenue, ie_revenue,
-                      random_ie_revenue, revenue_bounds, strategy_family,
-                      strategy_from_json, strategy_revenue)
+from .revenue import (ie_revenue, revenue_bounds, strategy_family,
+                      strategy_from_json)
 from .sdprelax import sdp_ie
 from .strategies import generalized_ie, ie_baseline, ie_bipartite, ie_tuned
 
@@ -49,6 +47,15 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
     return seed
+
+
+def _float_list(text: str) -> list[float]:
+    """A comma-separated list of numbers, such as ``0.5,0.75``."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -114,18 +121,6 @@ def _load_strategy(path):
     return strategy_from_json(doc)
 
 
-def _closed_form_revenue(g: SocialNetwork, strategy) -> float:
-    if isinstance(strategy, MarketingStrategy):
-        return strategy_revenue(g, strategy)
-    if isinstance(strategy, IEStrategy):
-        return ie_revenue(g, strategy)
-    if isinstance(strategy, RandomIEStrategy):
-        return random_ie_revenue(g, strategy.q, strategy.p)
-    if isinstance(strategy, GeneralizedIEStrategy):
-        return generalized_ie_revenue(g, strategy.K, strategy.q)
-    raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
-
-
 def _emit(doc: dict, output) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output:
@@ -165,7 +160,7 @@ def _cmd_eval(args) -> int:
     t0 = time.perf_counter()
     g = _load_instance(args.input)
     strategy = _load_strategy(args.strategy)
-    revenue = _closed_form_revenue(g, strategy)
+    revenue = strategy.expected_revenue(g)
     upper = revenue_bounds(g).upper
     report = ExperimentReport(
         instance=_instance_descriptor(g, args.input),
@@ -214,7 +209,7 @@ def _cmd_gie(args) -> int:
     t0 = time.perf_counter()
     g = _load_instance(args.input)
     strategy = generalized_ie(g, args.K, mode=args.mode, seed=args.seed)
-    revenue = generalized_ie_revenue(g, strategy.K, strategy.q)
+    revenue = strategy.expected_revenue(g)
     upper = revenue_bounds(g).upper
     report = ExperimentReport(
         instance=_instance_descriptor(g, args.input), family="generalized_ie",
@@ -262,8 +257,7 @@ def _cmd_oracle(args) -> int:
     elif args.mode == "best-ordering":
         if args.prices is None:
             raise ValidationError("best-ordering needs --prices")
-        prices = [float(tok) for tok in args.prices.split(",")]
-        report = best_ordering_exhaustive(g, prices)
+        report = best_ordering_exhaustive(g, args.prices)
     else:
         raise ValidationError(f"unknown oracle mode {args.mode!r}")
     doc = report.to_json()
@@ -296,7 +290,7 @@ def _cmd_certify(args) -> int:
     if args.K is not None:
         params["K"] = args.K
     if args.q is not None:
-        params["q"] = [float(tok) for tok in args.q.split(",")]
+        params["q"] = args.q
     if args.schedule is not None:
         params["schedule"] = args.schedule
     if args.directed:
@@ -313,7 +307,7 @@ def _cmd_simulate(args) -> int:
     g = _load_instance(args.input)
     strategy = _load_strategy(args.strategy)
     report = simulate(g, strategy, args.trials, seed=args.seed)
-    closed = _closed_form_revenue(g, strategy)
+    closed = strategy.expected_revenue(g)
     doc = {"instance": _instance_descriptor(g, args.input),
            "family": strategy_family(strategy),
            "simulation": report.to_json(),
@@ -340,7 +334,7 @@ def _table_row(task) -> dict:
     row["tuned_ie"] = tuned.expected_revenue
     row["tuned_ie_ratio"] = _ratio(tuned.expected_revenue, upper)
     gie = generalized_ie(g, 6, mode="preset")
-    row["generalized_ie"] = generalized_ie_revenue(g, gie.K, gie.q)
+    row["generalized_ie"] = gie.expected_revenue(g)
     row["generalized_ie_ratio"] = _ratio(row["generalized_ie"], upper)
     result = sdp_ie(g, trials=trials, seed=seed)
     row["sdp_ie"] = result.revenue
@@ -457,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "best-ordering"), default="best-ie")
     sp.add_argument("--pricing-prob", type=float, default=None,
                     help="fix the IE pricing probability (best-ie)")
-    sp.add_argument("--prices", help="comma-separated prices (best-ordering)")
+    sp.add_argument("--prices", type=_float_list,
+                    help="comma-separated prices (best-ordering)")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("gadget-table",
@@ -474,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--K", type=int, default=None)
-    sp.add_argument("--q", help="comma-separated class assignment vector")
+    sp.add_argument("--q", type=_float_list,
+                    help="comma-separated class assignment vector")
     sp.add_argument("--schedule", choices=("piecewise", "flat"))
     sp.add_argument("--directed", action="store_true")
     sp.add_argument("--grid-step", type=float, default=None)

@@ -21,8 +21,8 @@ from numpy.random import Generator, Philox, SeedSequence, default_rng
 
 from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
                        gadget)
-from .revenue import (GeneralizedIEStrategy, IEStrategy, MarketingStrategy,
-                      RandomIEStrategy, _check_exploit_prob, _influence_mask,
+from .revenue import (IEStrategy, MarketingStrategy, _ClassIEStrategy,
+                      _check_exploit_prob, _ie_cubic, _influence_mask,
                       _require_normalized, ie_coefficients_batch, ie_revenue,
                       strategy_family)
 
@@ -40,11 +40,10 @@ _UNDIRECTED_LIMIT = 50
 class OracleReport:
     """Outcome of one ground-truth search.
 
-    ``method`` is "exhaustive" when the search space was fully enumerated,
-    "grid" when a 1-D grid decided the pricing probability, and
-    "multistart" for the heuristic continuous searches (whose values are
-    lower bounds, not certified optima).  ``resolution`` carries the grid
-    pitch when one was used.
+    ``method`` is "exhaustive" when the search space was fully enumerated
+    and "multistart" for the heuristic continuous searches (whose values are
+    lower bounds, not certified optima).  ``resolution`` carries the pitch
+    of the multistart price grid when one was used.
     """
 
     best_value: float
@@ -65,20 +64,13 @@ class OracleReport:
 # Exhaustive best influence set
 # ---------------------------------------------------------------------------
 
-def _grid_best_p(C: float, D: float, step: float = 1e-6) -> float:
-    ps = np.arange(0.5, 1.0, step)
-    vals = ps * (1.0 - ps) * (C + 0.5 * ps * D)
-    return float(ps[int(np.argmax(vals))])
-
-
 def _optimal_p_for_sets(C: np.ndarray, D: np.ndarray, scale: float):
     """Closed-form argmax over p in [1/2, 1) of p(1-p)(C + pD/2) per row.
 
     The stationary point solves (3D/2)p^2 + (2C - D)p - C = 0; the positive
     root is evaluated in the cancellation-free form for each sign of the
-    linear coefficient.  Rows with vanishing quadratic coefficient fall back
-    to a grid search (the objective is then p(1-p)C, optimized at 1/2; the
-    grid is shared because its argmax does not depend on C).
+    linear coefficient.  Rows with vanishing quadratic coefficient take
+    p = 1/2, the argmax of their objective p(1-p)C.
     """
     b = 2.0 * C - D
     s = np.sqrt(b * b + 6.0 * D * C)
@@ -86,16 +78,13 @@ def _optimal_p_for_sets(C: np.ndarray, D: np.ndarray, scale: float):
         p = np.where(b >= 0.0,
                      np.where(s + b > 0.0, 2.0 * C / (s + b), 0.5),
                      (D - 2.0 * C + s) / np.maximum(3.0 * D, _TINY))
-    tiny = D <= _TINY * scale
-    used_grid = bool(np.any(tiny))
-    if used_grid:
-        p = np.where(tiny, _grid_best_p(1.0, 0.0), p)
+    p = np.where(D <= _TINY * scale, 0.5, p)
     p = np.clip(p, 0.5, 1.0 - 1e-12)
-    vals = p * (1.0 - p) * (C + 0.5 * p * D)
-    half = 0.5 * 0.5 * (C + 0.25 * D)
+    vals = _ie_cubic(p, C, D)
+    half = _ie_cubic(0.5, C, D)
     p = np.where(vals >= half, p, 0.5)
     vals = np.maximum(vals, half)
-    return vals, p, used_grid
+    return vals, p
 
 
 def _bits_of(index: int, n: int) -> frozenset:
@@ -120,25 +109,21 @@ def best_ie_exhaustive(g: SocialNetwork, p: Optional[float] = None) -> OracleRep
     total = 1 << n
     bit = np.arange(n, dtype=np.int64)
     best_val, best_idx, best_p = -np.inf, 0, 0.5
-    used_grid = False
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         members = ((idx[None, :] >> bit[:, None]) & 1).astype(bool).T
         C, D = ie_coefficients_batch(g, members)
         if p is None:
-            vals, popt, grid = _optimal_p_for_sets(C, D, scale)
-            used_grid = used_grid or grid
+            vals, popt = _optimal_p_for_sets(C, D, scale)
         else:
-            vals = p * (1.0 - p) * (C + 0.5 * p * D)
+            vals = _ie_cubic(p, C, D)
             popt = np.full(idx.size, p)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_idx, best_p = float(vals[k]), int(idx[k]), float(popt[k])
     witness = IEStrategy(_bits_of(best_idx, n), best_p)
     return OracleReport(best_value=best_val, best_witness=witness,
-                        search_space_size=total,
-                        method="grid" if used_grid and p is None else "exhaustive",
-                        resolution=1e-6 if used_grid and p is None else None)
+                        search_space_size=total, method="exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +448,8 @@ def _chunk_keys(strategy, n: int, seed: int, start: int, m: int):
 
     Both broadcast to (n, m).  In trial t buyer i is approached before
     buyer j when ``keys[i, t] < keys[j, t]``: a fixed order keys by
-    position, the IE families by class plus a uniform ordering draw.
+    position, the IE families by class plus a uniform ordering draw (an
+    IE strategy's free buyers form class 0, its priced buyers class 1).
     """
     if isinstance(strategy, MarketingStrategy):
         return np.asarray(strategy.prices)[:, None], strategy.positions()[:, None]
@@ -471,14 +457,12 @@ def _chunk_keys(strategy, n: int, seed: int, start: int, m: int):
     if isinstance(strategy, IEStrategy):
         member = _influence_mask(strategy.influence_set, n)[:, None]
         return np.where(member, 1.0, strategy.p), ~member + keys
-    if isinstance(strategy, RandomIEStrategy):
-        member = _stream_uniforms(seed, "assignment", start, m, n) < strategy.q
-        return np.where(member, 1.0, strategy.p), ~member + keys
-    if isinstance(strategy, GeneralizedIEStrategy):
+    if isinstance(strategy, _ClassIEStrategy):
+        q, prices = strategy.classes()
         draws = _stream_uniforms(seed, "assignment", start, m, n)
-        cls = np.searchsorted(np.cumsum(strategy.q), draws, side="right")
-        cls = np.minimum(cls, strategy.K - 1)
-        return strategy.class_prices[cls], cls + keys
+        cls = np.minimum(np.searchsorted(np.cumsum(q), draws, side="right"),
+                         q.size - 1)
+        return prices[cls], cls + keys
     raise ValidationError(
         f"cannot simulate strategy of type {type(strategy).__name__}")
 

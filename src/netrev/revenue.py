@@ -98,6 +98,27 @@ class MarketingStrategy:
         pos[np.asarray(self.order, dtype=np.int64)] = np.arange(self.n)
         return pos
 
+    def expected_revenue(self, g: SocialNetwork) -> float:
+        """Exact expected revenue on ``g``.
+
+        Buyer ``i`` contributes ``p_i (1 - p_i)`` times its expected
+        valuation cap, which counts ``w[i, i]`` plus ``p_j * w[j, i]`` over
+        in-neighbors ``j`` approached earlier (those own the product with
+        probability ``p_j``, independently).
+        """
+        _require_normalized(g, "strategy_revenue")
+        if self.n != g.n:
+            raise ValidationError(f"strategy covers {self.n} buyers, network has {g.n}")
+        p = np.asarray(self.prices)
+        pos = self.positions()
+        src, dst, w = g.influence_pairs()
+        margin = p * (1.0 - p)
+        total = float(np.sum(margin * g.self_weights))
+        if w.size:
+            before = pos[src] < pos[dst]
+            total += float(np.sum((margin[dst] * p[src] * w)[before]))
+        return total
+
     def to_json(self) -> dict:
         return {"order": list(self.order), "prices": list(self.prices)}
 
@@ -121,6 +142,11 @@ class IEStrategy:
                            frozenset(int(i) for i in self.influence_set))
         object.__setattr__(self, "p", _check_exploit_prob(self.p))
 
+    def expected_revenue(self, g: SocialNetwork) -> float:
+        """Exact expected revenue on ``g``; see :func:`ie_revenue`."""
+        _require_normalized(g, "ie_revenue")
+        return _ie_cubic(self.p, *ie_revenue_coefficients(g, self.influence_set))
+
     def to_json(self) -> dict:
         return {"influence_set": sorted(self.influence_set), "p": self.p}
 
@@ -130,10 +156,35 @@ class IEStrategy:
         return cls(frozenset(doc["influence_set"]), doc["p"])
 
 
+class _ClassIEStrategy:
+    """IE with buyers drawn i.i.d. into the pricing classes of ``classes()``
+    (probabilities, non-increasing prices), approached class by class."""
+
+    def expected_revenue(self, g: SocialNetwork) -> float:
+        """Exact expected revenue on ``g``, averaged over classes and order:
+        ``S1 N + S2 W`` undirected, ``S2 W / 2`` directed (:func:`class_moments`)."""
+        _require_normalized(g, f"{strategy_family(self)}_revenue")
+        S1, S2 = class_moments(*self.classes())
+        if g.directed:
+            return float(0.5 * S2 * g.W)
+        return float(S1 * g.N + S2 * g.W)
+
+
+def _random_ie_classes(q, p):
+    """Random IE as two-class IE: class probabilities ``(q, 1 - q)`` (free,
+    priced) and class prices ``(1, p)``, along a new last axis; ``q`` and
+    ``p`` broadcast against each other."""
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=np.float64),
+                               np.asarray(p, dtype=np.float64))
+    return (np.stack([q, 1.0 - q], axis=-1),
+            np.stack([np.ones_like(p), p], axis=-1))
+
+
 @dataclass(frozen=True)
-class RandomIEStrategy:
+class RandomIEStrategy(_ClassIEStrategy):
     """IE with the influence set sampled i.i.d.: each buyer joins with
-    probability ``q``; the rest are priced with probability ``p``."""
+    probability ``q``; the rest are priced with probability ``p``.  This is
+    two-class IE with class prices ``(1, p)``."""
 
     q: float
     p: float
@@ -149,6 +200,9 @@ class RandomIEStrategy:
         rng = np.random.default_rng(seed)
         members = np.nonzero(rng.random(g.n) < self.q)[0]
         return IEStrategy(frozenset(int(i) for i in members), self.p)
+
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _random_ie_classes(self.q, self.p)
 
     def to_json(self) -> dict:
         return {"q": self.q, "p": self.p}
@@ -166,7 +220,7 @@ def pricing_classes(K: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GeneralizedIEStrategy:
+class GeneralizedIEStrategy(_ClassIEStrategy):
     """Multi-class IE: buyer classes drawn i.i.d. from ``q``; classes are
     approached in order of decreasing pricing probability
     (``pricing_classes(K)``), buyers within a class in random order."""
@@ -194,6 +248,9 @@ class GeneralizedIEStrategy:
     @property
     def class_prices(self) -> np.ndarray:
         return pricing_classes(self.K)
+
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.q), self.class_prices
 
     def sample_classes(self, n: int, seed=None) -> np.ndarray:
         use = self.seed if seed is None else seed
@@ -225,14 +282,19 @@ def strategy_from_json(doc: dict):
     """Rebuild any strategy family from its JSON form, detected by keys."""
     if not isinstance(doc, dict):
         raise ValidationError("strategy document must be a JSON object")
-    if "order" in doc:
-        return MarketingStrategy.from_json(doc)
-    if "influence_set" in doc:
-        return IEStrategy.from_json(doc)
-    if "K" in doc:
-        return GeneralizedIEStrategy.from_json(doc)
-    if "q" in doc and "p" in doc:
-        return RandomIEStrategy(doc["q"], doc["p"])
+    try:
+        if "order" in doc:
+            return MarketingStrategy.from_json(doc)
+        if "influence_set" in doc:
+            return IEStrategy.from_json(doc)
+        if "K" in doc:
+            return GeneralizedIEStrategy.from_json(doc)
+        if "q" in doc and "p" in doc:
+            return RandomIEStrategy(doc["q"], doc["p"])
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed strategy document: {exc}") from None
     raise ValidationError(
         "unrecognized strategy document; expected keys for one of the "
         "marketing, ie, random_ie, or generalized_ie families")
@@ -243,25 +305,9 @@ def strategy_from_json(doc: dict):
 # ---------------------------------------------------------------------------
 
 def strategy_revenue(g: SocialNetwork, strategy: MarketingStrategy) -> float:
-    """Exact expected revenue of a marketing strategy.
-
-    Buyer ``i`` contributes ``p_i (1 - p_i)`` times its expected valuation
-    cap, which counts ``w[i, i]`` plus ``p_j * w[j, i]`` over in-neighbors
-    ``j`` approached earlier (those own the product with probability
-    ``p_j``, independently).
-    """
-    _require_normalized(g, "strategy_revenue")
-    if strategy.n != g.n:
-        raise ValidationError(f"strategy covers {strategy.n} buyers, network has {g.n}")
-    p = np.asarray(strategy.prices)
-    pos = strategy.positions()
-    src, dst, w = g.influence_pairs()
-    margin = p * (1.0 - p)
-    total = float(np.sum(margin * g.self_weights))
-    if w.size:
-        before = pos[src] < pos[dst]
-        total += float(np.sum((margin[dst] * p[src] * w)[before]))
-    return total
+    """Exact expected revenue of a marketing strategy; see
+    :meth:`MarketingStrategy.expected_revenue`."""
+    return strategy.expected_revenue(g)
 
 
 def _influence_mask(A: Iterable[int], n: int) -> np.ndarray:
@@ -295,15 +341,18 @@ def ie_revenue(g: SocialNetwork, A, p: Optional[float] = None) -> float:
     probability ``p`` when the other is approached later).  ``A`` may be an
     :class:`IEStrategy` with ``p`` omitted.
     """
-    _require_normalized(g, "ie_revenue")
     if isinstance(A, IEStrategy):
         if p is not None:
             raise ValidationError("pass either an IEStrategy or (A, p), not both")
-        A, p = A.influence_set, A.p
-    elif p is None:
+        return A.expected_revenue(g)
+    if p is None:
         raise ValidationError("ie_revenue needs a pricing probability p")
-    p = _check_exploit_prob(p)
-    C, D = ie_revenue_coefficients(g, A)
+    return IEStrategy(A, p).expected_revenue(g)
+
+
+def _ie_cubic(p, C, D):
+    """IE revenue ``p (1 - p) (C + p D / 2)`` at pricing probability ``p``
+    from the coefficients of :func:`ie_revenue_coefficients`."""
     return p * (1.0 - p) * (C + 0.5 * p * D)
 
 
@@ -344,57 +393,40 @@ def ie_coefficients_batch(g: SocialNetwork, members: np.ndarray):
 def ie_revenue_batch(g: SocialNetwork, members: np.ndarray, p: float) -> np.ndarray:
     """Expected IE revenue for each row of a membership matrix at a common
     exploit pricing probability."""
-    p = _check_exploit_prob(p)
-    C, D = ie_coefficients_batch(g, members)
-    return p * (1.0 - p) * (C + 0.5 * p * D)
+    return _ie_cubic(_check_exploit_prob(p), *ie_coefficients_batch(g, members))
 
 
 def random_ie_revenue(g: SocialNetwork, q: float, p: float) -> float:
     """Expected revenue of IE with an i.i.d. influence set (each buyer free
     with probability ``q``), averaged over the set and the exploit order."""
-    _require_normalized(g, "random_ie_revenue")
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"q must lie in [0, 1], got {q}")
-    p = _check_exploit_prob(p)
-    margin = p * (1.0 - p)
-    if g.directed:
-        return (1.0 - q) * margin * (q + 0.5 * p * (1.0 - q)) * g.W
-    return (1.0 - q) * margin * (g.N + (2.0 * q + p * (1.0 - q)) * g.W)
+    return RandomIEStrategy(q, p).expected_revenue(g)
 
 
 def generalized_ie_revenue(g: SocialNetwork, K: int, q: Sequence[float]) -> float:
     """Expected revenue of the K-class generalized IE strategy, averaged over
     the i.i.d. class assignment and within-class orders."""
-    _require_normalized(g, "generalized_ie_revenue")
-    strategy = GeneralizedIEStrategy(K, tuple(q))
-    S1, S2 = generalized_ie_moments(strategy)
-    if g.directed:
-        return 0.5 * S2 * g.W
-    return S1 * g.N + S2 * g.W
+    return GeneralizedIEStrategy(K, tuple(q)).expected_revenue(g)
 
 
-def class_moments(q: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+def class_moments(q, p):
     """Per-unit-weight revenue moments of a class-based IE assignment.
 
-    ``S1`` is the expected margin ``p (1 - p)`` of a single buyer (the
-    self-weight multiplier).  ``S2`` is the expected contribution of one
-    undirected unit edge: conditioning on the classes ``k <= l`` of its
-    endpoints, the later buyer earns ``p_k p_l (1 - p_l)``; a directed unit
-    edge earns ``S2 / 2`` by symmetry.
+    ``q`` holds the class probabilities and ``p`` the class pricing
+    probabilities, classes ordered by non-increasing ``p`` along the last
+    axis; leading axes broadcast.  ``S1`` is the expected margin
+    ``p (1 - p)`` of a single buyer (the self-weight multiplier).  ``S2`` is
+    the expected contribution of one undirected unit edge: conditioning on
+    the classes ``k <= l`` of its endpoints, the later buyer earns
+    ``p_k p_l (1 - p_l)``; a directed unit edge earns ``S2 / 2`` by symmetry.
     """
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     a = p * (1.0 - p)
     qp = q * p
-    prefix = np.cumsum(qp) - qp  # sum_{l<k} q_l p_l
-    S1 = float(np.sum(q * a))
-    S2 = float(np.sum(a * q * (qp + 2.0 * prefix)))
+    prefix = np.cumsum(qp, axis=-1) - qp  # sum_{l<k} q_l p_l
+    S1 = np.sum(q * a, axis=-1)
+    S2 = np.sum(a * q * (qp + 2.0 * prefix), axis=-1)
     return S1, S2
-
-
-def generalized_ie_moments(strategy: GeneralizedIEStrategy) -> tuple[float, float]:
-    """:func:`class_moments` of a generalized IE strategy."""
-    return class_moments(np.asarray(strategy.q), strategy.class_prices)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .netmodel import SocialNetwork, ValidationError
-from .revenue import (IEStrategy, _require_normalized, ie_revenue_batch)
+from .oracle import best_ie_exhaustive
+from .revenue import (IEStrategy, _check_exploit_prob, _require_normalized,
+                      ie_revenue_batch)
 
 #: Headline parameter pairs (exploit pricing probability, rotation strength).
 DIRECTED_SDP_PRICING = 2.0 / 3.0
@@ -48,13 +50,6 @@ class UnrealizableTripleError(ValidationError):
     """Raised when three pairwise angles cannot come from unit vectors."""
 
 
-def _check_sdp_prob(p: float) -> float:
-    p = float(p)
-    if not (np.isfinite(p) and 0.5 <= p < 1.0):
-        raise ValidationError(f"pricing probability must lie in [1/2, 1), got {p}")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # Problem construction
 # ---------------------------------------------------------------------------
@@ -66,6 +61,7 @@ class SdpProblem:
     ``objective = constant + sum coef[k] * (v_a[k] . v_b[k])``; vector index
     0 is the reference v_0 and buyer i maps to index i+1.  Constraints are
     implicit: all four CONSTRAINT_SIGNS rows for every buyer pair.
+    ``network`` is the network the problem was built from.
     """
 
     n: int
@@ -75,6 +71,7 @@ class SdpProblem:
     coef_a: np.ndarray
     coef_b: np.ndarray
     coef: np.ndarray
+    network: SocialNetwork
 
     @property
     def num_vectors(self) -> int:
@@ -126,7 +123,7 @@ def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
     and a priced self-weight p(1-p)w_ii.
     """
     _require_normalized(g, "build_sdp")
-    p = _check_sdp_prob(p)
+    p = _check_exploit_prob(p)
     m = p * (1.0 - p)
     coef: dict[tuple[int, int], float] = {}
     constant = 0.0
@@ -165,7 +162,7 @@ def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
         b = np.zeros(0, dtype=np.int64)
         c = np.zeros(0)
     return SdpProblem(n=g.n, directed=g.directed, p=p, constant=constant,
-                      coef_a=a, coef_b=b, coef=c)
+                      coef_a=a, coef_b=b, coef=c, network=g)
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +245,16 @@ def _al_value_grad(xflat, prob, Cf, rows, scatter, spread, lam, mu):
 
 
 def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
-    """Good integral assignment: exact for n <= 16, greedy flips beyond."""
+    """Good integral assignment: exact for n <= 16 (the best influence set
+    of ``best_ie_exhaustive``, free buyers signed like v_0), greedy flips
+    beyond."""
     m = prob.num_vectors
     if prob.n <= 16:
-        best_y, best_v = None, -np.inf
-        C = prob.coefficient_matrix()
-        count = 1 << prob.n
-        chunk = 1 << 14
-        for start in range(0, count, chunk):
-            codes = np.arange(start, min(start + chunk, count), dtype=np.uint64)
-            Y = np.ones((codes.size, m))
-            for i in range(prob.n):
-                Y[:, i + 1] = np.where((codes >> np.uint64(i)) & np.uint64(1), -1.0, 1.0)
-            vals = np.sum((Y @ C) * Y, axis=1)
-            k = int(np.argmax(vals))
-            if vals[k] > best_v:
-                best_v = float(vals[k])
-                best_y = Y[k].copy()
-        return best_y
+        best = best_ie_exhaustive(prob.network, prob.p).best_witness
+        y = -np.ones(m)
+        y[0] = 1.0
+        y[[i + 1 for i in best.influence_set]] = 1.0
+        return y
     rng = np.random.default_rng(seed)
     C = prob.coefficient_matrix()
     best_y, best_v = None, -np.inf
@@ -550,8 +539,8 @@ def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
         p = DIRECTED_SDP_PRICING if g.directed else UNDIRECTED_SDP_PRICING
     if gamma is None:
         gamma = DIRECTED_SDP_GAMMA if g.directed else UNDIRECTED_SDP_GAMMA
-    p = _check_sdp_prob(p)
     prob = build_sdp(g, p)
+    p = prob.p
     sol = solve_sdp(prob, seed=seed, **solver_options)
     members = _hyperplane_members(sol.vectors, gamma, seed, trials) \
         if g.n else np.zeros((trials, 0), dtype=bool)

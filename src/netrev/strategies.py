@@ -16,8 +16,8 @@ import numpy as np
 
 from .netmodel import SocialNetwork, ValidationError
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
-                      _check_price_prob, _require_normalized, class_moments,
-                      pricing_classes, random_ie_revenue, revenue_bounds)
+                      _check_price_prob, _influence_mask, _require_normalized,
+                      class_moments, pricing_classes, revenue_bounds)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -65,6 +65,15 @@ class TunedIE:
                 "ratio_bound": self.ratio_bound}
 
 
+def _tuned_inclusion_prob(lam: float, directed: bool) -> float:
+    """Ratio-optimal random-IE inclusion probability q at self-weight ratio
+    ``lam`` (ignored when directed), for the exploit probability
+    ``TUNED_EXPLOIT_PROB``."""
+    if directed:
+        return 1.0 - SQRT2 / 2.0
+    return max(1.0 - SQRT2 * (2.0 + lam) / 4.0, 0.0)
+
+
 def ie_tuned(g: SocialNetwork, seed=0) -> TunedIE:
     """Random IE with the ratio-optimal inclusion and pricing probabilities.
 
@@ -79,15 +88,13 @@ def ie_tuned(g: SocialNetwork, seed=0) -> TunedIE:
         n_quarter = 0.25 * g.N
         return TunedIE(q=0.0, p=0.5, strategy=IEStrategy(frozenset(), 0.5),
                        expected_revenue=n_quarter, ratio_bound=1.0)
-    if g.directed:
-        q = 1.0 - SQRT2 / 2.0
-    else:
-        q = max(1.0 - SQRT2 * (2.0 + g.lam) / 4.0, 0.0)
-    p = TUNED_EXPLOIT_PROB
-    expected = random_ie_revenue(g, q, p)
+    random_ie = RandomIEStrategy(_tuned_inclusion_prob(g.lam, g.directed),
+                                 TUNED_EXPLOIT_PROB)
+    expected = random_ie.expected_revenue(g)
     upper = revenue_bounds(g).upper
     ratio = expected / upper if upper > 0 else 1.0
-    return TunedIE(q=q, p=p, strategy=RandomIEStrategy(q, p).sample(g, seed),
+    return TunedIE(q=random_ie.q, p=random_ie.p,
+                   strategy=random_ie.sample(g, seed),
                    expected_revenue=expected, ratio_bound=ratio)
 
 
@@ -116,9 +123,7 @@ def ie_bipartite(g: SocialNetwork,
         A = _two_color(g)
     else:
         A = frozenset(int(i) for i in influence_set)
-        for i in A:
-            if not 0 <= i < g.n:
-                raise ValidationError(f"influence set member {i} out of range")
+        _influence_mask(A, g.n)  # rejects members outside [0, n)
         for i, j, _w in zip(g.edge_src, g.edge_dst, g.edge_weight):
             if (i in A) == (j in A):
                 side = "influence set" if i in A else "priced side"
@@ -189,8 +194,26 @@ class RoundingSchedule:
                 f"schedule {self.name} leaves [0, 1]: I={I}")
         return np.clip(I, 0.0, 1.0)
 
-    def exploit_probability(self, p) -> np.ndarray:
-        return 1.0 - self.influence_probability(p)
+    def self_term(self, p) -> np.ndarray:
+        """Expected rounded revenue per unit self-weight of a buyer priced
+        at ``p``: p_hat unless it joins the influence set."""
+        ph = self.p_hat
+        return ph * (1.0 - ph) * (1.0 - self.influence_probability(p))
+
+    def edge_term(self, p_src, p_dst, directed: bool) -> np.ndarray:
+        """Expected rounded revenue per unit weight of an edge from a buyer
+        priced at ``p_src`` to one at ``p_dst``: a free buyer earns
+        p_hat (1 - p_hat) from a priced neighbor, a priced pair p_hat times
+        that, in one direction (directed) or in either order (undirected)."""
+        ph = self.p_hat
+        Is = self.influence_probability(p_src)
+        Id = self.influence_probability(p_dst)
+        Es, Ed = 1.0 - Is, 1.0 - Id
+        if directed:
+            per_edge = Is * Ed + 0.5 * ph * Es * Ed
+        else:
+            per_edge = Is * Ed + Es * Id + ph * Es * Ed
+        return ph * (1.0 - ph) * per_edge
 
 
 UNDIRECTED_ROUNDING = RoundingSchedule(
@@ -236,18 +259,10 @@ def rounding_expected_revenue(g: SocialNetwork, prices: Sequence[float],
     p = _check_price_prob(list(prices), "prices")
     if p.shape != (g.n,):
         raise ValidationError(f"prices must have length n={g.n}")
-    I = schedule.influence_probability(p)
-    E = 1.0 - I
-    ph = schedule.p_hat
-    m = ph * (1.0 - ph)
-    total = float(np.sum(m * E * g.self_weights))
+    total = float(np.sum(schedule.self_term(p) * g.self_weights))
     s, d, w = g.edge_src, g.edge_dst, g.edge_weight
     if w.size:
-        if g.directed:
-            per_edge = I[s] * E[d] + 0.5 * ph * E[s] * E[d]
-        else:
-            per_edge = I[s] * E[d] + E[s] * I[d] + ph * E[s] * E[d]
-        total += float(np.sum(m * per_edge * w))
+        total += float(np.sum(schedule.edge_term(p[s], p[d], g.directed) * w))
     return total
 
 
@@ -263,14 +278,11 @@ def round_to_ie(g: SocialNetwork, prices: Sequence[float], seed=0,
     """
     if schedule is None:
         schedule = default_rounding_schedule(g)
-    p = _check_price_prob(list(prices), "prices")
-    if p.shape != (g.n,):
-        raise ValidationError(f"prices must have length n={g.n}")
-    I = schedule.influence_probability(p)
+    expected = rounding_expected_revenue(g, prices, schedule)  # checks prices
+    I = schedule.influence_probability(list(prices))
     rng = np.random.default_rng(seed)
     members = np.nonzero(rng.random(g.n) < I)[0]
     strategy = IEStrategy(frozenset(int(i) for i in members), schedule.p_hat)
-    expected = rounding_expected_revenue(g, p, schedule)
     return RoundedIE(strategy=strategy, expected_revenue=expected,
                      influence_probabilities=tuple(float(x) for x in I),
                      schedule=schedule)
@@ -310,8 +322,6 @@ def generalized_ie(g: SocialNetwork, K: int, mode: str = "preset",
     """
     _require_normalized(g, "generalized_ie")
     K = int(K)
-    if K < 2:
-        raise ValidationError("class count K must be at least 2")
     if mode == "preset":
         if K != 6:
             raise ValidationError("preset assignment probabilities exist for K=6 only")
@@ -336,17 +346,15 @@ def project_to_simplex(Q: np.ndarray) -> np.ndarray:
 
 def _ratio_terms_batch(Q: np.ndarray, p: np.ndarray):
     """Vectorized (term1, term2) and their gradients for rows of Q."""
+    S1, S2 = class_moments(Q, p)
     a = p * (1.0 - p)
     qp = Q * p
     prefix = np.cumsum(qp, axis=1) - qp          # sum_{l<k} q_l p_l per row
-    t1 = 4.0 * (Q @ a)
-    inner = Q * a * (qp + 2.0 * prefix)
-    t2 = 4.0 * np.sum(inner, axis=1)
     g1 = np.broadcast_to(4.0 * a, Q.shape)
     aq = a * Q
     suffix = (np.cumsum(aq[:, ::-1], axis=1)[:, ::-1] - aq)  # sum_{k>m} a_k q_k
     g2 = 8.0 * (a * qp + a * prefix + p * suffix)
-    return t1, t2, g1, g2
+    return 4.0 * S1, 4.0 * S2, g1, g2
 
 
 def optimize_class_assignment(K: int, seed=0, starts: int = 32,
@@ -389,11 +397,7 @@ def _coordinate_polish(q: np.ndarray, p: np.ndarray,
     """Hill-climb over pairwise mass transfers with a shrinking step."""
 
     def value(v):
-        a = p * (1.0 - p)
-        vp = v * p
-        prefix = np.cumsum(vp) - vp
-        return min(4.0 * float(v @ a),
-                   4.0 * float(np.sum(v * a * (vp + 2.0 * prefix))))
+        return 4.0 * float(min(class_moments(v, p)))
 
     q = q.copy()
     best = value(q)

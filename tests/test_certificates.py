@@ -6,11 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from netrev import (
     CERTIFICATE_KINDS,
+    DIRECTED_ROUNDING,
     SIX_CLASS_PRESET_Q,
+    UNDIRECTED_ROUNDING,
+    UNDIRECTED_ROUNDING_FLAT,
+    MarketingStrategy,
+    SocialNetwork,
     ValidationError,
     class_ratio,
+    random_ie_revenue,
     ratio_certificate,
+    revenue_bounds,
+    rounding_expected_revenue,
+    strategy_revenue,
 )
+from netrev.certificates import (_random_ie_ratio, _rounding_edge_ratio,
+                                 _rounding_self_ratio)
 
 
 def test_kind_catalogue():
@@ -120,3 +131,83 @@ def test_cos_band_is_a_valid_subinterval_of_the_geometric_band(a, b):
     assert hi <= geo_hi + 1e-9
     # symmetric in its two arguments
     assert _cos_band(cb, ca) == (lo, hi)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sdp_directed", {"p": 2.0}),
+    ("sdp_undirected", {"p": 0.4}),
+    ("sdp_directed", {"p": math.nan}),
+    ("sdp_undirected", {"p": 1.0}),
+    ("random_ie", {"lam": math.nan}),
+    ("random_ie", {"lam": math.inf}),
+    ("random_ie", {"lam": -0.5}),
+    ("rounding_directed", {"grid_step": math.nan}),
+    ("rounding_directed", {"grid_step": math.inf}),
+    ("sdp_self", {"grid_step": 0.0}),
+])
+def test_certificate_rejects_invalid_inputs(kind, params):
+    with pytest.raises(ValidationError):
+        ratio_certificate(kind, **params)
+
+
+# ---------------------------------------------------------------------------
+# Certificates evaluate the library's own closed forms
+# ---------------------------------------------------------------------------
+
+def _one_edge(directed, w=1.0, self_weights=None):
+    return SocialNetwork(directed, 2, [(0, 1, w)], self_weights=self_weights)
+
+
+@pytest.mark.parametrize("schedule, directed", [
+    (UNDIRECTED_ROUNDING, False),
+    (UNDIRECTED_ROUNDING_FLAT, False),
+    (DIRECTED_ROUNDING, True),
+])
+def test_rounding_ratio_is_library_revenue_ratio(schedule, directed):
+    rng = np.random.default_rng(7)
+    g = _one_edge(directed, w=1.7)
+    one = SocialNetwork(False, 1, [], self_weights=np.array([2.3]))
+    for _ in range(60):
+        x, y = np.sort(rng.uniform(0.5, 1.0 - 1e-6, size=2))[::-1]
+        # x >= y, so buyer 0 goes first in the sorted order
+        sorted_order = MarketingStrategy((0, 1), (x, y))
+        want = (rounding_expected_revenue(g, [x, y], schedule)
+                / strategy_revenue(g, sorted_order))
+        assert _rounding_edge_ratio(schedule, x, y, directed) == \
+            pytest.approx(want, rel=1e-12)
+        want_self = (rounding_expected_revenue(one, [x], schedule)
+                     / strategy_revenue(one, MarketingStrategy((0,), (x,))))
+        assert _rounding_self_ratio(schedule, x) == \
+            pytest.approx(want_self, rel=1e-12)
+
+
+def test_rounding_certificate_value_is_attained_by_the_library():
+    rep = ratio_certificate("rounding_directed")
+    x, y = rep.argopt["x"], rep.argopt["y"]
+    g = _one_edge(True)
+    got = (rounding_expected_revenue(g, [x, y], DIRECTED_ROUNDING)
+           / strategy_revenue(g, MarketingStrategy((0, 1), (x, y))))
+    assert got == pytest.approx(rep.value, rel=1e-12)
+
+
+def test_random_ie_ratio_is_library_revenue_ratio():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        q, p = rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.0)
+        lam = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+        # one unit edge, self-weight lam split over both buyers: N / W = lam
+        g = _one_edge(False, self_weights=np.array([0.5 * lam, 0.5 * lam]))
+        want = random_ie_revenue(g, q, p) / revenue_bounds(g).upper
+        assert _random_ie_ratio(q, p, lam, False) == pytest.approx(want, rel=1e-12)
+        d = _one_edge(True, w=2.0)
+        want = random_ie_revenue(d, q, p) / revenue_bounds(d).upper
+        assert _random_ie_ratio(q, p, 0.0, True) == pytest.approx(want, rel=1e-12)
+
+
+def test_random_ie_certificate_value_is_attained_by_the_library():
+    lam = 0.5
+    rep = ratio_certificate("random_ie", lam=lam)
+    g = _one_edge(False, self_weights=np.array([lam, 0.0]))
+    got = (random_ie_revenue(g, rep.argopt["q"], rep.argopt["p"])
+           / revenue_bounds(g).upper)
+    assert got == pytest.approx(rep.value, rel=1e-12)

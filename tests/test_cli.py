@@ -128,6 +128,25 @@ def test_eval_rejects_strategy_missing_key(cycle4_file, tmp_path, capsys,
     assert err.startswith("error:") and missing in err
 
 
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("doc", [
+    {"influence_set": 5, "p": 0.5},
+    {"influence_set": [0, "a"], "p": 0.5},
+    {"order": [0, 1, 2, 3], "prices": "ab"},
+    {"q": "x", "p": 0.5},
+    {"q": 0.5, "p": [0.5]},
+    {"K": "two", "q": [0.5, 0.5]},
+])
+def test_strategy_with_wrong_value_type_is_rejected(cycle4_file, tmp_path,
+                                                    capsys, command, doc):
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(doc))
+    rc = main([command, "--input", cycle4_file, "--strategy", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_eval_missing_input_file(tmp_path, ie_strategy_file, capsys):
     rc = main(["eval", "--input", str(tmp_path / "ghost.txt"),
                "--strategy", ie_strategy_file])
@@ -229,6 +248,19 @@ def test_oracle_best_ordering_needs_prices(cycle4_file, capsys):
     assert "prices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--mode", "best-ordering", "--prices", "0.5,abc"],
+    ["certify", "--kind", "class_ie", "--q", "0.5,x"],
+])
+def test_malformed_number_list_is_a_usage_error(cycle4_file, capsys, argv):
+    if argv[0] == "oracle":
+        argv = argv + ["--input", cycle4_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "comma-separated numbers" in capsys.readouterr().err
+
+
 def test_oracle_best_ordering(cycle4_file, capsys):
     doc = run_json(["oracle", "--input", cycle4_file, "--mode",
                     "best-ordering", "--prices", "1,0.75,0.75,0.5"], capsys)
@@ -253,6 +285,21 @@ def test_certify_directed_rounding_bound(capsys):
     assert doc["argmin"]["y"] == pytest.approx((3 - math.sqrt(3)) / 2,
                                                abs=1e-6)
     assert doc["kind"] == "rounding_directed"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "sdp_directed", "--p", "2"],
+    ["--kind", "sdp_undirected", "--p", "nan"],
+    ["--kind", "random_ie", "--lam", "nan"],
+    ["--kind", "random_ie", "--lam", "-1"],
+    ["--kind", "rounding_directed", "--grid-step", "nan"],
+    ["--kind", "sdp_self", "--grid-step", "0"],
+])
+def test_certify_rejects_invalid_values(capsys, argv):
+    rc = main(["certify"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_simulate_agrees_with_closed_form(cycle4_file, ie_strategy_file,

@@ -56,13 +56,13 @@ def test_best_ie_three_path_witnesses():
 
 def test_best_ie_star_uses_grid_fallback():
     # every priced buyer is a leaf, so the pairwise term D vanishes and the
-    # pricing probability is resolved on the fine grid
+    # pricing probability is set to 1/2, the argmax of p(1-p)C
     star = SocialNetwork(False, 5, [(0, i, 1.0) for i in range(1, 5)])
     rep = best_ie_exhaustive(star)
     assert rep.best_value == pytest.approx(1.0)
     assert rep.best_witness.influence_set == frozenset({0})
-    assert rep.method == "grid"
-    assert rep.resolution == pytest.approx(1e-6)
+    assert rep.method == "exhaustive"
+    assert rep.resolution is None
 
 
 def test_best_ie_free_p_never_loses_to_grid(random_net):

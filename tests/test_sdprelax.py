@@ -24,7 +24,7 @@ from netrev import (
     solve_sdp,
 )
 from netrev.sdprelax import (CONSTRAINT_SIGNS, _active_rows, _al_value_grad,
-                              default_rank)
+                              _best_integral_signs, default_rank)
 
 
 def test_headline_parameters():
@@ -86,6 +86,18 @@ def test_solver_dominates_exhaustive_best_ie(random_net):
         sol = solve_sdp(build_sdp(g, p), seed=seed)
         assert sol.objective_value >= best - 1e-6 * max(best, 1.0)
         assert sol.max_violation <= 1e-3
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_integral_start_reaches_exhaustive_best_ie(directed, random_net):
+    for seed, n in ((60, 1), (61, 7), (62, 12), (63, 16)):
+        g = random_net(seed, n=n, directed=directed, self_weights=not directed)
+        for p in (0.5, 0.586, 2 / 3):
+            prob = build_sdp(g, p)
+            y = _best_integral_signs(prob, seed=0)
+            assert y[0] == 1.0 and set(np.abs(y)) == {1.0}
+            assert prob.objective_at_signs(y) == pytest.approx(
+                best_ie_exhaustive(g, p).best_value, rel=1e-12, abs=1e-12)
 
 
 def test_solver_exact_on_bipartite_cycle(cycle4):
