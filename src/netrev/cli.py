@@ -224,11 +224,8 @@ def _cmd_gie(args) -> int:
 def _cmd_sdp_ie(args) -> int:
     t0 = time.perf_counter()
     g = _load_instance(args.input)
-    solver_options = {}
-    if args.rank is not None:
-        solver_options["rank"] = args.rank
     result = sdp_ie(g, p=args.pricing_prob, gamma=args.gamma,
-                    trials=args.trials, seed=args.seed, **solver_options)
+                    trials=args.trials, seed=args.seed, rank=args.rank)
     upper = revenue_bounds(g).upper
     report = ExperimentReport(
         instance=_instance_descriptor(g, args.input), family="ie",

@@ -4,13 +4,15 @@ Choosing the revenue-maximizing influence set A for a fixed exploit pricing
 probability p is a quadratic ±1 assignment problem: y_i = y_0 iff buyer i
 gets the product for free.  Relaxing each y_i to a unit vector v_i gives an
 SDP over the Gram matrix, tightened by the four half-space ("triangle")
-constraints per buyer pair whose feasible region in
-(v_i·v_j, v_0·v_i, v_0·v_j) space is exactly the tetrahedron spanned by the
-integral sign patterns.  The solver is a low-rank factorization with an
-augmented-Lagrangian treatment of lazily activated constraints.  Solutions
-are rotated through the angle map f_gamma and rounded by a random
-hyperplane; the certificates module bounds the worst-case revenue loss of
-that pipeline.
+constraints per edge pair (buyer pair that carries an edge), whose feasible
+region in (v_i·v_j, v_0·v_i, v_0·v_j) space is exactly the tetrahedron
+spanned by the integral sign patterns.  The rounding guarantees bound each
+edge term over that triple alone, so no other pair is constrained.  The
+solver is a low-rank factorization with an augmented Lagrangian over all
+edge-pair rows; each evaluation costs O((|E| + n)·rank) and builds no
+(n+1)² array.  Solutions are rotated through the angle map f_gamma and
+rounded by a random hyperplane; the certificates module bounds the
+worst-case revenue loss of that pipeline.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 
 from .netmodel import SocialNetwork, ValidationError
 from .oracle import best_ie_exhaustive
@@ -59,9 +62,14 @@ class SdpProblem:
     """Relaxed influence-set objective over unit vectors v_0 .. v_n.
 
     ``objective = constant + sum coef[k] * (v_a[k] . v_b[k])``; vector index
-    0 is the reference v_0 and buyer i maps to index i+1.  Constraints are
-    implicit: all four CONSTRAINT_SIGNS rows for every buyer pair.
-    ``network`` is the network the problem was built from.
+    0 is the reference v_0 and buyer i maps to index i+1.  The pairs
+    (a, b) are sorted with a < b, and every buyer pair (i, j) that carries
+    an edge comes with both (0, i) and (0, j).  Constraints are implicit:
+    all four CONSTRAINT_SIGNS rows per edge pair, over the entries
+    (v_i . v_j, v_0 . v_i, v_0 . v_j).  These O(|E| + n) pairs are the only
+    Gram entries the solver reads: O((|E| + n)·rank) per evaluation, with
+    no (n+1)² array.  ``network`` is the network the problem was built
+    from.
     """
 
     n: int
@@ -77,25 +85,23 @@ class SdpProblem:
     def num_vectors(self) -> int:
         return self.n + 1
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """Symmetric C with objective = constant + <C, V V^T>."""
-        m = self.num_vectors
-        C = np.zeros((m, m))
-        np.add.at(C, (self.coef_a, self.coef_b), 0.5 * self.coef)
-        np.add.at(C, (self.coef_b, self.coef_a), 0.5 * self.coef)
-        return C
-
     @cached_property
-    def _flat_index(self) -> np.ndarray:
-        return self.coef_a * self.num_vectors + self.coef_b
+    def _edge_triples(self) -> np.ndarray:
+        """(edge pairs, 3) positions in ``coef`` of the entries
+        (v_i . v_j, v_0 . v_i, v_0 . v_j) of each constrained pair."""
+        k0 = int(np.searchsorted(self.coef_a, 1))
+        ref = self.coef_b[:k0]
+        return np.column_stack([np.arange(k0, self.coef.size),
+                                np.searchsorted(ref, self.coef_a[k0:]),
+                                np.searchsorted(ref, self.coef_b[k0:])])
 
     def objective_of_gram(self, G: np.ndarray) -> float:
-        """Objective at Gram matrix ``G``, given as (n+1, n+1) or flattened.
+        """Objective at an (n+1, n+1) Gram matrix ``G``."""
+        return self._objective(G[self.coef_a, self.coef_b])
 
-        Gathers over the coefficient pairs, so the dot product has
-        len(coef) = O(|E| + n) terms, never (n+1)^2.
-        """
-        return self.constant + float(self.coef @ np.ravel(G)[self._flat_index])
+    def _objective(self, g: np.ndarray) -> float:
+        """Objective at the Gram entries ``g`` of the coefficient pairs."""
+        return self.constant + float(np.einsum("i,i", self.coef, g))
 
     def objective_at_signs(self, y: np.ndarray) -> float:
         """Objective at an integral assignment y in {-1,+1}^(n+1)."""
@@ -190,10 +196,13 @@ def default_rank(n: int) -> int:
     return min(n + 1, int(math.ceil(math.sqrt(2.0 * max(n, 1)))) + 2)
 
 
-def _pair_indices(n: int):
-    """Vector indices (i+1, j+1) for all buyer pairs i < j."""
-    bi, bj = np.triu_indices(n, k=1)
-    return bi + 1, bj + 1
+#: Solver settings: feasibility and relative objective tolerances, outer
+#: augmented-Lagrangian rounds, L-BFGS iterations per round, and starts.
+FEAS_TOL = 1e-4
+OBJ_TOL = 1e-4
+MAX_OUTER = 40
+INNER_ITERATIONS = 200
+STARTS = 3
 
 
 def _unit_rows(X: np.ndarray):
@@ -202,46 +211,52 @@ def _unit_rows(X: np.ndarray):
     return X / norms, norms
 
 
-def _constraint_values(Gf: np.ndarray, ij, i, j, signs: np.ndarray):
-    """Constraint LHS + 1, >= 0 meaning satisfied, gathered from the
-    flattened Gram matrix ``Gf`` of m vectors.
-
-    A row with signs (s1, s2, s3) reads
-    s1 (v_i . v_j) + s2 (v_0 . v_i) + s3 (v_0 . v_j) >= -1; ``ij`` is the
-    flat index i*m + j and v_0 . v_i sits at flat index i.  The index arrays
-    broadcast against ``signs[..., k]``, so column vectors of pairs against
-    all of CONSTRAINT_SIGNS give a (pairs, 4) table.
-    """
-    return (signs[..., 0] * Gf[ij] + signs[..., 1] * Gf[i]
-            + signs[..., 2] * Gf[j] + 1.0)
+def _gram_entries(prob: SdpProblem, V: np.ndarray) -> np.ndarray:
+    """v_a . v_b for each coefficient pair (a, b), as row-wise dots."""
+    return np.einsum("ij,ij->i", V[prob.coef_a], V[prob.coef_b])
 
 
-def _active_rows(II: np.ndarray, JJ: np.ndarray, SS: np.ndarray, m: int):
-    """The ``rows``, ``scatter`` and ``spread`` arguments of _al_value_grad
-    for active constraint rows on vector pairs (II, JJ) with signs SS."""
-    rows = (II * m + JJ, II, JJ, SS)
-    scatter = np.concatenate([rows[0], JJ * m + II, II, II * m, JJ, JJ * m])
-    spread = 0.5 * SS.T[[0, 0, 1, 1, 2, 2]]
-    return rows, scatter, spread
+def _slacks(prob: SdpProblem, g: np.ndarray) -> np.ndarray:
+    """(edge pairs, 4) constraint values plus one, >= 0 meaning satisfied:
+    s1 (v_i . v_j) + s2 (v_0 . v_i) + s3 (v_0 . v_j) + 1 for each row
+    (s1, s2, s3) of CONSTRAINT_SIGNS, read from the Gram entries ``g``."""
+    return np.einsum("pk,sk->ps", g[prob._edge_triples], CONSTRAINT_SIGNS) + 1.0
 
 
-def _al_value_grad(xflat, prob, Cf, rows, scatter, spread, lam, mu):
+def _scatter_matrix(prob: SdpProblem):
+    """CSR matrix on the symmetric pattern of the coefficient pairs, and
+    the pair each stored entry belongs to.  The evaluation refills its
+    ``data`` with one weight per pair and multiplies it into V."""
+    m, k = prob.num_vectors, prob.coef.size
+    rows = np.concatenate([prob.coef_a, prob.coef_b])
+    cols = np.concatenate([prob.coef_b, prob.coef_a])
+    order = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(m + 1))
+    W = csr_array((np.zeros(2 * k), cols[order], indptr), shape=(m, m))
+    return W, order % k
+
+
+def _al_value_grad(xflat, prob, W, pair_of_entry, lam, mu):
     """Negated augmented Lagrangian and its gradient in the unnormalized X.
 
-    ``rows`` = (ij, i, j, signs) are the active constraint rows in flat Gram
-    coordinates.  ``scatter`` (6L) and ``spread`` (6, L) place each row's
-    multiplier, times half its sign, on the cells (i, j), (j, i), (0, i),
-    (i, 0), (0, j), (j, 0) of the flattened gradient matrix.
+    ``lam`` holds one multiplier per (edge pair, CONSTRAINT_SIGNS row).
+    The value depends on V only through the Gram entries g of the
+    coefficient pairs, so the gradient in V is W V with W carrying
+    dF/dg of each pair on both (a, b) and (b, a).
     """
     m = prob.num_vectors
     V, norms = _unit_rows(xflat.reshape(m, -1))
-    Gf = (V @ V.T).ravel()
-    mult = np.maximum(0.0, lam - mu * _constraint_values(Gf, *rows))
-    pen = float(np.einsum("i,i", mult, mult) - np.einsum("i,i", lam, lam)) / (2.0 * mu)
-    A = Cf + np.bincount(scatter, (spread * mult).ravel(), minlength=m * m)
-    AV = A.reshape(m, m) @ V
-    gX = (AV - np.einsum("ij,ij->i", AV, V)[:, None] * V) * (-2.0 / norms)
-    return pen - prob.objective_of_gram(Gf), gX.ravel()
+    g = _gram_entries(prob, V)
+    mult = np.maximum(0.0, lam - mu * _slacks(prob, g))
+    pen = float(np.einsum("ij,ij", mult, mult) - np.einsum("ij,ij", lam, lam)) / (2.0 * mu)
+    dg = -prob.coef - np.bincount(
+        prob._edge_triples.ravel(),
+        np.einsum("ps,sk->pk", mult, CONSTRAINT_SIGNS).ravel(),
+        minlength=prob.coef.size)
+    W.data = dg[pair_of_entry]
+    gV = W @ V
+    gX = (gV - np.einsum("ij,ij->i", gV, V)[:, None] * V) / norms
+    return pen - prob._objective(g), gX.ravel()
 
 
 def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
@@ -256,120 +271,93 @@ def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
         y[[i + 1 for i in best.influence_set]] = 1.0
         return y
     rng = np.random.default_rng(seed)
-    C = prob.coefficient_matrix()
+    a, b, half = prob.coef_a, prob.coef_b, 0.5 * prob.coef
     best_y, best_v = None, -np.inf
     for trial in range(4):
         y = np.ones(m)
         if trial > 0:
             y[1:] = rng.choice([-1.0, 1.0], size=prob.n)
         while True:
-            h = C @ y
+            # h = C y for the symmetric C with objective constant + y^T C y
+            h = np.bincount(a, half * y[b], m) + np.bincount(b, half * y[a], m)
             gains = -4.0 * y * h
             gains[0] = -np.inf  # v_0 is the reference
             k = int(np.argmax(gains))
             if gains[k] <= 1e-12:
                 break
             y[k] = -y[k]
-        v = float(y @ C @ y)
+        v = prob.objective_at_signs(y)
         if v > best_v:
             best_v, best_y = v, y.copy()
     return best_y
 
 
 def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
-              feas_tol: float = 1e-4, obj_tol: float = 1e-4,
-              max_outer: int = 40, inner_iterations: int = 200,
-              starts: int = 3, seed: int = 0) -> SdpSolution:
+              seed: int = 0) -> SdpSolution:
     """Maximize the relaxation by low-rank augmented-Lagrangian ascent.
 
     Factorizes the Gram matrix as V V^T with unit rows of dimension ``rank``
-    and runs multistart local ascent (one start jittered from the best
-    integral assignment, the rest random), activating violated pair
-    constraints lazily.  Returns the best feasible candidate; if no start
-    reaches the tolerances the best iterate is returned with
-    ``converged=False``.  The integral assignment itself always competes, so
-    the reported objective never falls below the best integral value found.
+    and runs STARTS local ascents (one jittered from the best integral
+    assignment, the rest random).  Every edge pair's four constraint rows
+    sit in the augmented Lagrangian from the first inner solve; a row with
+    zero multiplier and positive slack adds nothing.  Returns the best
+    feasible candidate; if no start reaches the tolerances the best iterate
+    is returned with ``converged=False``.  The integral assignment itself
+    always competes, so the reported objective never falls below the best
+    integral value found.
 
-    Each L-BFGS evaluation of the augmented Lagrangian costs one
-    (n+1) x rank Gram product V V^T, gathers of O(|E| + active rows) of its
-    entries (objective terms and constraint values, read from the flattened
-    Gram matrix), one ``np.bincount`` that scatters the multipliers onto the
-    cost matrix, and one (n+1) x (n+1) by (n+1) x rank product for the
-    gradient.  Index and scatter arrays are built once per outer iteration.
-
-    Never take a BLAS dot over the flattened (n+1)^2 Gram matrix (say
-    ``C.ravel() @ Gf``) for the objective: past 10^4 elements OpenBLAS
-    threads the dot, and with two BLAS threads on a 2-vCPU machine an n=100
-    solve that did so took 36 s instead of 1.6 s.  The gathered dot has
-    len(coef) = O(|E| + n) terms.
+    Each L-BFGS evaluation reads only the Gram entries of the coefficient
+    pairs, as row-wise dots, and scatters one weight per pair back onto the
+    rows of V through a sparse matrix: O((|E| + n) rank) time and memory,
+    with no (n+1) x (n+1) array.  Its products are einsum and sparse
+    kernels, not BLAS, whose threading would make the sums depend on the
+    BLAS thread count.  scipy's L-BFGS-B still takes BLAS vector products
+    over all (n+1) rank unknowns, which OpenBLAS threads past about 10^4
+    entries, so from about n = 300 the iterates do depend on it.
     """
     m = prob.num_vectors
     if rank is None:
         rank = default_rank(prob.n)
     rank = max(2, min(rank, m)) if m > 1 else 1
-    Cf = prob.coefficient_matrix().ravel()
     scale = max(1.0, float(np.sum(np.abs(prob.coef))) + abs(prob.constant))
     rng = np.random.default_rng(seed)
 
     y_int = _best_integral_signs(prob, seed)
     V_int = np.zeros((m, rank))
     V_int[:, 0] = y_int
-    candidates = [(prob.objective_of_gram(V_int @ V_int.T), 0.0, V_int, True, 0)]
+    candidates = [(prob.objective_at_signs(y_int), 0.0, V_int, True, 0)]
     if prob.n == 0 or prob.coef.size == 0:
         obj, viol, V, ok, iters = candidates[0]
         return SdpSolution(V, obj, viol, iters, True, prob)
 
-    PI, PJ = _pair_indices(prob.n)
-    all_pairs = ((PI * m + PJ)[:, None], PI[:, None], PJ[:, None])
+    W, pair_of_entry = _scatter_matrix(prob)
     total_iters = 0
-    for s in range(starts):
+    for s in range(STARTS):
         if s == 0:
             X = V_int + 0.2 * rng.standard_normal((m, rank))
         else:
             X = rng.standard_normal((m, rank))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        II = np.zeros(0, dtype=np.int64)
-        JJ = np.zeros(0, dtype=np.int64)
-        SS = np.zeros((0, 3))
-        lam = np.zeros(0)
+        lam = np.zeros((len(prob._edge_triples), len(CONSTRAINT_SIGNS)))
         mu = 1.0 * scale
         prev_obj, prev_viol = None, np.inf
         converged = False
 
-        for outer in range(max_outer):
+        for outer in range(MAX_OUTER):
             res = minimize(_al_value_grad, X.ravel(),
-                           args=(prob, Cf, *_active_rows(II, JJ, SS, m), lam, mu),
+                           args=(prob, W, pair_of_entry, lam, mu),
                            jac=True, method="L-BFGS-B",
-                           options={"maxiter": inner_iterations})
+                           options={"maxiter": INNER_ITERATIONS})
             total_iters += int(res.nit)
             X = res.x.reshape(m, rank)
             V = _unit_rows(X)[0]
-            Gf = (V @ V.T).ravel()
-            obj = prob.objective_of_gram(Gf)
-            vals = _constraint_values(Gf, *all_pairs, CONSTRAINT_SIGNS)
-            max_viol = float(max(0.0, -np.min(vals))) if vals.size else 0.0
-            # activate newly violated rows
-            viol_rows = np.argwhere(vals < -1e-10)
-            new_keys = []
-            if viol_rows.size:
-                existing = set(zip(II.tolist(), JJ.tolist(),
-                                   [tuple(r) for r in SS.tolist()]))
-                for pr, sr in viol_rows:
-                    key = (int(PI[pr]), int(PJ[pr]),
-                           tuple(CONSTRAINT_SIGNS[sr].tolist()))
-                    if key not in existing:
-                        new_keys.append(key)
-                        existing.add(key)
-            if new_keys:
-                II = np.concatenate([II, [k[0] for k in new_keys]]).astype(np.int64)
-                JJ = np.concatenate([JJ, [k[1] for k in new_keys]]).astype(np.int64)
-                SS = np.vstack([SS, np.array([k[2] for k in new_keys])])
-                lam = np.concatenate([lam, np.zeros(len(new_keys))])
-            if II.size:
-                ci = _constraint_values(Gf, II * m + JJ, II, JJ, SS)
-                lam = np.maximum(0.0, lam - mu * ci)
-            if max_viol <= feas_tol and not new_keys and prev_obj is not None \
-                    and abs(obj - prev_obj) <= obj_tol * max(1.0, abs(obj)):
+            g = _gram_entries(prob, V)
+            obj = prob._objective(g)
+            slack = _slacks(prob, g)
+            max_viol = float(max(0.0, -np.min(slack))) if slack.size else 0.0
+            lam = np.maximum(0.0, lam - mu * slack)
+            if max_viol <= FEAS_TOL and prev_obj is not None \
+                    and abs(obj - prev_obj) <= OBJ_TOL * max(1.0, abs(obj)):
                 converged = True
                 break
             if max_viol > 0.5 * prev_viol and outer > 0:
@@ -377,7 +365,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
             prev_obj, prev_viol = obj, max(max_viol, 1e-16)
         candidates.append((obj, max_viol, V, converged, total_iters))
 
-    feasible = [c for c in candidates if c[1] <= feas_tol]
+    feasible = [c for c in candidates if c[1] <= FEAS_TOL]
     pool = feasible if feasible else candidates
     best = max(pool, key=lambda c: c[0])
     any_converged = any(c[3] for c in candidates[1:])
@@ -522,7 +510,7 @@ class SdpIEResult:
 
 def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
            gamma: Optional[float] = None, trials: int = 100, seed=0,
-           **solver_options) -> SdpIEResult:
+           rank: Optional[int] = None) -> SdpIEResult:
     """Solve the relaxation, rotate, round ``trials`` hyperplanes, and keep
     the sampled influence set with the highest expected revenue.
 
@@ -541,7 +529,7 @@ def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
         gamma = DIRECTED_SDP_GAMMA if g.directed else UNDIRECTED_SDP_GAMMA
     prob = build_sdp(g, p)
     p = prob.p
-    sol = solve_sdp(prob, seed=seed, **solver_options)
+    sol = solve_sdp(prob, rank=rank, seed=seed)
     members = _hyperplane_members(sol.vectors, gamma, seed, trials) \
         if g.n else np.zeros((trials, 0), dtype=bool)
     revenues = ie_revenue_batch(g, members, p)

@@ -1,16 +1,24 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netrev
 from netrev import (
     DIRECTED_SDP_GAMMA,
     DIRECTED_SDP_PRICING,
     UNDIRECTED_SDP_GAMMA,
     UNDIRECTED_SDP_PRICING,
     SdpSolution,
+    SocialNetwork,
     UnrealizableTripleError,
     ValidationError,
     best_ie_exhaustive,
@@ -23,8 +31,9 @@ from netrev import (
     sdp_ie,
     solve_sdp,
 )
-from netrev.sdprelax import (CONSTRAINT_SIGNS, _active_rows, _al_value_grad,
-                              _best_integral_signs, default_rank)
+from netrev.sdprelax import (CONSTRAINT_SIGNS, _al_value_grad,
+                              _best_integral_signs, _scatter_matrix,
+                              default_rank)
 
 
 def test_headline_parameters():
@@ -108,23 +117,47 @@ def test_solver_exact_on_bipartite_cycle(cycle4):
     assert sol.objective_value == pytest.approx(1.0, abs=1e-5)
 
 
-def _dense_al_reference(prob, X, II, JJ, SS, lam, mu):
-    """The augmented Lagrangian written out over dense (n+1)^2 matrices and
-    per-row vector gathers: the formula the flat-Gram evaluation replaces."""
-    C = prob.coefficient_matrix()
+def _dense_coefficients(prob):
+    """Symmetric C with objective = constant + <C, V V^T>."""
+    m = prob.num_vectors
+    C = np.zeros((m, m))
+    np.add.at(C, (prob.coef_a, prob.coef_b), 0.5 * prob.coef)
+    np.add.at(C, (prob.coef_b, prob.coef_a), 0.5 * prob.coef)
+    return C
+
+
+def _edge_pairs(g):
+    """Vector indices (i+1, j+1), i < j, of each buyer pair with an edge."""
+    pairs = sorted({(min(i, j) + 1, max(i, j) + 1)
+                    for i, j in zip(g.edge_src.tolist(), g.edge_dst.tolist())})
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _edge_pair_rows(V, g):
+    """(edge pairs, 4) constraint values plus one at unit vectors V."""
+    I, J = _edge_pairs(g)
+    G = V @ V.T
+    return np.column_stack([G[I, J], G[0, I], G[0, J]]) @ CONSTRAINT_SIGNS.T + 1.0
+
+
+def _dense_al_reference(prob, X, lam, mu):
+    """The augmented Lagrangian written out over dense (n+1)^2 matrices:
+    C, the full Gram matrix V V^T, and every edge pair's four rows read
+    from it; the formula the pair-list evaluation replaces."""
+    C = _dense_coefficients(prob)
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     V = X / norms
-    ci = (SS[:, 0] * np.sum(V[II] * V[JJ], axis=1)
-          + SS[:, 1] * (V[II] @ V[0]) + SS[:, 2] * (V[JJ] @ V[0]) + 1.0)
-    mult = np.maximum(0.0, lam - mu * ci)
+    I, J = _edge_pairs(prob.network)
+    mult = np.maximum(0.0, lam - mu * _edge_pair_rows(V, prob.network))
     obj = prob.constant + np.sum(C * (V @ V.T))
     pen = np.sum(mult * mult - lam * lam) / (2.0 * mu)
+    half = 0.5 * mult @ CONSTRAINT_SIGNS
     A = C.copy()
-    np.add.at(A, (II, JJ), 0.5 * mult * SS[:, 0])
-    np.add.at(A, (JJ, II), 0.5 * mult * SS[:, 0])
+    np.add.at(A, (I, J), half[:, 0])
+    np.add.at(A, (J, I), half[:, 0])
     z = np.zeros(prob.num_vectors)
-    np.add.at(z, II, 0.5 * mult * SS[:, 1])
-    np.add.at(z, JJ, 0.5 * mult * SS[:, 2])
+    np.add.at(z, I, half[:, 1])
+    np.add.at(z, J, half[:, 2])
     A[0, :] += z
     A[:, 0] += z
     gV = -2.0 * (A @ V)
@@ -132,28 +165,40 @@ def _dense_al_reference(prob, X, II, JJ, SS, lam, mu):
     return pen - obj, gX.ravel()
 
 
-@pytest.mark.parametrize("directed", [False, True])
+def _eval_network(kind, random_net):
+    if kind == "undirected":
+        return random_net(40, n=8, self_weights=True)
+    if kind == "directed":
+        return random_net(41, n=8, directed=True)
+    if kind == "directed_both_ways":
+        # 0->1 and 1->0, 2->3 and 3->2: one row set per unordered pair
+        return SocialNetwork(True, 5, [(0, 1, 0.7), (1, 0, 0.4), (1, 2, 0.9),
+                                       (3, 2, 0.5), (2, 3, 0.3), (0, 4, 0.6)])
+    # buyer 5 is isolated; buyers 1, 3 and 5 have no self-weight
+    return SocialNetwork(False, 6, [(0, 1, 0.7), (1, 2, 0.4), (3, 4, 0.9),
+                                    (0, 4, 0.2)],
+                         self_weights=[0.3, 0.0, 0.5, 0.0, 0.8, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["undirected", "directed", "directed_both_ways",
+                                  "undirected_isolated"])
 def test_al_evaluation_matches_dense_formula_and_finite_differences(
-        directed, random_net):
-    g = random_net(40 + directed, n=8, directed=directed,
-                   self_weights=not directed)
+        kind, random_net):
+    g = _eval_network(kind, random_net)
     prob = build_sdp(g, 0.6)
     m, rank = prob.num_vectors, default_rank(g.n)
+    pairs = _edge_pairs(g).shape[1]
+    if kind == "directed_both_ways":
+        assert pairs == 4 < g.num_edges
     rng = np.random.default_rng(3)
-    # random active rows, repeated pairs included, and multipliers chosen so
-    # that some rows are slack and some are penalized
-    L = 40
-    II = rng.integers(1, m - 1, size=L)
-    JJ = rng.integers(II + 1, m)
-    SS = CONSTRAINT_SIGNS[rng.integers(0, 4, size=L)]
-    lam = rng.uniform(0.0, 2.0, size=L)
+    # multipliers chosen so that some rows are slack and some are penalized
+    lam = rng.uniform(0.0, 2.0, size=(pairs, 4))
     mu = 1.5
-    Cf = prob.coefficient_matrix().ravel()
-    args = (prob, Cf, *_active_rows(II, JJ, SS, m), lam, mu)
+    args = (prob, *_scatter_matrix(prob), lam, mu)
     X = rng.standard_normal((m, rank))
 
     F, grad = _al_value_grad(X.ravel(), *args)
-    F_ref, grad_ref = _dense_al_reference(prob, X, II, JJ, SS, lam, mu)
+    F_ref, grad_ref = _dense_al_reference(prob, X, lam, mu)
     assert F == pytest.approx(F_ref, abs=1e-10)
     np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-10)
 
@@ -165,6 +210,81 @@ def test_al_evaluation_matches_dense_formula_and_finite_differences(
         fd[k] = (_al_value_grad(X.ravel() + e, *args)[0]
                  - _al_value_grad(X.ravel() - e, *args)[0]) / (2 * h)
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_solution_satisfies_every_edge_pair_row(directed, random_net):
+    g = random_net(80 + directed, n=40, directed=directed, density=0.1,
+                   self_weights=not directed)
+    sol = solve_sdp(build_sdp(g, 0.6), seed=0)
+    assert sol.max_violation <= 1e-4
+    assert _edge_pair_rows(sol.vectors, g).min() >= -sol.max_violation - 1e-12
+
+
+def _dense_greedy_signs(prob, seed):
+    """The n > 16 greedy start written over the dense (n+1)^2 matrix C."""
+    C = _dense_coefficients(prob)
+    rng = np.random.default_rng(seed)
+    best_y, best_v = None, -np.inf
+    for trial in range(4):
+        y = np.ones(prob.num_vectors)
+        if trial > 0:
+            y[1:] = rng.choice([-1.0, 1.0], size=prob.n)
+        while True:
+            gains = -4.0 * y * (C @ y)
+            gains[0] = -np.inf
+            k = int(np.argmax(gains))
+            if gains[k] <= 1e-12:
+                break
+            y[k] = -y[k]
+        v = float(y @ C @ y)
+        if v > best_v:
+            best_v, best_y = v, y.copy()
+    return best_y
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n", [17, 30])
+def test_greedy_start_matches_dense_greedy(n, directed, random_net):
+    g = random_net(70 + n, n=n, directed=directed, density=0.3,
+                   self_weights=not directed)
+    prob = build_sdp(g, 0.6)
+    for seed in (0, 1):
+        np.testing.assert_array_equal(_best_integral_signs(prob, seed),
+                                      _dense_greedy_signs(prob, seed))
+
+
+def test_solver_memory_grows_with_edges_not_n_squared():
+    # one (n+1)^2 float64 array at n=5000 alone takes 200 MB
+    g = generate("path", 5000)
+    tracemalloc.start()
+    try:
+        prob = build_sdp(g, UNDIRECTED_SDP_PRICING)
+        _best_integral_signs(prob, seed=0)
+        X = np.random.default_rng(0).standard_normal(
+            (prob.num_vectors, default_rank(g.n)))
+        lam = np.ones((g.num_edges, 4))
+        _al_value_grad(X.ravel(), prob, *_scatter_matrix(prob), lam, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_sdp_ie_output_does_not_depend_on_blas_threads():
+    code = ("import json, netrev\n"
+            "g = netrev.generate('random', 200, density=4 / 199,"
+            " weight_range=(0.1, 1.0), seed=500)\n"
+            "print(json.dumps(netrev.sdp_ie(g, seed=0).to_json()))")
+    src = str(Path(netrev.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")]
+    assert json.loads(outputs[0])["converged"]
+    assert outputs[0] == outputs[1]
 
 
 def test_solution_angles_shape(cycle4):
