@@ -51,6 +51,11 @@ CERTIFICATE_KINDS = ("sdp_directed", "sdp_undirected", "sdp_self",
                      "rounding_undirected", "rounding_directed",
                      "random_ie", "class_ie")
 
+#: Coarsest accepted scan step.  Up to 0.2 the sdp pair minima come out
+#: within 5.1e-4; at 0.5-1 they are overstated by about 3e-3 and at 5 by
+#: 9.4e-2 (a "certified" 1.0), which the refinement does not recover.
+MAX_GRID_STEP = 0.1
+
 _TWO_OVER_PI = 2.0 / math.pi
 _DEN_TOL = 1e-9
 
@@ -403,15 +408,17 @@ def ratio_certificate(kind: str, grid_step: Optional[float] = None,
     """Certify one ratio expression; see the module docstring for kinds.
 
     ``grid_step`` overrides the scan resolution (defaults to 1e-3 in the
-    native units of the kind); refinement then polishes the best grid cells
-    to ~1e-6.  Remaining keyword arguments are kind-specific: ``p`` and
-    ``gamma`` for the sdp kinds, ``schedule`` ("piecewise" or "flat") for
-    rounding_undirected, ``lam`` and ``directed`` for random_ie, ``K``,
-    ``q``, ``directed`` for class_ie.
+    native units of the kind, at most MAX_GRID_STEP); refinement then
+    polishes the best grid cells to ~1e-6.  Remaining keyword arguments
+    are kind-specific: ``p`` and ``gamma`` for the sdp kinds,
+    ``schedule`` ("piecewise" or "flat") for rounding_undirected, ``lam``
+    and ``directed`` for random_ie, ``K``, ``q``, ``directed`` for
+    class_ie.
     """
     step = 1e-3 if grid_step is None else float(grid_step)
-    if not (math.isfinite(step) and step > 0):
-        raise ValidationError(f"grid_step must be finite and positive, got {step}")
+    if not (math.isfinite(step) and 0 < step <= MAX_GRID_STEP):
+        raise ValidationError(
+            f"grid_step must lie in (0, {MAX_GRID_STEP}], got {step}")
     if kind in ("sdp_directed", "sdp_undirected"):
         directed = kind == "sdp_directed"
         p = _check_exploit_prob(params.pop(

@@ -17,6 +17,7 @@ worst-case revenue loss of that pipeline.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,6 +204,9 @@ OBJ_TOL = 1e-4
 MAX_OUTER = 40
 INNER_ITERATIONS = 200
 STARTS = 3
+#: Initial augmented-Lagrangian penalty, in units of one coefficient (see
+#: ``_coefficient_unit``); it grows 4x per stalled round up to 1e8 times this.
+MU_START = 10.0
 
 
 def _unit_rows(X: np.ndarray):
@@ -292,19 +296,39 @@ def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
     return best_y
 
 
+def _coefficient_unit(coef: np.ndarray) -> float:
+    """The power of two nearest (in ratio) the mean |coef|, or 1 if all
+    coefficients are 0.  Dividing by it is exact in floating point."""
+    if not coef.size:
+        return 1.0
+    mant, exp = math.frexp(float(np.mean(np.abs(coef))))
+    if mant == 0.0:
+        return 1.0
+    return math.ldexp(1.0, exp if mant >= math.sqrt(0.5) else exp - 1)
+
+
 def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
               seed: int = 0) -> SdpSolution:
     """Maximize the relaxation by low-rank augmented-Lagrangian ascent.
 
     Factorizes the Gram matrix as V V^T with unit rows of dimension ``rank``
-    and runs STARTS local ascents (one jittered from the best integral
-    assignment, the rest random).  Every edge pair's four constraint rows
-    sit in the augmented Lagrangian from the first inner solve; a row with
-    zero multiplier and positive slack adds nothing.  Returns the best
-    feasible candidate; if no start reaches the tolerances the best iterate
-    is returned with ``converged=False``.  The integral assignment itself
-    always competes, so the reported objective never falls below the best
-    integral value found.
+    (an integer >= 1, used as min(max(rank, 2), n + 1); ``default_rank``
+    if None) and runs STARTS local ascents (one jittered from the best
+    integral assignment, the rest random).  Every edge pair's four
+    constraint rows sit in the augmented Lagrangian from the first inner
+    solve; a row with zero multiplier and positive slack adds nothing.
+    Returns the best feasible candidate; if no start reaches the
+    tolerances the best iterate is returned with ``converged=False``.  The
+    integral assignment itself always competes, so the reported objective
+    never falls below the best integral value found.
+
+    The problem is solved in units of one coefficient: ``coef`` and
+    ``constant`` are divided by the power of two nearest the mean |coef|,
+    and the objective is multiplied back.  The penalty (MU_START) is then
+    sized to one constraint pair, and the tolerances and L-BFGS's absolute
+    gradient test mean the same at any weight scale.  The division is
+    exact, so scaling every weight by a power of two scales the objective
+    bit for bit and leaves the vectors unchanged.
 
     Each L-BFGS evaluation reads only the Gram entries of the coefficient
     pairs, as row-wise dots, and scatters one weight per pair back onto the
@@ -318,8 +342,14 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     m = prob.num_vectors
     if rank is None:
         rank = default_rank(prob.n)
-    rank = max(2, min(rank, m)) if m > 1 else 1
-    scale = max(1.0, float(np.sum(np.abs(prob.coef))) + abs(prob.constant))
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) \
+            or rank < 1:
+        raise ValidationError(f"rank must be an integer >= 1, got {rank!r}")
+    rank = max(2, min(int(rank), m)) if m > 1 else 1
+    unit = _coefficient_unit(prob.coef)
+    caller_prob = prob
+    prob = dataclasses.replace(prob, coef=prob.coef / unit,
+                               constant=prob.constant / unit)
     rng = np.random.default_rng(seed)
 
     y_int = _best_integral_signs(prob, seed)
@@ -328,7 +358,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     candidates = [(prob.objective_at_signs(y_int), 0.0, V_int, True, 0)]
     if prob.n == 0 or prob.coef.size == 0:
         obj, viol, V, ok, iters = candidates[0]
-        return SdpSolution(V, obj, viol, iters, True, prob)
+        return SdpSolution(V, obj * unit, viol, iters, True, caller_prob)
 
     W, pair_of_entry = _scatter_matrix(prob)
     total_iters = 0
@@ -339,7 +369,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
             X = rng.standard_normal((m, rank))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         lam = np.zeros((len(prob._edge_triples), len(CONSTRAINT_SIGNS)))
-        mu = 1.0 * scale
+        mu = MU_START
         prev_obj, prev_viol = None, np.inf
         converged = False
 
@@ -361,7 +391,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
                 converged = True
                 break
             if max_viol > 0.5 * prev_viol and outer > 0:
-                mu = min(mu * 4.0, 1e8 * scale)
+                mu = min(mu * 4.0, 1e8 * MU_START)
             prev_obj, prev_viol = obj, max(max_viol, 1e-16)
         candidates.append((obj, max_viol, V, converged, total_iters))
 
@@ -369,10 +399,10 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     pool = feasible if feasible else candidates
     best = max(pool, key=lambda c: c[0])
     any_converged = any(c[3] for c in candidates[1:])
-    return SdpSolution(vectors=best[2], objective_value=best[0],
+    return SdpSolution(vectors=best[2], objective_value=best[0] * unit,
                        max_violation=best[1], iterations=total_iters,
                        converged=any_converged and bool(feasible),
-                       problem=prob)
+                       problem=caller_prob)
 
 
 # ---------------------------------------------------------------------------

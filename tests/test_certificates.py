@@ -144,6 +144,8 @@ def test_cos_band_is_a_valid_subinterval_of_the_geometric_band(a, b):
     ("rounding_directed", {"grid_step": math.nan}),
     ("rounding_directed", {"grid_step": math.inf}),
     ("sdp_self", {"grid_step": 0.0}),
+    ("sdp_directed", {"grid_step": 5.0}),
+    ("sdp_undirected", {"grid_step": 0.1 + 1e-9}),
 ])
 def test_certificate_rejects_invalid_inputs(kind, params):
     with pytest.raises(ValidationError):

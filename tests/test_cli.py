@@ -201,6 +201,15 @@ def test_sdp_ie_recovers_cycle_optimum(cycle4_file, capsys, monkeypatch):
     assert sorted(doc["strategy"]["influence_set"]) in ([1, 3], [0, 2])
 
 
+@pytest.mark.parametrize("rank", ["0", "-3"])
+def test_sdp_ie_rejects_rank_below_one(cycle4_file, capsys, rank):
+    rc = main(["sdp-ie", "--input", cycle4_file, "--rank", rank])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert "rank" in captured.err
+
+
 def test_reports_deterministic_modulo_wall_time(cycle4_file, capsys):
     argv = ["sdp-ie", "--input", cycle4_file, "--seed", "5",
             "--trials", "40"]
@@ -294,6 +303,7 @@ def test_certify_directed_rounding_bound(capsys):
     ["--kind", "random_ie", "--lam", "-1"],
     ["--kind", "rounding_directed", "--grid-step", "nan"],
     ["--kind", "sdp_self", "--grid-step", "0"],
+    ["--kind", "sdp_directed", "--grid-step", "5"],
 ])
 def test_certify_rejects_invalid_values(capsys, argv):
     rc = main(["certify"] + argv)

@@ -117,6 +117,49 @@ def test_solver_exact_on_bipartite_cycle(cycle4):
     assert sol.objective_value == pytest.approx(1.0, abs=1e-5)
 
 
+def test_solver_is_covariant_under_weight_scale():
+    # the problem is solved in units of a power of two near mean |coef|, so
+    # a power-of-two weight scale changes nothing but the objective's units
+    g = generate("random", 50, density=4 / 49, weight_range=(0.1, 1.0),
+                 seed=11)
+    base = sdp_ie(g, seed=0)
+    assert base.solution.converged
+    for c in (2.0 ** -20, 2.0 ** 20):
+        res = sdp_ie(g.scaled(c), seed=0)
+        assert res.strategy.influence_set == base.strategy.influence_set
+        assert res.sdp_objective / c == base.sdp_objective
+        assert res.solution.problem.coef.tolist() == \
+            build_sdp(g.scaled(c), base.p).coef.tolist()
+    # small weights must not stall at the integral start
+    res = sdp_ie(g.scaled(1e-4), seed=0)
+    assert res.solution.converged
+    assert res.sdp_objective / 1e-4 == pytest.approx(base.sdp_objective,
+                                                     rel=1e-5)
+
+
+def test_penalty_sized_to_one_pair_converges_fast():
+    g = generate("random", 200, density=4 / 199, weight_range=(0.1, 1.0),
+                 seed=500)
+    res = sdp_ie(g, seed=0)
+    assert res.solution.converged
+    assert res.sdp_objective >= 46.215
+    assert res.solution.iterations <= 2500
+
+
+@pytest.mark.parametrize("rank", [0, -3, 1.5, 2.0, True, "3"])
+def test_rank_must_be_a_positive_integer(rank, cycle4):
+    with pytest.raises(ValidationError):
+        solve_sdp(build_sdp(cycle4, 0.5), rank=rank)
+    with pytest.raises(ValidationError):
+        sdp_ie(cycle4, rank=rank)
+
+
+def test_rank_one_and_large_ranks_are_accepted(cycle4):
+    for rank in (1, np.int64(3), 100):
+        sol = solve_sdp(build_sdp(cycle4, 0.5), rank=rank, seed=0)
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-5)
+
+
 def _dense_coefficients(prob):
     """Symmetric C with objective = constant + <C, V V^T>."""
     m = prob.num_vectors
