@@ -30,7 +30,7 @@ from .strategies import (DIRECTED_ROUNDING, SIX_CLASS_PRESET_Q,
                          rounding_expected_revenue)
 from .sdprelax import (DIRECTED_SDP_GAMMA, DIRECTED_SDP_PRICING,
                        UNDIRECTED_SDP_GAMMA, UNDIRECTED_SDP_PRICING,
-                       SdpIEResult, SdpProblem, SdpSolution,
+                       SdpIEResult, SdpProblem, SdpRound, SdpSolution,
                        UnrealizableTripleError, build_sdp, rotate,
                        rotated_pair_angle, round_hyperplane, sdp_ie,
                        solve_sdp)
@@ -48,7 +48,8 @@ __all__ = [
     "GADGET_SELECTION_NODES", "GeneralizedIEStrategy", "IEStrategy",
     "MarketingStrategy", "MyopicQuote", "OracleReport", "ParseError",
     "RandomIEStrategy", "RevenueBounds", "RoundedIE", "RoundingSchedule",
-    "SIX_CLASS_PRESET_Q", "SdpIEResult", "SdpProblem", "SdpSolution",
+    "SIX_CLASS_PRESET_Q", "SdpIEResult", "SdpProblem", "SdpRound",
+    "SdpSolution",
     "SimulationReport", "SocialNetwork", "TUNED_EXPLOIT_PROB", "TunedIE",
     "UNDIRECTED_ROUNDING", "UNDIRECTED_ROUNDING_FLAT", "UNDIRECTED_SDP_GAMMA",
     "UNDIRECTED_SDP_PRICING", "UnrealizableTripleError",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -121,10 +122,17 @@ def _load_strategy(path):
     return strategy_from_json(doc)
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
+
+
 def _emit(doc: dict, output) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output:
-        Path(output).write_text(text)
+        _write_text(output, text)
     else:
         sys.stdout.write(text)
 
@@ -150,7 +158,7 @@ def _cmd_gen(args) -> int:
         g = generate(args.kind, args.n, **kwargs)
     text = save_network(g)
     if args.output:
-        Path(args.output).write_text(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -372,11 +380,11 @@ def _cmd_table(args) -> int:
            "rows": rows, "wall_time_s": time.perf_counter() - t0}
     _emit(doc, args.output)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_TABLE_COLUMNS,
-                                    restval="")
-            writer.writeheader()
-            writer.writerows(rows)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=_TABLE_COLUMNS, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+        _write_text(args.csv, buf.getvalue())
     return 0
 
 

@@ -176,9 +176,29 @@ def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
 # Low-rank solver
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SdpRound:
+    """One outer augmented-Lagrangian round of one start of ``solve_sdp``:
+    the inner L-BFGS ``ftol`` and iteration count, then the objective (in
+    the caller's units) and max violation at its end, and the penalty mu
+    the round ran with."""
+
+    start: int
+    round: int
+    ftol: float
+    iterations: int
+    objective: float
+    max_violation: float
+    mu: float
+
+
 @dataclass(frozen=True, eq=False)
 class SdpSolution:
-    """Feasible (up to tolerance) unit vectors with their objective value."""
+    """Feasible (up to tolerance) unit vectors with their objective value.
+
+    ``trace`` holds one SdpRound per outer round of every start, and
+    ``winning_start`` is the start whose vectors were returned (-1 for the
+    integral assignment)."""
 
     vectors: np.ndarray
     objective_value: float
@@ -186,6 +206,8 @@ class SdpSolution:
     iterations: int
     converged: bool
     problem: Optional[SdpProblem] = None
+    trace: tuple[SdpRound, ...] = ()
+    winning_start: int = -1
 
     def angles(self) -> np.ndarray:
         """theta_i = angle between v_i and v_0, per buyer."""
@@ -207,6 +229,11 @@ STARTS = 3
 #: Initial augmented-Lagrangian penalty, in units of one coefficient (see
 #: ``_coefficient_unit``); it grows 4x per stalled round up to 1e8 times this.
 MU_START = 10.0
+#: Inner L-BFGS-B relative reduction test (``ftol``) of outer round 0; it
+#: tightens 10x per round down to FTOL_FLOOR, scipy's default (factr 1e7
+#: times machine epsilon), so the final rounds are solved as tightly as ever.
+FTOL_START = OBJ_TOL / 10.0
+FTOL_FLOOR = 2.220446049250313e-09
 
 
 def _unit_rows(X: np.ndarray):
@@ -275,21 +302,27 @@ def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
         y[[i + 1 for i in best.influence_set]] = 1.0
         return y
     rng = np.random.default_rng(seed)
-    a, b, half = prob.coef_a, prob.coef_b, 0.5 * prob.coef
+    # C is the symmetric matrix with objective constant + y^T C y, stored on
+    # the coefficient pattern; row k holds vector k's coefficient neighbours
+    C, pair_of_entry = _scatter_matrix(prob)
+    C.data = 0.5 * prob.coef[pair_of_entry]
     best_y, best_v = None, -np.inf
     for trial in range(4):
         y = np.ones(m)
         if trial > 0:
             y[1:] = rng.choice([-1.0, 1.0], size=prob.n)
+        h = C @ y
         while True:
-            # h = C y for the symmetric C with objective constant + y^T C y
-            h = np.bincount(a, half * y[b], m) + np.bincount(b, half * y[a], m)
             gains = -4.0 * y * h
             gains[0] = -np.inf  # v_0 is the reference
             k = int(np.argmax(gains))
             if gains[k] <= 1e-12:
                 break
             y[k] = -y[k]
+            # flipping y_k moves h = C y by 2 y_k C[:, k], only at k's
+            # neighbours
+            lo, hi = C.indptr[k], C.indptr[k + 1]
+            h[C.indices[lo:hi]] += 2.0 * y[k] * C.data[lo:hi]
         v = prob.objective_at_signs(y)
         if v > best_v:
             best_v, best_y = v, y.copy()
@@ -330,6 +363,16 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     exact, so scaling every weight by a power of two scales the objective
     bit for bit and leaves the vectors unchanged.
 
+    Early inner solves are inexact (Conn, Gould & Toint's LANCELOT): outer
+    round k passes L-BFGS-B ``ftol = max(FTOL_START / 10**k, FTOL_FLOOR)``,
+    so rounds 0-3 stop at a relative reduction of 1e-5, 1e-6, 1e-7 and
+    1e-8, while the multipliers are still far off, and every later round
+    at scipy's default, so the final rounds lose no accuracy.  The returned
+    ``trace`` has one SdpRound per outer round of each start.  A random
+    network with n = 1000 and about 4 edges per buyer takes about 7 s
+    under two BLAS threads on 2 cores (about 9 s with every round at the
+    floor).
+
     Each L-BFGS evaluation reads only the Gram entries of the coefficient
     pairs, as row-wise dots, and scatters one weight per pair back onto the
     rows of V through a sparse matrix: O((|E| + n) rank) time and memory,
@@ -355,13 +398,14 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     y_int = _best_integral_signs(prob, seed)
     V_int = np.zeros((m, rank))
     V_int[:, 0] = y_int
-    candidates = [(prob.objective_at_signs(y_int), 0.0, V_int, True, 0)]
+    candidates = [(prob.objective_at_signs(y_int), 0.0, V_int, True, -1)]
     if prob.n == 0 or prob.coef.size == 0:
-        obj, viol, V, ok, iters = candidates[0]
-        return SdpSolution(V, obj * unit, viol, iters, True, caller_prob)
+        obj, viol, V = candidates[0][:3]
+        return SdpSolution(V, obj * unit, viol, 0, True, caller_prob)
 
     W, pair_of_entry = _scatter_matrix(prob)
     total_iters = 0
+    trace = []
     for s in range(STARTS):
         if s == 0:
             X = V_int + 0.2 * rng.standard_normal((m, rank))
@@ -374,10 +418,12 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
         converged = False
 
         for outer in range(MAX_OUTER):
+            ftol = max(FTOL_START / 10.0 ** outer, FTOL_FLOOR)
             res = minimize(_al_value_grad, X.ravel(),
                            args=(prob, W, pair_of_entry, lam, mu),
                            jac=True, method="L-BFGS-B",
-                           options={"maxiter": INNER_ITERATIONS})
+                           options={"maxiter": INNER_ITERATIONS,
+                                    "ftol": ftol})
             total_iters += int(res.nit)
             X = res.x.reshape(m, rank)
             V = _unit_rows(X)[0]
@@ -385,6 +431,8 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
             obj = prob._objective(g)
             slack = _slacks(prob, g)
             max_viol = float(max(0.0, -np.min(slack))) if slack.size else 0.0
+            trace.append(SdpRound(s, outer, ftol, int(res.nit), obj * unit,
+                                  max_viol, mu))
             lam = np.maximum(0.0, lam - mu * slack)
             if max_viol <= FEAS_TOL and prev_obj is not None \
                     and abs(obj - prev_obj) <= OBJ_TOL * max(1.0, abs(obj)):
@@ -393,7 +441,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
             if max_viol > 0.5 * prev_viol and outer > 0:
                 mu = min(mu * 4.0, 1e8 * MU_START)
             prev_obj, prev_viol = obj, max(max_viol, 1e-16)
-        candidates.append((obj, max_viol, V, converged, total_iters))
+        candidates.append((obj, max_viol, V, converged, s))
 
     feasible = [c for c in candidates if c[1] <= FEAS_TOL]
     pool = feasible if feasible else candidates
@@ -402,7 +450,8 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     return SdpSolution(vectors=best[2], objective_value=best[0] * unit,
                        max_violation=best[1], iterations=total_iters,
                        converged=any_converged and bool(feasible),
-                       problem=caller_prob)
+                       problem=caller_prob, trace=tuple(trace),
+                       winning_start=best[4])
 
 
 # ---------------------------------------------------------------------------

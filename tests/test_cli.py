@@ -392,3 +392,27 @@ def test_table_rejects_missing_corpus(tmp_path, capsys):
     rc = main(["table", "--corpus", str(tmp_path / "nope")])
     assert rc == 2
     assert "corpus directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "certify", "sdp-ie",
+                                     "table --output", "table --csv"])
+def test_unwritable_output_is_a_validation_error(command, cycle4_file,
+                                                 tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "cycle4.txt").write_text(save_network(generate("cycle", 4))
+                                       + "\n")
+    argv = {
+        "gen": ["gen", "--kind", "cycle", "--n", "4", "--output", target],
+        "certify": ["certify", "--kind", "class_ie", "--output", target],
+        "sdp-ie": ["sdp-ie", "--input", cycle4_file, "--output", target],
+        "table --output": ["table", "--corpus", str(corpus), "--trials", "5",
+                           "--output", target],
+        "table --csv": ["table", "--corpus", str(corpus), "--trials", "5",
+                        "--csv", target],
+    }[command]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: cannot write {target}:")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netrev
+from netrev import sdprelax
 from netrev import (
     DIRECTED_SDP_GAMMA,
     DIRECTED_SDP_PRICING,
@@ -144,6 +145,54 @@ def test_penalty_sized_to_one_pair_converges_fast():
     assert res.solution.converged
     assert res.sdp_objective >= 46.215
     assert res.solution.iterations <= 2500
+
+
+def test_solver_trace_records_every_round():
+    g = generate("random", 50, density=4 / 49, weight_range=(0.1, 1.0),
+                 seed=11)
+    sol = solve_sdp(build_sdp(g, UNDIRECTED_SDP_PRICING), seed=0)
+    assert sum(r.iterations for r in sol.trace) == sol.iterations
+    for s in range(sdprelax.STARTS):
+        rounds = [r for r in sol.trace if r.start == s]
+        assert [r.round for r in rounds] == list(range(len(rounds)))
+        assert len(rounds) >= 5
+        assert [r.ftol for r in rounds[:4]] == pytest.approx(
+            [1e-5, 1e-6, 1e-7, 1e-8], rel=1e-12)
+        assert all(r.ftol == sdprelax.FTOL_FLOOR for r in rounds[4:])
+        assert rounds[0].mu == sdprelax.MU_START
+    assert 0 <= sol.winning_start < sdprelax.STARTS
+    last = [r for r in sol.trace if r.start == sol.winning_start][-1]
+    assert last.objective == sol.objective_value
+    assert last.max_violation == sol.max_violation
+
+
+def test_solver_without_coefficients_returns_the_integral_start():
+    sol = solve_sdp(build_sdp(SocialNetwork(False, 3, []), 0.5))
+    assert sol.trace == () and sol.winning_start == -1
+    assert sol.iterations == 0 and sol.objective_value == 0.0
+
+
+@pytest.mark.parametrize("n, directed, seed", [
+    (50, False, 11), (100, False, 12), (50, True, 13),
+    (8, False, 14), (12, True, 15), (16, False, 16)])
+def test_ftol_schedule_matches_solves_at_the_floor(n, directed, seed,
+                                                   monkeypatch):
+    # the reference runs every inner round at the floor, the tolerance all
+    # rounds used before the schedule
+    g = generate("random", n, directed=directed,
+                 density=min(1.0, 4 / (n - 1)), weight_range=(0.1, 1.0),
+                 seed=seed)
+    prob = build_sdp(g, DIRECTED_SDP_PRICING if directed
+                     else UNDIRECTED_SDP_PRICING)
+    scheduled = solve_sdp(prob, seed=0)
+    monkeypatch.setattr(sdprelax, "FTOL_START", sdprelax.FTOL_FLOOR)
+    reference = solve_sdp(prob, seed=0)
+    assert {r.ftol for r in reference.trace} == {sdprelax.FTOL_FLOOR}
+    assert scheduled.converged and reference.converged
+    assert scheduled.objective_value == pytest.approx(
+        reference.objective_value, rel=1e-5)
+    if n >= 50:
+        assert scheduled.iterations < reference.iterations
 
 
 @pytest.mark.parametrize("rank", [0, -3, 1.5, 2.0, True, "3"])
@@ -287,7 +336,7 @@ def _dense_greedy_signs(prob, seed):
 
 
 @pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("n", [17, 30])
+@pytest.mark.parametrize("n", [17, 30, 300])
 def test_greedy_start_matches_dense_greedy(n, directed, random_net):
     g = random_net(70 + n, n=n, directed=directed, density=0.3,
                    self_weights=not directed)
