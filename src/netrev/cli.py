@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--schedule", choices=("piecewise", "flat"))
     sp.add_argument("--directed", action="store_true")
     sp.add_argument("--grid-step", type=float, default=None,
-                    help="scan step, in (0, 0.1]; default 1e-3")
+                    help="scan step, in [1e-3, 0.1]; default 1e-2")
     sp.add_argument("--output")
     sp.set_defaults(func=_cmd_certify)
 

@@ -388,6 +388,12 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
         raise ValidationError(f"unknown generator kind {kind!r}")
     if not 0.0 <= density <= 1.0:
         raise ValidationError("density must lie in [0, 1]")
+    for name, bounds in (("weight_range", weight_range),
+                         ("self_weight_range", self_weight_range)):
+        if bounds is not None and not (np.all(np.isfinite(bounds))
+                                       and bounds[0] <= bounds[1]):
+            raise ValidationError(
+                f"{name} must be finite with low <= high, got {tuple(bounds)}")
     if kind == "cycle":
         if n < 3:
             raise ValidationError("cycle requires n >= 3")

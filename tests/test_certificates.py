@@ -110,6 +110,26 @@ def test_coarse_grid_still_lands_in_the_basin():
     assert rep.value == pytest.approx(0.5528964, abs=1e-4)
 
 
+@pytest.mark.parametrize("kind", ["sdp_directed", "sdp_undirected"])
+def test_sdp_pair_value_does_not_depend_on_the_grid_step(kind):
+    values = [ratio_certificate(kind, grid_step=step).value
+              for step in (1e-2, 3e-2, 0.1)]
+    assert max(values) - min(values) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["sdp_directed", "sdp_undirected"])
+def test_sdp_pair_argmin_is_a_feasible_triple_attaining_the_value(kind):
+    from netrev.certificates import _cos_band, _sdp_edge_ratio
+
+    rep = ratio_certificate(kind)
+    x, y, z = (rep.argopt[k] for k in ("theta_ij", "theta_i", "theta_j"))
+    lo, hi = _cos_band(math.cos(y), math.cos(z))
+    assert lo - 1e-12 <= math.cos(x) <= hi + 1e-12
+    ratio = _sdp_edge_ratio(kind, rep.params["p"], rep.params["gamma"],
+                            x, y, z)
+    assert 2 / math.pi * float(ratio) == pytest.approx(rep.value, abs=1e-12)
+
+
 def test_class_certificate_agrees_with_ratio_helper():
     rep = ratio_certificate("class_ie", K=6, q=SIX_CLASS_PRESET_Q)
     assert rep.value == pytest.approx(class_ratio(6, SIX_CLASS_PRESET_Q))
@@ -146,6 +166,9 @@ def test_cos_band_is_a_valid_subinterval_of_the_geometric_band(a, b):
     ("sdp_self", {"grid_step": 0.0}),
     ("sdp_directed", {"grid_step": 5.0}),
     ("sdp_undirected", {"grid_step": 0.1 + 1e-9}),
+    ("sdp_directed", {"grid_step": 1e-9}),
+    ("rounding_undirected", {"grid_step": 1e-7}),
+    ("random_ie", {"grid_step": 1e-3 - 1e-9}),
 ])
 def test_certificate_rejects_invalid_inputs(kind, params):
     with pytest.raises(ValidationError):

@@ -76,6 +76,21 @@ def test_gen_rejects_density_outside_unit_interval(capsys, density):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, bounds", [
+    ("--weight-range", ["1", "0"]),
+    ("--weight-range", ["nan", "1"]),
+    ("--weight-range", ["0", "inf"]),
+    ("--self-weight-range", ["2", "1"]),
+])
+def test_gen_rejects_bad_weight_range(capsys, flag, bounds):
+    rc = main(["gen", "--kind", "random", "--n", "5", "--seed", "1",
+               flag] + bounds)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "range" in captured.err
+    assert captured.out == ""
+
+
 def test_gen_unknown_kind_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--kind", "moebius", "--n", "4"])
@@ -304,6 +319,8 @@ def test_certify_directed_rounding_bound(capsys):
     ["--kind", "rounding_directed", "--grid-step", "nan"],
     ["--kind", "sdp_self", "--grid-step", "0"],
     ["--kind", "sdp_directed", "--grid-step", "5"],
+    ["--kind", "sdp_directed", "--grid-step", "1e-9"],
+    ["--kind", "rounding_undirected", "--grid-step", "1e-7"],
 ])
 def test_certify_rejects_invalid_values(capsys, argv):
     rc = main(["certify"] + argv)

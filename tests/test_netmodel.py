@@ -150,6 +150,11 @@ def test_generate_validations():
         generate("random", 4, density=0.5)  # seed required
     with pytest.raises(ValidationError):
         generate("random", 4, directed=True, self_weight_range=(0.1, 0.2), seed=1)
+    for bad in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValidationError, match="weight_range"):
+            generate("random", 4, weight_range=bad, seed=1)
+        with pytest.raises(ValidationError, match="self_weight_range"):
+            generate("random", 4, self_weight_range=bad, seed=1)
 
 
 def test_generate_bipartite_parts():
