@@ -22,9 +22,9 @@ from numpy.random import Generator, Philox, SeedSequence, default_rng
 from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
                        gadget)
 from .revenue import (IEStrategy, MarketingStrategy, _ClassIEStrategy,
-                      _check_exploit_prob, _ie_cubic, _influence_mask,
-                      _require_normalized, ie_coefficients_batch, ie_revenue,
-                      strategy_family)
+                      _check_exploit_prob, _check_price_prob, _ie_cubic,
+                      _influence_mask, _require_normalized,
+                      ie_coefficients_batch, ie_revenue, strategy_family)
 
 _CHUNK = 1 << 15
 _SIM_CELLS = 1 << 17
@@ -130,62 +130,74 @@ def best_ie_exhaustive(g: SocialNetwork, p: Optional[float] = None) -> OracleRep
 # Continuous strategy search
 # ---------------------------------------------------------------------------
 
-def _sorted_revenue(Wm: np.ndarray, sw: np.ndarray, prices: np.ndarray) -> float:
-    """Revenue of an undirected price vector under its best (sorted) order."""
-    pos = np.empty(prices.size, dtype=np.int64)
-    pos[np.argsort(-prices, kind="stable")] = np.arange(prices.size)
-    before = pos[None, :] < pos[:, None]
-    A = sw + (before * Wm.T) @ prices
-    return float(np.sum(prices * (1.0 - prices) * A))
+_SWEEPS = 120
+_WARM_UP_STEPS = 20
 
 
-def _undirected_ascent(Wm, sw, p0, pins, pgd_steps=20, max_sweeps=250):
-    """Projected-gradient warmup plus coordinate ascent, re-sorting the
-    approach order after every pass; pinned coordinates stay fixed."""
-    n = p0.size
-    p = p0.copy()
-    for node, price in pins.items():
-        p[node] = price
-    free = np.ones(n, dtype=bool)
-    free[list(pins)] = False
-    scale = max(1.0, float(np.max(sw) if n else 0.0), float(np.max(Wm)) if Wm.size else 0.0)
-    for step in range(pgd_steps):
-        pos = np.empty(n, dtype=np.int64)
-        pos[np.argsort(-p, kind="stable")] = np.arange(n)
-        before = pos[None, :] < pos[:, None]
-        A = sw + (before * Wm.T) @ p
-        B = (before.T * Wm) @ (p * (1.0 - p))
-        grad = (1.0 - 2.0 * p) * A + B
-        gmax = float(np.max(np.abs(grad[free]), initial=0.0))
-        if gmax <= _TINY * scale:
+def _price_positions(P: np.ndarray) -> np.ndarray:
+    """Approach positions of each row's price sort, dearest first and ties
+    by index: the best order for those prices on an undirected network."""
+    return np.argsort(np.argsort(-P, axis=1, kind="stable"), axis=1)
+
+
+def _buyer_terms(Wm, sw, P, pos, i):
+    """A_i and B_i of buyer i in every row of prices P approached in the
+    order pos: as a function of p_i alone, the row's revenue is
+    p_i (1 - p_i) A_i + p_i B_i.  A_i is w_ii plus w_ji p_j over the buyers
+    j approached earlier, B_i is w_ik p_k (1 - p_k) over those later."""
+    before = pos < pos[:, [i]]
+    A = sw[i] + (P * before) @ Wm[:, i]
+    # ~before is {i} plus the buyers after i; the diagonal of Wm is zero,
+    # so the i term contributes nothing to B.
+    B = (P * (1.0 - P) * ~before) @ Wm[i]
+    return A, B
+
+
+def _revenue_rows(Wm, sw, pos, P) -> np.ndarray:
+    """Revenue of every row of prices P approached in the order pos."""
+    R = np.zeros(pos.shape[0])
+    for i in range(pos.shape[1]):
+        A = sw[i] + (P * (pos < pos[:, [i]])) @ Wm[:, i]
+        R += P[:, i] * (1.0 - P[:, i]) * A
+    return R
+
+
+def _ascend(Wm, sw, P, pos=None, free=None):
+    """Batched coordinate ascent over the rows of P, in place.
+
+    Each update sets column i of every row to its maximizer
+    clip(1/2 + B_i / (2 A_i), 1/2, 1), or to 1 where A_i vanishes; buyers
+    are taken in index order, and only the columns in the mask ``free``
+    (default all) move.  Sweeps stop once none moves a price by 1e-12, or
+    after ``_SWEEPS``.  With ``pos`` None each row is approached in its
+    price order, re-sorted before every sweep, and ``_WARM_UP_STEPS``
+    projected-gradient steps run first: step t moves each row's steepest
+    free price by 0.12 / sqrt(t).
+    """
+    cols = range(P.shape[1]) if free is None else np.flatnonzero(free)
+    tiny = _TINY * max(1.0, float(np.max(sw, initial=0.0)),
+                       float(np.max(Wm, initial=0.0)))
+    for step in range(_WARM_UP_STEPS if pos is None else 0):
+        at = _price_positions(P)
+        grad = np.zeros_like(P)
+        for i in cols:
+            A, B = _buyer_terms(Wm, sw, P, at, i)
+            grad[:, i] = (1.0 - 2.0 * P[:, i]) * A + B
+        gmax = np.max(np.abs(grad), axis=1, initial=0.0)
+        rate = np.where(gmax > tiny, 0.12 / (np.maximum(gmax, tiny)
+                                             * math.sqrt(1.0 + step)), 0.0)
+        np.clip(P + rate[:, None] * grad, 0.5, 1.0, out=P)
+    for _ in range(_SWEEPS):
+        at = _price_positions(P) if pos is None else pos
+        delta = 0.0
+        for i in cols:
+            A, B = _buyer_terms(Wm, sw, P, at, i)
+            new = np.where(A <= tiny, 1.0,
+                           np.clip(0.5 + B / np.maximum(2.0 * A, _TINY), 0.5, 1.0))
+            delta = max(delta, float(np.max(np.abs(new - P[:, i]))))
+            P[:, i] = new
+        if delta < 1e-12:
             break
-        p[free] += (0.12 / (gmax * math.sqrt(1.0 + step))) * grad[free]
-        np.clip(p, 0.5, 1.0, out=p)
-    best = -np.inf
-    stall = 0
-    for _ in range(max_sweeps):
-        order = np.argsort(-p, kind="stable")
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
-        for i in order:
-            if not free[i]:
-                continue
-            A_i = float(Wm[:, i] @ (p * (pos < pos[i]))) + sw[i]
-            r = p * (1.0 - p)
-            B_i = float(Wm[i] @ (r * (pos > pos[i])))
-            if A_i <= _TINY * scale:
-                p[i] = 1.0
-            else:
-                p[i] = min(1.0, max(0.5, 0.5 + B_i / (2.0 * A_i)))
-        value = _sorted_revenue(Wm, sw, p)
-        if value <= best + 1e-13 * max(1.0, abs(best)):
-            stall += 1
-            if stall >= 2:
-                break
-        else:
-            stall = 0
-        best = max(best, value)
-    return best, p
 
 
 def _undirected_starts(n, free_nodes, rng):
@@ -208,34 +220,24 @@ def _search_undirected(g: SocialNetwork, pins: dict, seed) -> OracleReport:
     n = g.n
     Wm = g.in_weight_matrix()
     sw = np.asarray(g.self_weights)
-    rng = default_rng(seed)
-    free_nodes = np.array([i for i in range(n) if i not in pins], dtype=np.int64)
-    best_val, best_p, starts = -np.inf, None, 0
-    for p0 in _undirected_starts(n, free_nodes, rng):
-        starts += 1
-        val, p = _undirected_ascent(Wm, sw, p0, pins)
-        if val > best_val:
-            best_val, best_p = val, p
-    order = tuple(int(i) for i in np.argsort(-best_p, kind="stable"))
-    witness = MarketingStrategy(order, tuple(float(x) for x in best_p))
-    return OracleReport(best_value=best_val, best_witness=witness,
-                        search_space_size=starts, method="multistart",
+    free = np.ones(n, dtype=bool)
+    free[list(pins)] = False
+    P = np.array(list(_undirected_starts(n, np.flatnonzero(free),
+                                         default_rng(seed))))
+    P[:, list(pins)] = list(pins.values())
+    _ascend(Wm, sw, P, free=free)
+    R = _revenue_rows(Wm, sw, _price_positions(P), P)
+    k = int(np.argmax(R))
+    order = tuple(int(i) for i in np.argsort(-P[k], kind="stable"))
+    witness = MarketingStrategy(order, tuple(float(x) for x in P[k]))
+    return OracleReport(best_value=float(R[k]), best_witness=witness,
+                        search_space_size=P.shape[0], method="multistart",
                         resolution=1.0 / 16.0)
 
 
 def _all_positions(n: int) -> np.ndarray:
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     return np.argsort(perms, axis=1)
-
-
-def _perm_revenue_batch(Wm, sw, pos, Pr) -> np.ndarray:
-    n = pos.shape[1]
-    R = np.zeros(pos.shape[0])
-    for i in range(n):
-        before = pos < pos[:, [i]]
-        A = sw[i] + (Pr * before) @ Wm[:, i]
-        R += Pr[:, i] * (1.0 - Pr[:, i]) * A
-    return R
 
 
 def _search_directed(g: SocialNetwork, seed) -> OracleReport:
@@ -247,29 +249,17 @@ def _search_directed(g: SocialNetwork, seed) -> OracleReport:
     rng = default_rng(seed)
     starts = [np.full((m, n), 0.75), np.full((m, n), 1.0),
               np.full((m, n), 0.5), rng.uniform(0.5, 1.0, size=(m, n))]
-    scale = max(1.0, float(np.max(Wm)) if Wm.size else 0.0)
-    best_val, best_row, best_Pr = -np.inf, 0, None
-    for Pr in starts:
-        for _ in range(120):
-            delta = 0.0
-            for i in range(n):
-                before = pos < pos[:, [i]]
-                A = sw[i] + (Pr * before) @ Wm[:, i]
-                # ~before is {i} plus the buyers after i; the diagonal of
-                # Wm is zero, so the i term contributes nothing to B.
-                B = ((Pr * (1.0 - Pr)) * ~before) @ Wm[i]
-                new = np.where(A <= _TINY * scale, 1.0,
-                               np.clip(0.5 + B / np.maximum(2.0 * A, _TINY), 0.5, 1.0))
-                delta = max(delta, float(np.max(np.abs(new - Pr[:, i]))))
-                Pr[:, i] = new
-            if delta < 1e-12:
-                break
-        R = _perm_revenue_batch(Wm, sw, pos, Pr)
+    best_val, best_row, best_P = -np.inf, 0, None
+    # One start at a time: stacked, every row would sweep until the slowest
+    # row of any start converged, in four times the memory.
+    for P in starts:
+        _ascend(Wm, sw, P, pos)
+        R = _revenue_rows(Wm, sw, pos, P)
         k = int(np.argmax(R))
         if R[k] > best_val:
-            best_val, best_row, best_Pr = float(R[k]), k, Pr[k].copy()
+            best_val, best_row, best_P = float(R[k]), k, P[k].copy()
     order = tuple(int(i) for i in np.argsort(pos[best_row]))
-    witness = MarketingStrategy(order, tuple(float(x) for x in best_Pr))
+    witness = MarketingStrategy(order, tuple(float(x) for x in best_P))
     return OracleReport(best_value=best_val, best_witness=witness,
                         search_space_size=m * len(starts), method="multistart")
 
@@ -304,7 +294,7 @@ def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
         raise ValidationError(
             f"best_ordering_exhaustive enumerates n! orders; n={n} exceeds "
             f"{_ORDERING_LIMIT}")
-    prices = np.asarray(prices, dtype=np.float64)
+    prices = _check_price_prob(prices, "prices")
     if prices.shape != (n,):
         raise ValidationError("prices must supply one probability per buyer")
     Wm = g.in_weight_matrix()
@@ -313,7 +303,7 @@ def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
     best_val, best_row = -np.inf, 0
     for start in range(0, pos.shape[0], _CHUNK):
         block = pos[start:start + _CHUNK]
-        R = _perm_revenue_batch(Wm, sw, block, np.broadcast_to(prices, block.shape))
+        R = _revenue_rows(Wm, sw, block, np.broadcast_to(prices, block.shape))
         k = int(np.argmax(R))
         if R[k] > best_val:
             best_val, best_row = float(R[k]), start + k

@@ -357,9 +357,12 @@ def _ratio_terms_batch(Q: np.ndarray, p: np.ndarray):
     return 4.0 * S1, 4.0 * S2, g1, g2
 
 
-def optimize_class_assignment(K: int, seed=0, starts: int = 32,
-                              iterations: int = 10_000,
-                              step_scale: float = 0.05) -> np.ndarray:
+_ASSIGNMENT_STARTS = 32
+_ASSIGNMENT_ITERATIONS = 10_000
+_ASSIGNMENT_STEP = 0.05
+
+
+def optimize_class_assignment(K: int, seed=0) -> np.ndarray:
     """Maximize min(term1, term2) of :func:`class_ratio_terms` over the
     simplex: seeded multistart projected supergradient ascent with
     diminishing steps, then a pairwise coordinate polish to 1e-6."""
@@ -372,12 +375,12 @@ def optimize_class_assignment(K: int, seed=0, starts: int = 32,
     seeds.append(last)
     if K == 6:
         seeds.append(np.asarray(SIX_CLASS_PRESET_Q))
-    while len(seeds) < starts:
+    while len(seeds) < _ASSIGNMENT_STARTS:
         seeds.append(rng.dirichlet(np.ones(K)))
-    Q = np.stack(seeds[:starts])
+    Q = np.stack(seeds[:_ASSIGNMENT_STARTS])
     best_q = Q.copy()
     best_val = np.full(Q.shape[0], -np.inf)
-    for t in range(1, iterations + 1):
+    for t in range(1, _ASSIGNMENT_ITERATIONS + 1):
         t1, t2, g1, g2 = _ratio_terms_batch(Q, p)
         val = np.minimum(t1, t2)
         improved = val > best_val
@@ -387,7 +390,7 @@ def optimize_class_assignment(K: int, seed=0, starts: int = 32,
         close = np.abs(t1 - t2) < 1e-12
         if np.any(close):
             grad[close] = 0.5 * (g1[close] + g2[close])
-        Q = project_to_simplex(Q + (step_scale / math.sqrt(t)) * grad)
+        Q = project_to_simplex(Q + (_ASSIGNMENT_STEP / math.sqrt(t)) * grad)
     champion = best_q[int(np.argmax(best_val))]
     return _coordinate_polish(champion, p)
 

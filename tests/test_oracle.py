@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from netrev import oracle
 from netrev import (
+    GADGET_SELECTION_NODES,
     SIX_CLASS_PRESET_Q,
     GeneralizedIEStrategy,
     IEStrategy,
@@ -124,6 +125,22 @@ def test_search_never_below_best_ie(random_net):
         assert got == pytest.approx(search.best_value)
 
 
+@pytest.mark.parametrize("seed, warm, cold", [
+    (22, 5.070579785123658, 5.069609011894497),
+    (28, 3.312825789929505, 3.3216557022709963),
+])
+def test_search_warm_up_decides_these_optima(monkeypatch, seed, warm, cold):
+    # undirected probes where the projected-gradient warm-up leads the
+    # coordinate ascent to another local optimum than it finds alone
+    g = generate("random", 5 + seed % 8, density=0.7, weight_range=(0.1, 1.0),
+                 self_weight_range=(0.0, 0.5), seed=100 + seed)
+    assert best_strategy_search(g, seed=seed).best_value == pytest.approx(
+        warm, abs=1e-9)
+    monkeypatch.setattr(oracle, "_WARM_UP_STEPS", 0)
+    assert best_strategy_search(g, seed=seed).best_value == pytest.approx(
+        cold, abs=1e-9)
+
+
 def test_search_size_limits():
     with pytest.raises(ValidationError):
         best_strategy_search(generate("complete_dag", 9))
@@ -138,6 +155,20 @@ def test_best_ordering_exhaustive_agrees_with_sort_rule(random_net):
         rep = best_ordering_exhaustive(g, prices)
         sorted_rev = strategy_revenue(g, best_ordering_for_prices(g, prices))
         assert rep.best_value == pytest.approx(sorted_rev)
+
+
+def test_best_ordering_exhaustive_checks_prices_before_enumerating(
+        monkeypatch):
+    def enumerate_orders(n):
+        raise AssertionError("orders enumerated before the prices were checked")
+
+    monkeypatch.setattr(oracle, "_all_positions", enumerate_orders)
+    g = generate("random", 10, density=0.5, seed=1)
+    prices = np.full(10, 0.75)
+    for bad, message in ((2.0, "must lie in"), (np.nan, "must be finite")):
+        prices[3] = bad
+        with pytest.raises(ValidationError, match=message):
+            best_ordering_exhaustive(g, prices)
 
 
 def test_best_ordering_exhaustive_directed(random_net):
@@ -167,6 +198,18 @@ def test_three_path_table():
     table = gadget_revenue_table("three_path", seed=0)
     assert table["free"].best_value == pytest.approx(0.75, abs=1e-4)
     assert table["1,1"].best_value == pytest.approx(41 / 64, abs=1e-4)
+
+
+@pytest.mark.parametrize("kind", ["extended_triangle", "three_path"])
+def test_strategy_gadget_witnesses_keep_their_pins_and_value(kind):
+    g = gadget(kind)
+    sel = GADGET_SELECTION_NODES[kind]
+    for key, rep in gadget_revenue_table(kind, seed=0).items():
+        prices = rep.best_witness.prices
+        if key != "free":
+            assert [prices[i] for i in sel] == [float(v) for v in key.split(",")]
+        assert strategy_revenue(g, rep.best_witness) == pytest.approx(
+            rep.best_value, rel=0, abs=1e-12)
 
 
 def test_strategy_gadget_single_constraint():
