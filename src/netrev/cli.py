@@ -244,7 +244,8 @@ def _cmd_sdp_ie(args) -> int:
         wall_time_s=time.perf_counter() - t0,
         strategy=result.strategy.to_json(),
         extra={"sdp_objective": result.sdp_objective,
-               "converged": result.solution.converged})
+               "converged": result.solution.converged,
+               **result.solver_diagnostics()})
     _emit(report.to_json(), args.output)
     if not result.solution.converged:
         print("sdp solver did not converge", file=sys.stderr)
@@ -345,6 +346,7 @@ def _table_row(task) -> dict:
     row["sdp_ie"] = result.revenue
     row["sdp_ie_ratio"] = _ratio(result.revenue, upper)
     row["sdp_converged"] = result.solution.converged
+    row.update(result.solver_diagnostics())
     if g.n <= _ORACLE_TABLE_LIMIT:
         oracle = best_ie_exhaustive(g)
         row["oracle_best_ie"] = oracle.best_value
@@ -358,6 +360,8 @@ _TABLE_COLUMNS = ("instance", "n", "directed", "W", "N", "upper_bound",
                   "baseline_ie", "baseline_ie_ratio", "tuned_ie",
                   "tuned_ie_ratio", "generalized_ie", "generalized_ie_ratio",
                   "sdp_ie", "sdp_ie_ratio", "sdp_converged",
+                  "sdp_upper_bound", "sdp_certified_gap", "winning_start",
+                  "starts_run",
                   "oracle_best_ie", "oracle_best_ie_ratio",
                   "sdp_ie_vs_oracle")
 

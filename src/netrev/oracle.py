@@ -172,7 +172,9 @@ def _ascend(Wm, sw, P, pos=None, free=None):
     after ``_SWEEPS``.  With ``pos`` None each row is approached in its
     price order, re-sorted before every sweep, and ``_WARM_UP_STEPS``
     projected-gradient steps run first: step t moves each row's steepest
-    free price by 0.12 / sqrt(t).
+    free price by 0.12 / sqrt(t).  With fixed ``pos`` the rows do not
+    interact, so a row whose sweep left every price unchanged, a fixed
+    point, is not swept again.
     """
     cols = range(P.shape[1]) if free is None else np.flatnonzero(free)
     tiny = _TINY * max(1.0, float(np.max(sw, initial=0.0)),
@@ -187,16 +189,21 @@ def _ascend(Wm, sw, P, pos=None, free=None):
         rate = np.where(gmax > tiny, 0.12 / (np.maximum(gmax, tiny)
                                              * math.sqrt(1.0 + step)), 0.0)
         np.clip(P + rate[:, None] * grad, 0.5, 1.0, out=P)
+    live = slice(None) if pos is None else np.arange(P.shape[0])
     for _ in range(_SWEEPS):
-        at = _price_positions(P) if pos is None else pos
-        delta = 0.0
+        Q = P[live]
+        at = _price_positions(Q) if pos is None else pos[live]
+        delta = np.zeros(Q.shape[0])
         for i in cols:
-            A, B = _buyer_terms(Wm, sw, P, at, i)
+            A, B = _buyer_terms(Wm, sw, Q, at, i)
             new = np.where(A <= tiny, 1.0,
                            np.clip(0.5 + B / np.maximum(2.0 * A, _TINY), 0.5, 1.0))
-            delta = max(delta, float(np.max(np.abs(new - P[:, i]))))
-            P[:, i] = new
-        if delta < 1e-12:
+            delta = np.maximum(delta, np.abs(new - Q[:, i]))
+            Q[:, i] = new
+        if pos is not None:
+            P[live] = Q
+            live = live[delta > 0.0]
+        if np.max(delta, initial=0.0) < 1e-12:
             break
 
 

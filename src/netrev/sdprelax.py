@@ -17,15 +17,22 @@ worst-case revenue loss of that pipeline.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
+import scipy.linalg
 from scipy.optimize import minimize
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
+from scipy.sparse.linalg import splu
 
 from .netmodel import SocialNetwork, ValidationError
 from .oracle import best_ie_exhaustive
@@ -179,9 +186,10 @@ def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
 @dataclass(frozen=True)
 class SdpRound:
     """One outer augmented-Lagrangian round of one start of ``solve_sdp``:
-    the inner L-BFGS ``ftol`` and iteration count, then the objective (in
-    the caller's units) and max violation at its end, and the penalty mu
-    the round ran with."""
+    the inner L-BFGS ``ftol`` and iteration count, then the objective and
+    the certified upper bound from the round's multipliers (both in the
+    caller's units) and max violation at its end, and the penalty mu the
+    round ran with."""
 
     start: int
     round: int
@@ -190,13 +198,19 @@ class SdpRound:
     objective: float
     max_violation: float
     mu: float
+    upper_bound: float
 
 
 @dataclass(frozen=True, eq=False)
 class SdpSolution:
     """Feasible (up to tolerance) unit vectors with their objective value.
 
-    ``trace`` holds one SdpRound per outer round of every start, and
+    ``upper_bound`` is a proven upper bound on the relaxation's optimum
+    (so on every integral value at the problem's p), and ``certified_gap``
+    is (upper_bound - objective_value) / max(1, |objective_value|) in
+    coefficient units; it can be slightly negative, since the vectors are
+    feasible only to FEAS_TOL.  ``trace`` holds one SdpRound per outer
+    round of every start run, ``starts_run`` counts those starts, and
     ``winning_start`` is the start whose vectors were returned (-1 for the
     integral assignment)."""
 
@@ -208,6 +222,9 @@ class SdpSolution:
     problem: Optional[SdpProblem] = None
     trace: tuple[SdpRound, ...] = ()
     winning_start: int = -1
+    upper_bound: float = math.inf
+    certified_gap: float = math.inf
+    starts_run: int = 0
 
     def angles(self) -> np.ndarray:
         """theta_i = angle between v_i and v_0, per buyer."""
@@ -254,17 +271,28 @@ def _slacks(prob: SdpProblem, g: np.ndarray) -> np.ndarray:
     return np.einsum("pk,sk->ps", g[prob._edge_triples], CONSTRAINT_SIGNS) + 1.0
 
 
-def _scatter_matrix(prob: SdpProblem):
-    """CSR matrix on the symmetric pattern of the coefficient pairs, and
-    the pair each stored entry belongs to.  The evaluation refills its
+def _scatter_matrix(prob: SdpProblem, diagonal: bool = False):
+    """CSR matrix on the symmetric pattern of the coefficient pairs (plus
+    the diagonal if ``diagonal``), and the pair each stored entry belongs
+    to (``coef.size`` on the diagonal).  The evaluation refills its
     ``data`` with one weight per pair and multiplies it into V."""
     m, k = prob.num_vectors, prob.coef.size
-    rows = np.concatenate([prob.coef_a, prob.coef_b])
-    cols = np.concatenate([prob.coef_b, prob.coef_a])
+    diag = np.arange(m if diagonal else 0)
+    rows = np.concatenate([prob.coef_a, prob.coef_b, diag])
+    cols = np.concatenate([prob.coef_b, prob.coef_a, diag])
     order = np.lexsort((cols, rows))
     indptr = np.searchsorted(rows[order], np.arange(m + 1))
-    W = csr_array((np.zeros(2 * k), cols[order], indptr), shape=(m, m))
-    return W, order % k
+    W = csr_array((np.zeros(order.size), cols[order], indptr), shape=(m, m))
+    return W, np.where(order < 2 * k, order % max(k, 1), k)
+
+
+def _lagrangian_coef(prob: SdpProblem, lam: np.ndarray) -> np.ndarray:
+    """Per pair, coef plus the multipliers ``lam`` times the pair's sign
+    in each (edge pair, CONSTRAINT_SIGNS row): dL/dg of the Lagrangian."""
+    return prob.coef + np.bincount(
+        prob._edge_triples.ravel(),
+        np.einsum("ps,sk->pk", lam, CONSTRAINT_SIGNS).ravel(),
+        minlength=prob.coef.size)
 
 
 def _al_value_grad(xflat, prob, W, pair_of_entry, lam, mu):
@@ -280,11 +308,7 @@ def _al_value_grad(xflat, prob, W, pair_of_entry, lam, mu):
     g = _gram_entries(prob, V)
     mult = np.maximum(0.0, lam - mu * _slacks(prob, g))
     pen = float(np.einsum("ij,ij", mult, mult) - np.einsum("ij,ij", lam, lam)) / (2.0 * mu)
-    dg = -prob.coef - np.bincount(
-        prob._edge_triples.ravel(),
-        np.einsum("ps,sk->pk", mult, CONSTRAINT_SIGNS).ravel(),
-        minlength=prob.coef.size)
-    W.data = dg[pair_of_entry]
+    W.data = -_lagrangian_coef(prob, mult)[pair_of_entry]
     gV = W @ V
     gX = (gV - np.einsum("ij,ij->i", gV, V)[:, None] * V) / norms
     return pen - prob._objective(g), gX.ravel()
@@ -340,14 +364,125 @@ def _coefficient_unit(coef: np.ndarray) -> float:
     return math.ldexp(1.0, exp if mant >= math.sqrt(0.5) else exp - 1)
 
 
+@functools.cache
+def _scipy_openblas():
+    """scipy's bundled OpenBLAS, the BLAS of its L-BFGS-B, through ctypes;
+    None where it or its thread-count symbols are not found."""
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs")
+                       .glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = (lib.scipy_openblas_get_num_threads,
+                         lib.scipy_openblas_set_num_threads)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with scipy's OpenBLAS at one thread, then restore its
+    thread count; unpinned where the library is not found."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(old)
+
+
+#: First shift tried by the dual bound: RITZ_FACTOR times the Ritz estimate
+#: of the largest eigenvalue (which it can only underestimate), but at
+#: least SHIFT_FLOOR, in coefficient units.
+RITZ_FACTOR = 1.1
+SHIFT_FLOOR = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _ritz_top(A, V: np.ndarray) -> float:
+    """Largest Rayleigh-Ritz value of the symmetric sparse ``A`` on the
+    block Krylov space [V, A V, A^2 V]: a lower estimate of its largest
+    eigenvalue.  The dense steps run in scipy's BLAS and LAPACK."""
+    AV = A @ V
+    Q = scipy.linalg.qr(np.hstack([V, AV, A @ AV]), mode="economic",
+                        check_finite=False)[0]
+    T = scipy.linalg.blas.dgemm(1.0, Q, A @ Q, trans_a=True)
+    return float(scipy.linalg.eigvalsh(T + T.T, check_finite=False)[-1]) / 2.0
+
+
+def _is_positive_definite(B) -> bool:
+    """Whether the sparse LDL^T of the symmetric ``B`` (SuperLU in
+    symmetric mode, diagonal pivots only) runs with a symmetric
+    permutation and all-positive pivots."""
+    try:
+        lu = splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly zero pivot
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0.0))
+
+
+def _dual_bound(prob: SdpProblem, D, pair_of_entry: np.ndarray,
+                V: np.ndarray, lam: np.ndarray) -> float:
+    """Weak-duality upper bound on the relaxation, from multipliers ``lam``
+    and the complementary-slackness guess of the unit-diagonal multipliers
+    at the vectors ``V``; ``D`` is ``_scatter_matrix(prob, diagonal=True)``,
+    whose data this overwrites.
+
+    For every G >= 0 with unit diagonal, objective(G) <= constant + sum lam
+    + sum y + <A, G> with A = M - Diag(y), where M carries
+    (coef + sum lam * sign) / 2 on both (a, b) and (b, a) of each pair, and
+    <A, G> <= (n+1) s once sI - A is positive definite.  s is proven by a
+    sparse LDL^T of sI - A: tried at RITZ_FACTOR times the Ritz estimate of
+    A's largest eigenvalue, doubled on failure, and never above
+    Gershgorin's bound.  The computed factors are the exact LDL^T of a
+    matrix within 2 gamma_(n+2) tr(sI - A) of sI - A in the 2-norm
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, with
+    || |L| D |L^T| ||_2 <= tr(L D L^T)).  The shift margin,
+    8 (n+3) eps (tr(sI - A) + sum |coef| + 3 sum lam), covers that twice
+    over together with the rounding of forming M and of the Gershgorin
+    sums; the sum margin covers the rounding of the final sums.
+    """
+    m, k = prob.num_vectors, prob.coef.size
+    on_diag = pair_of_entry == k
+    D.data = np.append(0.5 * _lagrangian_coef(prob, lam), 0.0)[pair_of_entry]
+    y = np.einsum("ij,ij->i", V, D @ V)
+    D.data[on_diag] = -y
+    row_abs = np.add.reduceat(np.abs(D.data), D.indptr[:-1])
+    gershgorin = float(np.max(row_abs - np.abs(y) - y))
+    s = max(RITZ_FACTOR * _ritz_top(D, V), SHIFT_FLOOR)
+    while s < gershgorin:
+        B = csc_array((np.where(on_diag, s, 0.0) - D.data, D.indices,
+                       D.indptr), shape=(m, m))
+        if _is_positive_definite(B):
+            break
+        s *= 2.0
+    s = min(s, gershgorin)
+    lam_sum, y_sum = float(np.sum(lam)), float(np.sum(y))
+    shift_margin = 8.0 * (m + 2) * _EPS * (
+        m * s + y_sum + float(np.sum(np.abs(prob.coef))) + 3.0 * lam_sum)
+    sum_margin = (lam.size + m + 4) * _EPS * (
+        abs(prob.constant) + lam_sum + float(np.sum(np.abs(y))))
+    return prob.constant + lam_sum + y_sum + m * (s + shift_margin) \
+        + sum_margin
+
+
 def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
               seed: int = 0) -> SdpSolution:
     """Maximize the relaxation by low-rank augmented-Lagrangian ascent.
 
     Factorizes the Gram matrix as V V^T with unit rows of dimension ``rank``
     (an integer >= 1, used as min(max(rank, 2), n + 1); ``default_rank``
-    if None) and runs STARTS local ascents (one jittered from the best
-    integral assignment, the rest random).  Every edge pair's four
+    if None) and runs up to STARTS local ascents (one jittered from the
+    best integral assignment, the rest random).  Every edge pair's four
     constraint rows sit in the augmented Lagrangian from the first inner
     solve; a row with zero multiplier and positive slack adds nothing.
     Returns the best feasible candidate; if no start reaches the
@@ -355,32 +490,46 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     integral assignment itself always competes, so the reported objective
     never falls below the best integral value found.
 
+    Certified bound and stopping rule: after every outer round, the
+    round's multipliers give a weak-duality upper bound on the relaxation
+    (``_dual_bound``: constant + sum lam + sum y + (n+1) s, where s is
+    proven above the largest eigenvalue of M - Diag(y) by a sparse LDL^T
+    of sI - (M - Diag(y)), plus a stated rounding margin).  Its minimum
+    over all rounds is ``upper_bound``.  After each start that converged,
+    the remaining starts are skipped once that minimum is within
+    OBJ_TOL * max(1, |best|) of the best feasible objective, so STARTS is a
+    maximum; ``starts_run`` counts the starts run and ``certified_gap`` is
+    the final relative gap.  Through the relaxation, ``upper_bound`` also
+    bounds the best IE revenue at the problem's p, at any n.
+
     The problem is solved in units of one coefficient: ``coef`` and
     ``constant`` are divided by the power of two nearest the mean |coef|,
-    and the objective is multiplied back.  The penalty (MU_START) is then
-    sized to one constraint pair, and the tolerances and L-BFGS's absolute
-    gradient test mean the same at any weight scale.  The division is
-    exact, so scaling every weight by a power of two scales the objective
-    bit for bit and leaves the vectors unchanged.
+    and the objective and bound are multiplied back.  The penalty
+    (MU_START) is then sized to one constraint pair, and the tolerances
+    and L-BFGS's absolute gradient test mean the same at any weight scale.
+    The division is exact, so scaling every weight by a power of two
+    scales the objective and the bound bit for bit and leaves the vectors
+    unchanged.
 
     Early inner solves are inexact (Conn, Gould & Toint's LANCELOT): outer
     round k passes L-BFGS-B ``ftol = max(FTOL_START / 10**k, FTOL_FLOOR)``,
     so rounds 0-3 stop at a relative reduction of 1e-5, 1e-6, 1e-7 and
     1e-8, while the multipliers are still far off, and every later round
     at scipy's default, so the final rounds lose no accuracy.  The returned
-    ``trace`` has one SdpRound per outer round of each start.  A random
-    network with n = 1000 and about 4 edges per buyer takes about 7 s
-    under two BLAS threads on 2 cores (about 9 s with every round at the
-    floor).
+    ``trace`` has one SdpRound per outer round of each start run.  A
+    random network with n = 1000 and about 4 edges per buyer takes about
+    3 s on a 2-vCPU box, where one start certifies it.
 
     Each L-BFGS evaluation reads only the Gram entries of the coefficient
     pairs, as row-wise dots, and scatters one weight per pair back onto the
     rows of V through a sparse matrix: O((|E| + n) rank) time and memory,
-    with no (n+1) x (n+1) array.  Its products are einsum and sparse
-    kernels, not BLAS, whose threading would make the sums depend on the
-    BLAS thread count.  scipy's L-BFGS-B still takes BLAS vector products
-    over all (n+1) rank unknowns, which OpenBLAS threads past about 10^4
-    entries, so from about n = 300 the iterates do depend on it.
+    with no (n+1) x (n+1) array.  The bound keeps that: sparse products,
+    an (n+1) x 3 rank Krylov block and a sparse factorization.  The starts
+    and bounds run with scipy's OpenBLAS pinned to one thread (restored
+    afterwards), since L-BFGS-B's vector products and the Krylov block's
+    QR would otherwise round differently under different thread counts;
+    so the output does not depend on the BLAS thread count at any n.
+    Where that library is not found, they run unpinned.
     """
     m = prob.num_vectors
     if rank is None:
@@ -398,60 +547,76 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     y_int = _best_integral_signs(prob, seed)
     V_int = np.zeros((m, rank))
     V_int[:, 0] = y_int
-    candidates = [(prob.objective_at_signs(y_int), 0.0, V_int, True, -1)]
+    int_obj = prob.objective_at_signs(y_int)
+    candidates = [(int_obj, 0.0, V_int, True, -1)]
     if prob.n == 0 or prob.coef.size == 0:
-        obj, viol, V = candidates[0][:3]
-        return SdpSolution(V, obj * unit, viol, 0, True, caller_prob)
+        return SdpSolution(V_int, int_obj * unit, 0.0, 0, True, caller_prob,
+                           upper_bound=int_obj * unit, certified_gap=0.0)
 
     W, pair_of_entry = _scatter_matrix(prob)
+    D, pair_of_diag_entry = _scatter_matrix(prob, diagonal=True)
     total_iters = 0
     trace = []
-    for s in range(STARTS):
-        if s == 0:
-            X = V_int + 0.2 * rng.standard_normal((m, rank))
-        else:
-            X = rng.standard_normal((m, rank))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        lam = np.zeros((len(prob._edge_triples), len(CONSTRAINT_SIGNS)))
-        mu = MU_START
-        prev_obj, prev_viol = None, np.inf
-        converged = False
+    upper = math.inf
+    with _one_blas_thread():
+        for s in range(STARTS):
+            if s == 0:
+                X = V_int + 0.2 * rng.standard_normal((m, rank))
+            else:
+                X = rng.standard_normal((m, rank))
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            lam = np.zeros((len(prob._edge_triples), len(CONSTRAINT_SIGNS)))
+            mu = MU_START
+            prev_obj, prev_viol = None, np.inf
+            converged = False
 
-        for outer in range(MAX_OUTER):
-            ftol = max(FTOL_START / 10.0 ** outer, FTOL_FLOOR)
-            res = minimize(_al_value_grad, X.ravel(),
-                           args=(prob, W, pair_of_entry, lam, mu),
-                           jac=True, method="L-BFGS-B",
-                           options={"maxiter": INNER_ITERATIONS,
-                                    "ftol": ftol})
-            total_iters += int(res.nit)
-            X = res.x.reshape(m, rank)
-            V = _unit_rows(X)[0]
-            g = _gram_entries(prob, V)
-            obj = prob._objective(g)
-            slack = _slacks(prob, g)
-            max_viol = float(max(0.0, -np.min(slack))) if slack.size else 0.0
-            trace.append(SdpRound(s, outer, ftol, int(res.nit), obj * unit,
-                                  max_viol, mu))
-            lam = np.maximum(0.0, lam - mu * slack)
-            if max_viol <= FEAS_TOL and prev_obj is not None \
-                    and abs(obj - prev_obj) <= OBJ_TOL * max(1.0, abs(obj)):
-                converged = True
+            for outer in range(MAX_OUTER):
+                ftol = max(FTOL_START / 10.0 ** outer, FTOL_FLOOR)
+                res = minimize(_al_value_grad, X.ravel(),
+                               args=(prob, W, pair_of_entry, lam, mu),
+                               jac=True, method="L-BFGS-B",
+                               options={"maxiter": INNER_ITERATIONS,
+                                        "ftol": ftol})
+                total_iters += int(res.nit)
+                X = res.x.reshape(m, rank)
+                V = _unit_rows(X)[0]
+                g = _gram_entries(prob, V)
+                obj = prob._objective(g)
+                slack = _slacks(prob, g)
+                max_viol = float(max(0.0, -np.min(slack))) \
+                    if slack.size else 0.0
+                lam = np.maximum(0.0, lam - mu * slack)
+                bound = _dual_bound(prob, D, pair_of_diag_entry, V, lam)
+                upper = min(upper, bound)
+                trace.append(SdpRound(s, outer, ftol, int(res.nit),
+                                      obj * unit, max_viol, mu,
+                                      bound * unit))
+                if max_viol <= FEAS_TOL and prev_obj is not None \
+                        and abs(obj - prev_obj) <= OBJ_TOL * max(1.0, abs(obj)):
+                    converged = True
+                    break
+                if max_viol > 0.5 * prev_viol and outer > 0:
+                    mu = min(mu * 4.0, 1e8 * MU_START)
+                prev_obj, prev_viol = obj, max(max_viol, 1e-16)
+            candidates.append((obj, max_viol, V, converged, s))
+            if converged and _certified_gap(upper, candidates) <= OBJ_TOL:
                 break
-            if max_viol > 0.5 * prev_viol and outer > 0:
-                mu = min(mu * 4.0, 1e8 * MU_START)
-            prev_obj, prev_viol = obj, max(max_viol, 1e-16)
-        candidates.append((obj, max_viol, V, converged, s))
 
     feasible = [c for c in candidates if c[1] <= FEAS_TOL]
-    pool = feasible if feasible else candidates
-    best = max(pool, key=lambda c: c[0])
-    any_converged = any(c[3] for c in candidates[1:])
+    best = max(feasible, key=lambda c: c[0])
     return SdpSolution(vectors=best[2], objective_value=best[0] * unit,
                        max_violation=best[1], iterations=total_iters,
-                       converged=any_converged and bool(feasible),
+                       converged=any(c[3] for c in candidates[1:]),
                        problem=caller_prob, trace=tuple(trace),
-                       winning_start=best[4])
+                       winning_start=best[4], upper_bound=upper * unit,
+                       certified_gap=_certified_gap(upper, candidates),
+                       starts_run=len(candidates) - 1)
+
+
+def _certified_gap(upper: float, candidates) -> float:
+    """(upper - best feasible objective) / max(1, |best|)."""
+    best = max(c[0] for c in candidates if c[1] <= FEAS_TOL)
+    return (upper - best) / max(1.0, abs(best))
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +745,21 @@ class SdpIEResult:
     trials: int
     seed: object
 
+    def solver_diagnostics(self) -> dict:
+        """The relaxation's certified upper bound and gap, the start whose
+        vectors were rounded, and the number of starts run."""
+        sol = self.solution
+        return {"sdp_upper_bound": sol.upper_bound,
+                "sdp_certified_gap": sol.certified_gap,
+                "winning_start": sol.winning_start,
+                "starts_run": sol.starts_run}
+
     def to_json(self) -> dict:
         return {"strategy": self.strategy.to_json(), "revenue": self.revenue,
                 "p": self.p, "gamma": self.gamma,
                 "sdp_objective": self.sdp_objective, "trials": self.trials,
-                "converged": self.solution.converged}
+                "converged": self.solution.converged,
+                **self.solver_diagnostics()}
 
 
 def sdp_ie(g: SocialNetwork, p: Optional[float] = None,

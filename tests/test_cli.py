@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -233,6 +234,36 @@ def test_reports_deterministic_modulo_wall_time(cycle4_file, capsys):
     first.pop("wall_time_s")
     second.pop("wall_time_s")
     assert first == second
+
+
+def test_sdp_reports_carry_the_certificate_and_repeat_byte_for_byte(
+        tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    net = generate("random", 12, density=0.4, weight_range=(0.1, 1.0), seed=3)
+    (corpus / "random12.txt").write_text(save_network(net) + "\n")
+    (corpus / "dag5.txt").write_text(save_network(generate("complete_dag", 5))
+                                     + "\n")
+    runs = {"sdp-ie": ["sdp-ie", "--input", str(corpus / "random12.txt"),
+                       "--seed", "4"],
+            "table": ["table", "--corpus", str(corpus), "--seed", "4",
+                      "--trials", "30"]}
+    for name, argv in runs.items():
+        texts = []
+        for k in range(2):
+            out = tmp_path / f"{name}{k}.json"
+            assert main(argv + ["--output", str(out)]) == 0
+            texts.append(out.read_bytes())
+        timing = rb'"wall_time_s": [0-9.e+-]+'
+        assert re.sub(timing, b"", texts[0]) == re.sub(timing, b"", texts[1])
+        doc = json.loads(texts[0])
+        rows = doc["rows"] if name == "table" else [
+            dict(doc, sdp_ie=doc["revenue"])]
+        for row in rows:
+            assert row["sdp_upper_bound"] >= row["sdp_ie"]
+            assert row["sdp_certified_gap"] >= -1e-4
+            assert 1 <= row["starts_run"] <= 3
+            assert -1 <= row["winning_start"] < row["starts_run"]
 
 
 def test_seed_env_var_feeds_default(cycle4_file, capsys, monkeypatch):

@@ -33,8 +33,8 @@ from netrev import (
     solve_sdp,
 )
 from netrev.sdprelax import (CONSTRAINT_SIGNS, _al_value_grad,
-                              _best_integral_signs, _scatter_matrix,
-                              default_rank)
+                              _best_integral_signs, _dual_bound,
+                              _scatter_matrix, _unit_rows, default_rank)
 
 
 def test_headline_parameters():
@@ -129,6 +129,8 @@ def test_solver_is_covariant_under_weight_scale():
         res = sdp_ie(g.scaled(c), seed=0)
         assert res.strategy.influence_set == base.strategy.influence_set
         assert res.sdp_objective / c == base.sdp_objective
+        assert res.solution.upper_bound / c == base.solution.upper_bound
+        assert res.solution.certified_gap == base.solution.certified_gap
         assert res.solution.problem.coef.tolist() == \
             build_sdp(g.scaled(c), base.p).coef.tolist()
     # small weights must not stall at the integral start
@@ -152,7 +154,9 @@ def test_solver_trace_records_every_round():
                  seed=11)
     sol = solve_sdp(build_sdp(g, UNDIRECTED_SDP_PRICING), seed=0)
     assert sum(r.iterations for r in sol.trace) == sol.iterations
-    for s in range(sdprelax.STARTS):
+    starts = sorted({r.start for r in sol.trace})
+    assert starts == list(range(sol.starts_run))
+    for s in starts:
         rounds = [r for r in sol.trace if r.start == s]
         assert [r.round for r in rounds] == list(range(len(rounds)))
         assert len(rounds) >= 5
@@ -160,10 +164,43 @@ def test_solver_trace_records_every_round():
             [1e-5, 1e-6, 1e-7, 1e-8], rel=1e-12)
         assert all(r.ftol == sdprelax.FTOL_FLOOR for r in rounds[4:])
         assert rounds[0].mu == sdprelax.MU_START
-    assert 0 <= sol.winning_start < sdprelax.STARTS
+    assert 0 <= sol.winning_start < sol.starts_run <= sdprelax.STARTS
     last = [r for r in sol.trace if r.start == sol.winning_start][-1]
     assert last.objective == sol.objective_value
     assert last.max_violation == sol.max_violation
+
+
+def _gaps_after_each_start(prob, sol, seed):
+    """Whether each start converged (stopped before MAX_OUTER rounds) and
+    the relative certified gap after it, recomputed from the trace in
+    coefficient units, as the stopping rule sees it."""
+    unit = sdprelax._coefficient_unit(prob.coef)
+    best = prob.objective_at_signs(_best_integral_signs(prob, seed))
+    upper = math.inf
+    for s in range(sol.starts_run):
+        rounds = [r for r in sol.trace if r.start == s]
+        upper = min(upper, *(r.upper_bound / unit for r in rounds))
+        if rounds[-1].max_violation <= sdprelax.FEAS_TOL:
+            best = max(best, rounds[-1].objective / unit)
+        yield (len(rounds) < sdprelax.MAX_OUTER,
+               (upper - best) / max(1.0, abs(best)))
+
+
+@pytest.mark.parametrize("n, seed, starts", [
+    (50, 11, 1), (100, 12, 1), (12, 3, 1), (7, 5, 2), (6, 1, 3)])
+def test_solver_skips_starts_only_once_the_gap_is_certified(n, seed, starts):
+    g = generate("random", n, density=min(1.0, 4 / (n - 1)),
+                 weight_range=(0.1, 1.0), seed=seed)
+    prob = build_sdp(g, UNDIRECTED_SDP_PRICING)
+    sol = solve_sdp(prob, seed=0)
+    assert sol.converged and sol.starts_run == starts
+    assert sol.upper_bound == min(r.upper_bound for r in sol.trace)
+    gaps = list(_gaps_after_each_start(prob, sol, 0))
+    for converged, gap in gaps[:-1]:
+        assert not (converged and gap <= sdprelax.OBJ_TOL)
+    assert gaps[-1][1] == sol.certified_gap
+    if sol.starts_run < sdprelax.STARTS:
+        assert gaps[-1][0] and sol.certified_gap <= sdprelax.OBJ_TOL
 
 
 def test_solver_without_coefficients_returns_the_integral_start():
@@ -363,20 +400,45 @@ def test_solver_memory_grows_with_edges_not_n_squared():
     assert peak < 64 * 2 ** 20
 
 
+def test_dual_bound_memory_grows_with_edges_not_n_squared():
+    g = generate("path", 5000)
+    prob = build_sdp(g, UNDIRECTED_SDP_PRICING)
+    V = _unit_rows(np.random.default_rng(0).standard_normal(
+        (prob.num_vectors, default_rank(g.n))))[0]
+    lam = np.ones((g.num_edges, 4))
+    tracemalloc.start()
+    try:
+        with sdprelax._one_blas_thread():
+            bound = _dual_bound(prob, *_scatter_matrix(prob, diagonal=True),
+                                V, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(bound)
+    assert peak < 64 * 2 ** 20
+
+
 def test_sdp_ie_output_does_not_depend_on_blas_threads():
-    code = ("import json, netrev\n"
-            "g = netrev.generate('random', 200, density=4 / 199,"
-            " weight_range=(0.1, 1.0), seed=500)\n"
-            "print(json.dumps(netrev.sdp_ie(g, seed=0).to_json()))")
+    # from n = 400 on, scipy's L-BFGS-B threads its BLAS vector products
+    # unless the solver pins the thread count
     src = str(Path(netrev.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = [subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        check=True, timeout=600,
-        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)).stdout
-        for threads in ("1", "2")]
-    assert json.loads(outputs[0])["converged"]
-    assert outputs[0] == outputs[1]
+    for n, seed in ((200, 500), (400, 3)):
+        code = ("import hashlib, json, netrev\n"
+                f"g = netrev.generate('random', {n}, density=4 / {n - 1},"
+                f" weight_range=(0.1, 1.0), seed={seed})\n"
+                "res = netrev.sdp_ie(g, seed=0)\n"
+                "print(json.dumps(res.to_json()))\n"
+                "print(hashlib.sha256(res.solution.vectors.tobytes())"
+                ".hexdigest())")
+        outputs = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=600,
+            env=dict(os.environ, PYTHONPATH=path,
+                     OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+        assert json.loads(outputs[0].splitlines()[0])["converged"]
+        assert outputs[0] == outputs[1]
 
 
 def test_solution_angles_shape(cycle4):
@@ -498,6 +560,78 @@ def test_sdp_ie_explicit_parameters(cycle4):
     res = sdp_ie(cycle4, p=0.5, gamma=0.0, trials=50, seed=3)
     assert res.p == 0.5 and res.gamma == 0.0
     assert res.revenue <= 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Certified upper bound
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+
+def _criterion_4_instances():
+    """The 50 seeded networks of acceptance criterion 4, with their
+    solver seeds."""
+    rng = np.random.default_rng(0)
+    for k in range(50):
+        directed = bool(k % 2)
+        n = int(rng.integers(4, 11))
+        g = generate(
+            "random", n, directed=directed,
+            density=float(rng.uniform(0.3, 0.9)), weight_range=(0.1, 1.0),
+            self_weight_range=None if directed else (0.0, 0.5),
+            seed=1000 + k)
+        yield k, g
+
+
+def _corpus_instances():
+    for k, path in enumerate(sorted(CORPUS.glob("*.txt"))):
+        yield k, netrev.load_network(path.read_text())
+
+
+@pytest.mark.parametrize("instances", [_criterion_4_instances,
+                                       _corpus_instances])
+def test_upper_bound_dominates_exhaustive_best_ie_and_sdp_ie(instances):
+    checked = 0
+    for k, g in instances():
+        if g.n > 16:
+            continue
+        res = sdp_ie(g, seed=k)
+        bound = res.solution.upper_bound
+        assert bound >= best_ie_exhaustive(g, res.p).best_value
+        assert bound >= res.revenue
+        # the vectors are feasible only to FEAS_TOL, so the objective may
+        # sit slightly above the bound
+        assert res.solution.certified_gap >= -sdprelax.FEAS_TOL
+        checked += 1
+    assert checked >= 11
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_upper_bound_dominates_every_integral_set(seed, directed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    g = generate("random", n, directed=directed,
+                 density=float(rng.uniform(0.4, 1.0)),
+                 weight_range=(0.1, 1.0),
+                 self_weight_range=None if directed else (0.0, 0.6),
+                 seed=seed + 3)
+    prob = build_sdp(g, float(rng.uniform(0.5, 0.95)))
+    sol = solve_sdp(prob, seed=seed)
+    best = max(prob.objective_at_signs(np.array(bits))
+               for bits in itertools.product([-1, 1], repeat=n + 1))
+    assert sol.upper_bound >= best
+    assert sol.certified_gap >= -sdprelax.FEAS_TOL
+
+
+@pytest.mark.parametrize("g", [SocialNetwork(False, 3, []),
+                               SocialNetwork(True, 4, []),
+                               SocialNetwork(False, 0, [])])
+def test_problem_without_coefficients_is_its_own_bound(g):
+    sol = solve_sdp(build_sdp(g, 0.5))
+    assert sol.upper_bound == sol.objective_value
+    assert sol.certified_gap == 0.0 and sol.starts_run == 0
 
 
 @settings(max_examples=15, deadline=None)
