@@ -26,8 +26,7 @@ from .strategies import (DIRECTED_ROUNDING, SIX_CLASS_PRESET_Q,
                          class_ratio_terms, default_rounding_schedule,
                          generalized_ie, ie_baseline, ie_bipartite, ie_tuned,
                          optimize_class_assignment, piecewise_rounding_alpha,
-                         project_to_simplex, round_to_ie,
-                         rounding_expected_revenue)
+                         round_to_ie, rounding_expected_revenue)
 from .sdprelax import (DIRECTED_SDP_GAMMA, DIRECTED_SDP_PRICING,
                        UNDIRECTED_SDP_GAMMA, UNDIRECTED_SDP_PRICING,
                        SdpIEResult, SdpProblem, SdpRound, SdpSolution,
@@ -63,7 +62,7 @@ __all__ = [
     "ie_revenue_batch", "ie_revenue_coefficients", "ie_tuned", "load_network",
     "myopic_price", "network_from_json", "optimize_class_assignment",
     "piecewise_rounding_alpha", "price_for_probability",
-    "pricing_classes", "project_to_simplex",
+    "pricing_classes",
     "random_ie_revenue", "ratio_certificate", "revenue_bounds", "rotate",
     "rotated_pair_angle", "round_hyperplane", "round_to_ie",
     "rounding_expected_revenue", "save_network", "sdp_ie", "simulate",

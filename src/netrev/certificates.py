@@ -9,13 +9,13 @@ and the box it is scanned over:
 
 ``sdp_directed``   worst per-edge revenue ratio of rotate-and-round versus
                    the directed relaxation objective (the edge terms of
-                   ``build_sdp``, angles mapped by ``rotate`` and
+                   ``sdprelax._edge_terms``, angles mapped by ``rotate`` and
                    ``rotated_pair_angle``), min over feasible angle
                    triples: (theta_i, theta_j, t) in [0, pi]^2 x [0, 1],
                    with theta_ij at fraction t of its ``_cos_band`` band.
 ``sdp_undirected`` same for undirected edge terms.
-``sdp_self``       same for self-weight terms (depends only on gamma),
-                   over theta in [0, pi].
+``sdp_self``       same for the self-weight term ``sdprelax._SELF_TERMS``
+                   (depends only on gamma), over theta in [0, pi].
 ``rounding_undirected``  the two minima governing randomized rounding of an
                    undirected pricing vector: ``RoundingSchedule.self_term``
                    over x and ``RoundingSchedule.edge_term`` over y <= x
@@ -52,7 +52,7 @@ from .strategies import (DIRECTED_ROUNDING, RoundingSchedule,
                          _tuned_inclusion_prob, class_ratio_terms)
 from .sdprelax import (DIRECTED_SDP_GAMMA, DIRECTED_SDP_PRICING,
                        UNDIRECTED_SDP_GAMMA, UNDIRECTED_SDP_PRICING,
-                       _rotated_pair_angles, rotate)
+                       _SELF_TERMS, _edge_terms, _rotated_pair_angles, rotate)
 
 CERTIFICATE_KINDS = ("sdp_directed", "sdp_undirected", "sdp_self",
                      "rounding_undirected", "rounding_directed",
@@ -161,18 +161,15 @@ def _sdp_edge_ratio(kind: str, p: float, gamma: float, x, y, z):
     """Rotate-and-round revenue over the relaxation term of one edge at the
     angle triple (theta_ij, theta_i, theta_j) = (x, y, z), broadcast.
 
-    Directed edge: num = a*g - a*f(y) + b*f(z), den = b + a*cy - b*cz
-    - a*cx with a = 1 - p/2, b = 1 + p/2.  Undirected edge: num =
-    (2-p)*g + p*f(y) + p*f(z), den = 2 + p - p*cy - p*cz - (2-p)*cx.
+    With (d0, dy, dz, dx) the edge's ``_edge_terms``, the relaxation term
+    is den = d0 + dy cy + dz cz + dx cx.  Hyperplane rounding of the
+    rotated vectors gives E[y_a y_b] = 1 - (2 / pi) f, f the pair's angle
+    after rotation, and the terms sum to zero, so the expected rounded
+    term is (2 / pi) num with num = -dx f(x) - dy f(y) - dz f(z).
     """
-    if kind == "sdp_directed":
-        a, b = 1.0 - 0.5 * p, 1.0 + 0.5 * p
-        (cg, cfy, cfz), (d0, dy, dz, dx) = (a, -a, b), (b, a, -b, -a)
-    else:
-        a = 2.0 - p
-        (cg, cfy, cfz), (d0, dy, dz, dx) = (a, p, p), (2.0 + p, -p, -p, -a)
-    num = (cg * _rotated_pair_angles(x, y, z, gamma)
-           + cfy * rotate(y, gamma) + cfz * rotate(z, gamma))
+    d0, dy, dz, dx = _edge_terms(p, kind == "sdp_directed")
+    num = -(dx * _rotated_pair_angles(x, y, z, gamma)
+            + dy * rotate(y, gamma) + dz * rotate(z, gamma))
     return _ratio(num, d0 + dy * np.cos(y) + dz * np.cos(z) + dx * np.cos(x))
 
 
@@ -192,8 +189,9 @@ def _certify_sdp_pair(kind: str, p: float, gamma: float,
 
 
 def _certify_sdp_self(gamma: float, step: float) -> CertificateReport:
+    d0, d1 = _SELF_TERMS
     val, (theta,) = _box_min(
-        lambda t: _ratio(rotate(t, gamma), 1.0 - np.cos(t)),
+        lambda t: _ratio(-d1 * rotate(t, gamma), d0 + d1 * np.cos(t)),
         (_axis(0.0, math.pi, step),))
     return CertificateReport(kind="sdp_self", params={"gamma": gamma},
                              value=_TWO_OVER_PI * val,

@@ -123,6 +123,10 @@ def _load_strategy(path):
 
 
 def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout if ``path`` is empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         Path(path).write_text(text)
     except OSError as exc:
@@ -130,11 +134,7 @@ def _write_text(path, text: str) -> None:
 
 
 def _emit(doc: dict, output) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if output:
-        _write_text(output, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +144,16 @@ def _emit(doc: dict, output) -> None:
 def _cmd_gen(args) -> int:
     kwargs = {"weight": args.weight, "directed": args.directed,
               "density": args.density}
-    if args.weight_range:
-        kwargs["weight_range"] = tuple(args.weight_range)
-    if args.self_weight_range:
-        kwargs["self_weight_range"] = tuple(args.self_weight_range)
-    if args.parts:
-        kwargs["parts"] = tuple(args.parts)
+    for key in ("weight_range", "self_weight_range", "parts"):
+        if getattr(args, key):
+            kwargs[key] = tuple(getattr(args, key))
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.kind in GADGET_KINDS:
         g = gadget(args.kind, args.pricing_prob)
     else:
         g = generate(args.kind, args.n, **kwargs)
-    text = save_network(g)
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, save_network(g))
     return 0
 
 
@@ -286,19 +279,9 @@ def _cmd_gadget_table(args) -> int:
 
 def _cmd_certify(args) -> int:
     t0 = time.perf_counter()
-    params = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.gamma is not None:
-        params["gamma"] = args.gamma
-    if args.lam is not None:
-        params["lam"] = args.lam
-    if args.K is not None:
-        params["K"] = args.K
-    if args.q is not None:
-        params["q"] = args.q
-    if args.schedule is not None:
-        params["schedule"] = args.schedule
+    params = {key: getattr(args, key)
+              for key in ("p", "gamma", "lam", "K", "q", "schedule")
+              if getattr(args, key) is not None}
     if args.directed:
         params["directed"] = True
     report = ratio_certificate(args.kind, grid_step=args.grid_step, **params)
@@ -361,7 +344,7 @@ _TABLE_COLUMNS = ("instance", "n", "directed", "W", "N", "upper_bound",
                   "tuned_ie_ratio", "generalized_ie", "generalized_ie_ratio",
                   "sdp_ie", "sdp_ie_ratio", "sdp_converged",
                   "sdp_upper_bound", "sdp_certified_gap", "winning_start",
-                  "starts_run",
+                  "starts_run", "blas_pinned",
                   "oracle_best_ie", "oracle_best_ie_ratio",
                   "sdp_ie_vs_oracle")
 

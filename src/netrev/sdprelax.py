@@ -35,7 +35,6 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 from .netmodel import SocialNetwork, ValidationError
-from .oracle import best_ie_exhaustive
 from .revenue import (IEStrategy, _check_exploit_prob, _require_normalized,
                       ie_revenue_batch)
 
@@ -76,8 +75,7 @@ class SdpProblem:
     all four CONSTRAINT_SIGNS rows per edge pair, over the entries
     (v_i . v_j, v_0 . v_i, v_0 . v_j).  These O(|E| + n) pairs are the only
     Gram entries the solver reads: O((|E| + n)·rank) per evaluation, with
-    no (n+1)² array.  ``network`` is the network the problem was built
-    from.
+    no (n+1)² array.
     """
 
     n: int
@@ -87,7 +85,6 @@ class SdpProblem:
     coef_a: np.ndarray
     coef_b: np.ndarray
     coef: np.ndarray
-    network: SocialNetwork
 
     @property
     def num_vectors(self) -> int:
@@ -128,6 +125,22 @@ class SdpProblem:
         }
 
 
+#: (constant, c_0i) of a unit self-weight on buyer i, in units of
+#: p(1 - p) / 4: the buyer earns p(1 - p) when priced (y_i = -y_0).
+_SELF_TERMS = (2.0, -2.0)
+
+
+def _edge_terms(p: float, directed: bool) -> tuple[float, float, float, float]:
+    """(constant, c_0i, c_0j, c_ij) of a unit-weight edge (i, j), in units of
+    p(1 - p) / 4: its relaxation term is constant + c_0i (v_0 . v_i)
+    + c_0j (v_0 . v_j) + c_ij (v_i . v_j).  The terms sum to zero, as the
+    edge earns nothing when both buyers are free."""
+    if directed:
+        a, b = 1.0 - 0.5 * p, 1.0 + 0.5 * p
+        return b, a, -b, -a
+    return 2.0 + p, -p, -p, -(2.0 - p)
+
+
 def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
     """Relaxation objective for best influence-set selection at pricing ``p``.
 
@@ -147,36 +160,25 @@ def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
             a, b = b, a
         coef[(a, b)] = coef.get((a, b), 0.0) + c
 
-    if g.directed:
-        for i, j, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-            base = 0.25 * m * w
-            constant += base * (1.0 + 0.5 * p)
-            add(0, i + 1, base * (1.0 - 0.5 * p))
-            add(0, j + 1, -base * (1.0 + 0.5 * p))
-            add(i + 1, j + 1, -base * (1.0 - 0.5 * p))
-    else:
-        for i in range(g.n):
-            w = g.self_weights[i]
-            if w > 0:
-                constant += 0.5 * m * w
-                add(0, i + 1, -0.5 * m * w)
-        for i, j, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-            base = 0.25 * m * w
-            constant += base * (2.0 + p)
-            add(0, i + 1, -base * p)
-            add(0, j + 1, -base * p)
-            add(i + 1, j + 1, -base * (2.0 - p))
-    if coef:
-        keys = sorted(coef)
-        a = np.array([k[0] for k in keys], dtype=np.int64)
-        b = np.array([k[1] for k in keys], dtype=np.int64)
-        c = np.array([coef[k] for k in keys])
-    else:
-        a = np.zeros(0, dtype=np.int64)
-        b = np.zeros(0, dtype=np.int64)
-        c = np.zeros(0)
+    if not g.directed:
+        s0, s1 = _SELF_TERMS
+        for i in np.nonzero(g.self_weights > 0)[0]:
+            base = 0.25 * m * g.self_weights[i]
+            constant += base * s0
+            add(0, i + 1, base * s1)
+    e0, e_i, e_j, e_ij = _edge_terms(p, g.directed)
+    for i, j, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
+        base = 0.25 * m * w
+        constant += base * e0
+        add(0, i + 1, base * e_i)
+        add(0, j + 1, base * e_j)
+        add(i + 1, j + 1, base * e_ij)
+    keys = sorted(coef)
+    a = np.array([k[0] for k in keys], dtype=np.int64)
+    b = np.array([k[1] for k in keys], dtype=np.int64)
+    c = np.array([coef[k] for k in keys], dtype=np.float64)
     return SdpProblem(n=g.n, directed=g.directed, p=p, constant=constant,
-                      coef_a=a, coef_b=b, coef=c, network=g)
+                      coef_a=a, coef_b=b, coef=c)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +317,11 @@ def _al_value_grad(xflat, prob, W, pair_of_entry, lam, mu):
 
 
 def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
-    """Good integral assignment: exact for n <= 16 (the best influence set
-    of ``best_ie_exhaustive``, free buyers signed like v_0), greedy flips
-    beyond."""
+    """Good integral assignment (free buyers signed like v_0, y_0 = 1): the
+    best of four greedy descents, from all buyers free and from three
+    seeded random signs, each flipping the buyer of largest gain until no
+    flip gains; a flip updates C y at the flipped buyer's neighbours only."""
     m = prob.num_vectors
-    if prob.n <= 16:
-        best = best_ie_exhaustive(prob.network, prob.p).best_witness
-        y = -np.ones(m)
-        y[0] = 1.0
-        y[[i + 1 for i in best.influence_set]] = 1.0
-        return y
     rng = np.random.default_rng(seed)
     # C is the symmetric matrix with objective constant + y^T C y, stored on
     # the coefficient pattern; row k holds vector k's coefficient neighbours
@@ -481,55 +478,39 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
 
     Factorizes the Gram matrix as V V^T with unit rows of dimension ``rank``
     (an integer >= 1, used as min(max(rank, 2), n + 1); ``default_rank``
-    if None) and runs up to STARTS local ascents (one jittered from the
-    best integral assignment, the rest random).  Every edge pair's four
-    constraint rows sit in the augmented Lagrangian from the first inner
-    solve; a row with zero multiplier and positive slack adds nothing.
-    Returns the best feasible candidate; if no start reaches the
-    tolerances the best iterate is returned with ``converged=False``.  The
-    integral assignment itself always competes, so the reported objective
-    never falls below the best integral value found.
+    if None) and runs up to STARTS local ascents: the first jittered from
+    the greedy integral assignment of ``_best_integral_signs``, the rest
+    random.  Every edge pair's four constraint rows sit in the augmented
+    Lagrangian from the first inner solve.  Returns the best feasible
+    candidate, the integral assignment included, so the objective never
+    falls below its value; ``converged`` is False if no start reached the
+    tolerances.
 
-    Certified bound and stopping rule: after every outer round, the
-    round's multipliers give a weak-duality upper bound on the relaxation
-    (``_dual_bound``: constant + sum lam + sum y + (n+1) s, where s is
-    proven above the largest eigenvalue of M - Diag(y) by a sparse LDL^T
-    of sI - (M - Diag(y)), plus a stated rounding margin).  Its minimum
-    over all rounds is ``upper_bound``.  After each start that converged,
-    the remaining starts are skipped once that minimum is within
-    OBJ_TOL * max(1, |best|) of the best feasible objective, so STARTS is a
-    maximum; ``starts_run`` counts the starts run and ``certified_gap`` is
-    the final relative gap.  Through the relaxation, ``upper_bound`` also
-    bounds the best IE revenue at the problem's p, at any n.
+    After every outer round, the round's multipliers give a proven upper
+    bound on the relaxation (``_dual_bound``), and so on the best IE
+    revenue at the problem's p, at any n; ``upper_bound`` is the minimum
+    over rounds.  After each start that converged, the remaining starts
+    are skipped once that minimum is within OBJ_TOL * max(1, |best|) of the
+    best feasible objective; ``starts_run`` counts the starts run,
+    ``certified_gap`` is the final relative gap, and ``trace`` holds one
+    SdpRound per outer round.
 
-    The problem is solved in units of one coefficient: ``coef`` and
-    ``constant`` are divided by the power of two nearest the mean |coef|,
-    and the objective and bound are multiplied back.  The penalty
-    (MU_START) is then sized to one constraint pair, and the tolerances
-    and L-BFGS's absolute gradient test mean the same at any weight scale.
-    The division is exact, so scaling every weight by a power of two
-    scales the objective and the bound bit for bit and leaves the vectors
-    unchanged.
+    The problem is solved in units of one coefficient (``coef`` and
+    ``constant`` divided by the power of two nearest the mean |coef|), so
+    MU_START, the tolerances and L-BFGS's absolute gradient test mean the
+    same at any weight scale, and scaling every weight by a power of two
+    scales the objective and bound bit for bit.  Outer round k passes
+    L-BFGS-B ``ftol = max(FTOL_START / 10**k, FTOL_FLOOR)``: early inner
+    solves, while the multipliers are still far off, are inexact (Conn,
+    Gould & Toint's LANCELOT), and later ones run at scipy's default.
 
-    Early inner solves are inexact (Conn, Gould & Toint's LANCELOT): outer
-    round k passes L-BFGS-B ``ftol = max(FTOL_START / 10**k, FTOL_FLOOR)``,
-    so rounds 0-3 stop at a relative reduction of 1e-5, 1e-6, 1e-7 and
-    1e-8, while the multipliers are still far off, and every later round
-    at scipy's default, so the final rounds lose no accuracy.  The returned
-    ``trace`` has one SdpRound per outer round of each start run.  A
-    random network with n = 1000 and about 4 edges per buyer takes about
-    3 s on a 2-vCPU box, where one start certifies it.
-
-    Each L-BFGS evaluation reads only the Gram entries of the coefficient
-    pairs, as row-wise dots, and scatters one weight per pair back onto the
-    rows of V through a sparse matrix: O((|E| + n) rank) time and memory,
-    with no (n+1) x (n+1) array.  The bound keeps that: sparse products,
-    an (n+1) x 3 rank Krylov block and a sparse factorization.  The starts
-    and bounds run with scipy's OpenBLAS pinned to one thread (restored
-    afterwards), since L-BFGS-B's vector products and the Krylov block's
-    QR would otherwise round differently under different thread counts;
-    so the output does not depend on the BLAS thread count at any n.
-    Where that library is not found, they run unpinned.
+    Each evaluation costs O((|E| + n) rank) and builds no (n+1) x (n+1)
+    array; the bound keeps that with sparse products, an (n+1) x 3 rank
+    Krylov block and a sparse factorization.  The starts and bounds run
+    with scipy's OpenBLAS pinned to one thread (restored afterwards), so
+    the output does not depend on the BLAS thread count at any n; where
+    that library is not found they run unpinned, which
+    ``SdpIEResult.solver_diagnostics`` reports as ``blas_pinned``.
     """
     m = prob.num_vectors
     if rank is None:
@@ -747,12 +728,14 @@ class SdpIEResult:
 
     def solver_diagnostics(self) -> dict:
         """The relaxation's certified upper bound and gap, the start whose
-        vectors were rounded, and the number of starts run."""
+        vectors were rounded, the number of starts run, and whether the
+        solver found scipy's OpenBLAS to pin to one thread."""
         sol = self.solution
         return {"sdp_upper_bound": sol.upper_bound,
                 "sdp_certified_gap": sol.certified_gap,
                 "winning_start": sol.winning_start,
-                "starts_run": sol.starts_run}
+                "starts_run": sol.starts_run,
+                "blas_pinned": _scipy_openblas() is not None}
 
     def to_json(self) -> dict:
         return {"strategy": self.strategy.to_json(), "revenue": self.revenue,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .netmodel import SocialNetwork, ValidationError
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
@@ -316,9 +317,10 @@ def generalized_ie(g: SocialNetwork, K: int, mode: str = "preset",
 
     ``mode="preset"`` (K=6 only) returns the stored six-class assignment
     vector; ``mode="optimize"`` maximizes the min-of-two-terms ratio
-    (see :func:`class_ratio`) over the probability simplex by seeded
-    multistart projected gradient ascent with a coordinate polish.  The
-    optimized vector never certifies a worse ratio than the preset.
+    (see :func:`class_ratio`) over the probability simplex by one concave
+    solve (:func:`optimize_class_assignment`, K <= MAX_OPTIMIZE_CLASSES).
+    The optimized vector never certifies a worse ratio than the preset.
+    ``seed`` seeds the strategy's class draws.
     """
     _require_normalized(g, "generalized_ie")
     K = int(K)
@@ -328,98 +330,49 @@ def generalized_ie(g: SocialNetwork, K: int, mode: str = "preset",
         return GeneralizedIEStrategy(6, SIX_CLASS_PRESET_Q, seed=seed)
     if mode != "optimize":
         raise ValidationError(f"unknown mode {mode!r}; use 'preset' or 'optimize'")
-    q = optimize_class_assignment(K, seed=seed)
+    q = optimize_class_assignment(K)
     return GeneralizedIEStrategy(K, tuple(float(x) for x in q), seed=seed)
 
 
-def project_to_simplex(Q: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of Q onto the probability simplex."""
-    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-    S = np.sort(Q, axis=1)[:, ::-1]
-    cumsum = np.cumsum(S, axis=1) - 1.0
-    k = np.arange(1, Q.shape[1] + 1)
-    cond = S - cumsum / k > 0
-    rho = np.count_nonzero(cond, axis=1)
-    theta = cumsum[np.arange(Q.shape[0]), rho - 1] / rho
-    return np.clip(Q - theta[:, None], 0.0, None)
+#: Largest K that ``optimize_class_assignment`` takes: SLSQP holds dense
+#: (K + 1)^2 matrices, and the ratio has saturated at 0.70588 by K = 200.
+MAX_OPTIMIZE_CLASSES = 200
 
 
-def _ratio_terms_batch(Q: np.ndarray, p: np.ndarray):
-    """Vectorized (term1, term2) and their gradients for rows of Q."""
-    S1, S2 = class_moments(Q, p)
-    a = p * (1.0 - p)
-    qp = Q * p
-    prefix = np.cumsum(qp, axis=1) - qp          # sum_{l<k} q_l p_l per row
-    g1 = np.broadcast_to(4.0 * a, Q.shape)
-    aq = a * Q
-    suffix = (np.cumsum(aq[:, ::-1], axis=1)[:, ::-1] - aq)  # sum_{k>m} a_k q_k
-    g2 = 8.0 * (a * qp + a * prefix + p * suffix)
-    return 4.0 * S1, 4.0 * S2, g1, g2
-
-
-_ASSIGNMENT_STARTS = 32
-_ASSIGNMENT_ITERATIONS = 10_000
-_ASSIGNMENT_STEP = 0.05
-
-
-def optimize_class_assignment(K: int, seed=0) -> np.ndarray:
+def optimize_class_assignment(K: int) -> np.ndarray:
     """Maximize min(term1, term2) of :func:`class_ratio_terms` over the
-    simplex: seeded multistart projected supergradient ascent with
-    diminishing steps, then a pairwise coordinate polish to 1e-6."""
+    simplex, for 2 <= K <= MAX_OPTIMIZE_CLASSES.
+
+    term1 = 4 S1 is linear in q, and term2 = 4 S2 = 4 q^T H q with H_kl =
+    a_max(k,l) p_min(k,l), a = p (1 - p), is concave on the simplex (H is
+    negative definite on its tangent space), so a local maximum is global.
+    One SLSQP solve of the epigraph form from the uniform q: maximize t
+    subject to term1 >= t, term2 >= t, sum q = 1, q >= 0.  SLSQP can end
+    with status 8 once round-off stalls its line search (K = 3 and 4), at
+    a point that is still its best, so that point is returned, clipped to
+    the simplex.
+    """
     K = int(K)
+    if K > MAX_OPTIMIZE_CLASSES:
+        raise ValidationError(f"optimize mode takes K <= {MAX_OPTIMIZE_CLASSES}"
+                              f" (the ratio has saturated by then), got {K}")
     p = pricing_classes(K)
-    rng = np.random.default_rng(seed)
-    seeds = [np.full(K, 1.0 / K)]
-    last = np.zeros(K)
-    last[-1] = 1.0
-    seeds.append(last)
-    if K == 6:
-        seeds.append(np.asarray(SIX_CLASS_PRESET_Q))
-    while len(seeds) < _ASSIGNMENT_STARTS:
-        seeds.append(rng.dirichlet(np.ones(K)))
-    Q = np.stack(seeds[:_ASSIGNMENT_STARTS])
-    best_q = Q.copy()
-    best_val = np.full(Q.shape[0], -np.inf)
-    for t in range(1, _ASSIGNMENT_ITERATIONS + 1):
-        t1, t2, g1, g2 = _ratio_terms_batch(Q, p)
-        val = np.minimum(t1, t2)
-        improved = val > best_val
-        best_val = np.where(improved, val, best_val)
-        best_q[improved] = Q[improved]
-        grad = np.where((t1 < t2)[:, None], g1, g2)
-        close = np.abs(t1 - t2) < 1e-12
-        if np.any(close):
-            grad[close] = 0.5 * (g1[close] + g2[close])
-        Q = project_to_simplex(Q + (_ASSIGNMENT_STEP / math.sqrt(t)) * grad)
-    champion = best_q[int(np.argmax(best_val))]
-    return _coordinate_polish(champion, p)
-
-
-def _coordinate_polish(q: np.ndarray, p: np.ndarray,
-                       final_step: float = 1e-6) -> np.ndarray:
-    """Hill-climb over pairwise mass transfers with a shrinking step."""
-
-    def value(v):
-        return 4.0 * float(min(class_moments(v, p)))
-
-    q = q.copy()
-    best = value(q)
-    step = 1e-2
-    K = q.size
-    while step >= final_step * 0.999:
-        moved = True
-        while moved:
-            moved = False
-            for i in range(K):
-                for j in range(K):
-                    if i == j or q[j] < step:
-                        continue
-                    cand = q.copy()
-                    cand[i] += step
-                    cand[j] -= step
-                    v = value(cand)
-                    if v > best + 1e-15:
-                        q, best = cand, v
-                        moved = True
-        step /= 10.0
-    return q
+    k = np.arange(K)
+    a4 = 4.0 * p * (1.0 - p)
+    H8 = 2.0 * a4[np.maximum.outer(k, k)] * p[np.minimum.outer(k, k)]
+    q0 = np.full(K, 1.0 / K)
+    dt = np.append(np.zeros(K), 1.0)  # d t / d (q, t)
+    constraints = (
+        {"type": "ineq", "fun": lambda z: a4 @ z[:K] - z[K],
+         "jac": lambda z: np.append(a4, -1.0)},
+        {"type": "ineq", "fun": lambda z: 0.5 * z[:K] @ H8 @ z[:K] - z[K],
+         "jac": lambda z: np.append(H8 @ z[:K], -1.0)},
+        {"type": "eq", "fun": lambda z: np.sum(z[:K]) - 1.0,
+         "jac": lambda z: 1.0 - dt})
+    res = minimize(lambda z: -z[K], np.append(q0, min(class_ratio_terms(K, q0))),
+                   jac=lambda z: -dt, method="SLSQP",
+                   bounds=[(0.0, 1.0)] * K + [(None, None)],
+                   constraints=constraints,
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    q = np.clip(res.x[:K], 0.0, None)
+    return q / np.sum(q)

@@ -6,9 +6,11 @@ import re
 
 import pytest
 
+import netrev.strategies
 from netrev import (IEStrategy, generalized_ie, generalized_ie_revenue,
                     generate, ie_revenue, load_network, save_network)
 from netrev.cli import _TABLE_COLUMNS, main
+from netrev.sdprelax import _scipy_openblas
 
 
 @pytest.fixture()
@@ -204,6 +206,19 @@ def test_gie_preset_matches_library(cycle4_file, cycle4, capsys):
     assert doc["parameters"] == {"K": 6, "mode": "preset"}
 
 
+def test_gie_optimize_rejects_huge_k(cycle4_file, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the limit must be checked before any solve")
+
+    monkeypatch.setattr(netrev.strategies, "minimize", no_solve)
+    rc = main(["gie", "--input", cycle4_file, "--mode", "optimize",
+               "--K", "100000"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert "K <= 200" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # sdp-ie
 # ---------------------------------------------------------------------------
@@ -264,6 +279,7 @@ def test_sdp_reports_carry_the_certificate_and_repeat_byte_for_byte(
             assert row["sdp_certified_gap"] >= -1e-4
             assert 1 <= row["starts_run"] <= 3
             assert -1 <= row["winning_start"] < row["starts_run"]
+            assert row["blas_pinned"] is (_scipy_openblas() is not None)
 
 
 def test_seed_env_var_feeds_default(cycle4_file, capsys, monkeypatch):

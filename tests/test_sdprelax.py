@@ -98,18 +98,6 @@ def test_solver_dominates_exhaustive_best_ie(random_net):
         assert sol.max_violation <= 1e-3
 
 
-@pytest.mark.parametrize("directed", [False, True])
-def test_integral_start_reaches_exhaustive_best_ie(directed, random_net):
-    for seed, n in ((60, 1), (61, 7), (62, 12), (63, 16)):
-        g = random_net(seed, n=n, directed=directed, self_weights=not directed)
-        for p in (0.5, 0.586, 2 / 3):
-            prob = build_sdp(g, p)
-            y = _best_integral_signs(prob, seed=0)
-            assert y[0] == 1.0 and set(np.abs(y)) == {1.0}
-            assert prob.objective_at_signs(y) == pytest.approx(
-                best_ie_exhaustive(g, p).best_value, rel=1e-12, abs=1e-12)
-
-
 def test_solver_exact_on_bipartite_cycle(cycle4):
     # integral optimum IE({1,3}, 1/2) = 1 = (W+N)/4: the relaxation cannot
     # exceed the upper bound here, so the solver must return exactly 1
@@ -269,15 +257,15 @@ def _edge_pair_rows(V, g):
     return np.column_stack([G[I, J], G[0, I], G[0, J]]) @ CONSTRAINT_SIGNS.T + 1.0
 
 
-def _dense_al_reference(prob, X, lam, mu):
+def _dense_al_reference(g, prob, X, lam, mu):
     """The augmented Lagrangian written out over dense (n+1)^2 matrices:
     C, the full Gram matrix V V^T, and every edge pair's four rows read
     from it; the formula the pair-list evaluation replaces."""
     C = _dense_coefficients(prob)
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     V = X / norms
-    I, J = _edge_pairs(prob.network)
-    mult = np.maximum(0.0, lam - mu * _edge_pair_rows(V, prob.network))
+    I, J = _edge_pairs(g)
+    mult = np.maximum(0.0, lam - mu * _edge_pair_rows(V, g))
     obj = prob.constant + np.sum(C * (V @ V.T))
     pen = np.sum(mult * mult - lam * lam) / (2.0 * mu)
     half = 0.5 * mult @ CONSTRAINT_SIGNS
@@ -327,7 +315,7 @@ def test_al_evaluation_matches_dense_formula_and_finite_differences(
     X = rng.standard_normal((m, rank))
 
     F, grad = _al_value_grad(X.ravel(), *args)
-    F_ref, grad_ref = _dense_al_reference(prob, X, lam, mu)
+    F_ref, grad_ref = _dense_al_reference(g, prob, X, lam, mu)
     assert F == pytest.approx(F_ref, abs=1e-10)
     np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-10)
 
@@ -351,7 +339,7 @@ def test_solution_satisfies_every_edge_pair_row(directed, random_net):
 
 
 def _dense_greedy_signs(prob, seed):
-    """The n > 16 greedy start written over the dense (n+1)^2 matrix C."""
+    """The greedy start written over the dense (n+1)^2 matrix C."""
     C = _dense_coefficients(prob)
     rng = np.random.default_rng(seed)
     best_y, best_v = None, -np.inf
@@ -373,7 +361,7 @@ def _dense_greedy_signs(prob, seed):
 
 
 @pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("n", [17, 30, 300])
+@pytest.mark.parametrize("n", [1, 7, 12, 16, 17, 30, 300])
 def test_greedy_start_matches_dense_greedy(n, directed, random_net):
     g = random_net(70 + n, n=n, directed=directed, density=0.3,
                    self_weights=not directed)

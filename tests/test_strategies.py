@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netrev.strategies
 from netrev import (
     DIRECTED_ROUNDING,
     SIX_CLASS_PRESET_Q,
@@ -13,6 +14,7 @@ from netrev import (
     UNDIRECTED_ROUNDING_FLAT,
     SocialNetwork,
     ValidationError,
+    class_moments,
     class_ratio,
     class_ratio_terms,
     default_rounding_schedule,
@@ -24,12 +26,13 @@ from netrev import (
     ie_tuned,
     optimize_class_assignment,
     piecewise_rounding_alpha,
-    project_to_simplex,
+    pricing_classes,
     random_ie_revenue,
     revenue_bounds,
     round_to_ie,
     rounding_expected_revenue,
 )
+from netrev.strategies import MAX_OPTIMIZE_CLASSES
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +197,68 @@ def test_generalized_ie_modes(random_net):
         generalized_ie(g, 6, mode="other")
 
 
+def _edge_moment_matrix(K):
+    """H with S2 = q^T H q: H_kl = a_max(k,l) p_min(k,l), a = p (1 - p)."""
+    p = pricing_classes(K)
+    k = np.arange(K)
+    return (p * (1 - p))[np.maximum.outer(k, k)] * p[np.minimum.outer(k, k)]
+
+
+@pytest.mark.parametrize("K", [2, 3, 7, 50])
+def test_edge_moment_matrix_reproduces_class_moments(K):
+    Q = np.random.default_rng(K).dirichlet(np.ones(K), size=20)
+    H = _edge_moment_matrix(K)
+    S2 = class_moments(Q, pricing_classes(K))[1]
+    np.testing.assert_allclose(np.einsum("rk,kl,rl->r", Q, H, Q), S2,
+                               rtol=1e-13)
+
+
+def test_class_assignment_problem_is_concave():
+    # S2 = q^T H q is strictly concave on the simplex's tangent space
+    # {d : sum d = 0} for every K the optimizer takes, so the max-min of a
+    # linear and a concave term has no local maximum but the global one
+    for K in range(2, MAX_OPTIMIZE_CLASSES + 1):
+        # the QR of [1, e_2, ..., e_K] has the all-ones direction first, so
+        # its other K - 1 columns are an orthonormal basis of {sum d = 0}
+        B = np.linalg.qr(np.column_stack([np.ones(K), np.eye(K)[:, 1:]]))[0][:, 1:]
+        top = np.linalg.eigvalsh(B.T @ _edge_moment_matrix(K) @ B)[-1]
+        assert top < 0, f"K={K}: largest tangent eigenvalue {top}"
+
+
+@pytest.mark.parametrize("K, value", [(3, 9 / 13), (4, 100 / 143)])
+def test_optimizer_reaches_exact_small_k_optima(K, value):
+    q = optimize_class_assignment(K)
+    assert np.all(q >= 0) and np.sum(q) == pytest.approx(1.0, abs=1e-15)
+    assert class_ratio(K, q) == pytest.approx(value, rel=0, abs=1e-12)
+
+
 def test_optimizer_beats_preset_certificate():
-    q = optimize_class_assignment(6, seed=0)
-    assert class_ratio(6, q) >= 0.70338
+    q = optimize_class_assignment(6)
+    assert class_ratio(6, q) >= 0.7033882347727867
+    assert class_ratio(6, q) >= class_ratio(6, SIX_CLASS_PRESET_Q)
 
 
 def test_optimizer_two_classes_finds_balance():
-    q = optimize_class_assignment(2, seed=1)
-    assert class_ratio(2, q) == pytest.approx(2 / 3, abs=1e-4)
+    q = optimize_class_assignment(2)
+    assert class_ratio(2, q) == pytest.approx(2 / 3, rel=0, abs=1e-12)
 
 
-def test_project_to_simplex_properties():
-    rng = np.random.default_rng(8)
-    Q = rng.normal(size=(50, 5))
-    P = project_to_simplex(Q)
-    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(P >= 0)
-    # projection is idempotent
-    np.testing.assert_allclose(project_to_simplex(P), P, atol=1e-9)
+def test_optimizer_rejects_k_above_limit_without_solving(monkeypatch, cycle4):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the limit must be checked before any solve")
+
+    monkeypatch.setattr(netrev.strategies, "minimize", no_solve)
+    for K in (MAX_OPTIMIZE_CLASSES + 1, 10 ** 9):
+        with pytest.raises(ValidationError, match="K <= 200"):
+            optimize_class_assignment(K)
+        with pytest.raises(ValidationError, match="K <= 200"):
+            generalized_ie(cycle4, K, mode="optimize")
+
+
+def test_optimizer_accepts_k_at_limit():
+    q = optimize_class_assignment(MAX_OPTIMIZE_CLASSES)
+    assert q.shape == (MAX_OPTIMIZE_CLASSES,)
+    assert class_ratio(MAX_OPTIMIZE_CLASSES, q) >= 0.70588
 
 
 @settings(max_examples=30, deadline=None)
