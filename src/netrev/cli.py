@@ -1,10 +1,11 @@
 """Command-line front door: reproducible experiments with JSON reports.
 
-Every command reads/writes plain files, honors ``--seed`` (defaulting to
-the NETREV_SEED environment variable, then 0), and prints one pretty,
-key-sorted JSON document, so identical invocations are byte-identical
-except for the ``wall_time_s`` field.  Exit codes: 0 success, 2 validation
-error, 3 solver non-convergence.
+Every command reads/writes plain files and honors ``--seed`` (defaulting
+to the NETREV_SEED environment variable, then 0).  ``gen`` writes network
+text; every other command writes one pretty, key-sorted JSON report, and
+:func:`main` alone stamps its ``wall_time_s``, the only field in which
+identical invocations differ.  Exit codes: 0 success, 2 validation error,
+3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -57,40 +56,6 @@ def _float_list(text: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """One experiment: what ran, on which instance, and how well it did.
-
-    ``ratio`` compares the revenue to the upper bound R* = (W + N)/4 and is
-    capped at 1 against float noise; ``oracle`` carries a comparison value
-    when an exact search ran alongside.
-    """
-
-    instance: dict
-    family: str
-    parameters: dict
-    revenue: float
-    upper_bound: float
-    ratio: float
-    seed: Optional[int]
-    wall_time_s: float
-    strategy: Optional[dict] = None
-    oracle: Optional[dict] = None
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        doc = {"instance": self.instance, "family": self.family,
-               "parameters": self.parameters, "revenue": self.revenue,
-               "upper_bound": self.upper_bound, "ratio": self.ratio,
-               "seed": self.seed, "wall_time_s": self.wall_time_s}
-        if self.strategy is not None:
-            doc["strategy"] = self.strategy
-        if self.oracle is not None:
-            doc["oracle"] = self.oracle
-        doc.update(self.extra)
-        return doc
 
 
 def _instance_descriptor(g: SocialNetwork, path) -> dict:
@@ -133,15 +98,25 @@ def _write_text(path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}")
 
 
-def _emit(doc: dict, output) -> None:
-    _write_text(output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+# Each _cmd_* returns (report, exit code); the report is None for gen.
 
-def _cmd_gen(args) -> int:
+def _strategy_report(g: SocialNetwork, path, strategy, revenue: float,
+                     parameters: dict, seed: Optional[int], **extra) -> dict:
+    """Report on one strategy: its family, parameters and revenue against
+    the upper bound R* = (W + N)/4 (``ratio``, capped at 1 against float
+    noise), plus any command-specific ``extra`` fields."""
+    upper = revenue_bounds(g).upper
+    return {"instance": _instance_descriptor(g, path),
+            "family": strategy_family(strategy), "parameters": parameters,
+            "revenue": revenue, "upper_bound": upper,
+            "ratio": _ratio(revenue, upper), "seed": seed,
+            "strategy": strategy.to_json(), **extra}
+
+
+def _cmd_gen(args):
     kwargs = {"weight": args.weight, "directed": args.directed,
               "density": args.density}
     for key in ("weight_range", "self_weight_range", "parts"):
@@ -154,164 +129,105 @@ def _cmd_gen(args) -> int:
     else:
         g = generate(args.kind, args.n, **kwargs)
     _write_text(args.output, save_network(g))
-    return 0
+    return None, 0
 
 
-def _cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_eval(args):
     g = _load_instance(args.input)
     strategy = _load_strategy(args.strategy)
-    revenue = strategy.expected_revenue(g)
-    upper = revenue_bounds(g).upper
-    report = ExperimentReport(
-        instance=_instance_descriptor(g, args.input),
-        family=strategy_family(strategy),
-        parameters={}, revenue=revenue, upper_bound=upper,
-        ratio=_ratio(revenue, upper), seed=None,
-        wall_time_s=time.perf_counter() - t0,
-        strategy=strategy.to_json())
-    _emit(report.to_json(), args.output)
-    return 0
+    return _strategy_report(g, args.input, strategy,
+                            strategy.expected_revenue(g), {}, None), 0
 
 
-def _cmd_ie(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_ie(args):
     g = _load_instance(args.input)
-    upper = revenue_bounds(g).upper
     extra = {}
-    if args.mode == "baseline":
-        strategy = ie_baseline(g)
-        revenue = ie_revenue(g, strategy)
-        parameters = {"p": strategy.p}
-    elif args.mode == "tuned":
+    if args.mode == "tuned":
         tuned = ie_tuned(g, seed=args.seed)
         strategy = tuned.strategy
         revenue = tuned.expected_revenue
         parameters = {"q": tuned.q, "p": tuned.p}
         extra = {"ratio_bound": tuned.ratio_bound,
                  "sampled_revenue": ie_revenue(g, strategy)}
-    elif args.mode == "bipartite":
-        strategy = ie_bipartite(g)
+    else:
+        strategy = (ie_baseline if args.mode == "baseline" else ie_bipartite)(g)
         revenue = ie_revenue(g, strategy)
         parameters = {"p": strategy.p}
-    else:
-        raise ValidationError(f"unknown ie mode {args.mode!r}")
-    report = ExperimentReport(
-        instance=_instance_descriptor(g, args.input), family="ie",
-        parameters=parameters, revenue=revenue, upper_bound=upper,
-        ratio=_ratio(revenue, upper), seed=args.seed,
-        wall_time_s=time.perf_counter() - t0,
-        strategy=strategy.to_json(), extra=extra)
-    _emit(report.to_json(), args.output)
-    return 0
+    return _strategy_report(g, args.input, strategy, revenue, parameters,
+                            args.seed, **extra), 0
 
 
-def _cmd_gie(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_gie(args):
     g = _load_instance(args.input)
     strategy = generalized_ie(g, args.K, mode=args.mode, seed=args.seed)
-    revenue = strategy.expected_revenue(g)
-    upper = revenue_bounds(g).upper
-    report = ExperimentReport(
-        instance=_instance_descriptor(g, args.input), family="generalized_ie",
-        parameters={"K": strategy.K, "mode": args.mode},
-        revenue=revenue, upper_bound=upper, ratio=_ratio(revenue, upper),
-        seed=args.seed, wall_time_s=time.perf_counter() - t0,
-        strategy=strategy.to_json())
-    _emit(report.to_json(), args.output)
-    return 0
+    return _strategy_report(g, args.input, strategy,
+                            strategy.expected_revenue(g),
+                            {"K": strategy.K, "mode": args.mode}, args.seed), 0
 
 
-def _cmd_sdp_ie(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_sdp_ie(args):
     g = _load_instance(args.input)
     result = sdp_ie(g, p=args.pricing_prob, gamma=args.gamma,
                     trials=args.trials, seed=args.seed, rank=args.rank)
-    upper = revenue_bounds(g).upper
-    report = ExperimentReport(
-        instance=_instance_descriptor(g, args.input), family="ie",
-        parameters={"p": result.p, "gamma": result.gamma,
-                    "trials": result.trials},
-        revenue=result.revenue, upper_bound=upper,
-        ratio=_ratio(result.revenue, upper), seed=args.seed,
-        wall_time_s=time.perf_counter() - t0,
-        strategy=result.strategy.to_json(),
-        extra={"sdp_objective": result.sdp_objective,
-               "converged": result.solution.converged,
-               **result.solver_diagnostics()})
-    _emit(report.to_json(), args.output)
+    report = _strategy_report(
+        g, args.input, result.strategy, result.revenue,
+        {"p": result.p, "gamma": result.gamma, "trials": result.trials},
+        args.seed, sdp_objective=result.sdp_objective,
+        converged=result.solution.converged, **result.solver_diagnostics())
     if not result.solution.converged:
         print("sdp solver did not converge", file=sys.stderr)
-        return 3
-    return 0
+        return report, 3
+    return report, 0
 
 
-def _cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_oracle(args):
     g = _load_instance(args.input)
     if args.mode == "best-ie":
         report = best_ie_exhaustive(g, p=args.pricing_prob)
     elif args.mode == "best-strategy":
         report = best_strategy_search(g, seed=args.seed)
-    elif args.mode == "best-ordering":
+    else:
         if args.prices is None:
             raise ValidationError("best-ordering needs --prices")
         report = best_ordering_exhaustive(g, args.prices)
-    else:
-        raise ValidationError(f"unknown oracle mode {args.mode!r}")
     doc = report.to_json()
     doc["instance"] = _instance_descriptor(g, args.input)
-    doc["wall_time_s"] = time.perf_counter() - t0
-    _emit(doc, args.output)
-    return 0
+    return doc, 0
 
 
-def _cmd_gadget_table(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_gadget_table(args):
     table = gadget_revenue_table(args.kind, p=args.pricing_prob,
                                  seed=args.seed)
-    doc = {"kind": args.kind,
-           "entries": {key: rep.to_json() for key, rep in table.items()},
-           "wall_time_s": time.perf_counter() - t0}
-    _emit(doc, args.output)
-    return 0
+    return {"kind": args.kind,
+            "entries": {key: rep.to_json() for key, rep in table.items()}}, 0
 
 
-def _cmd_certify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_certify(args):
     params = {key: getattr(args, key)
               for key in ("p", "gamma", "lam", "K", "q", "schedule")
               if getattr(args, key) is not None}
     if args.directed:
         params["directed"] = True
-    report = ratio_certificate(args.kind, grid_step=args.grid_step, **params)
-    doc = report.to_json()
-    doc["wall_time_s"] = time.perf_counter() - t0
-    _emit(doc, args.output)
-    return 0
+    return ratio_certificate(args.kind, grid_step=args.grid_step,
+                             **params).to_json(), 0
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_simulate(args):
     g = _load_instance(args.input)
     strategy = _load_strategy(args.strategy)
     report = simulate(g, strategy, args.trials, seed=args.seed)
     closed = strategy.expected_revenue(g)
-    doc = {"instance": _instance_descriptor(g, args.input),
-           "family": strategy_family(strategy),
-           "simulation": report.to_json(),
-           "closed_form": closed,
-           "z_score": ((report.mean - closed) / report.std_error
-                       if report.std_error > 0 else None),
-           "wall_time_s": time.perf_counter() - t0}
-    _emit(doc, args.output)
-    return 0
+    return {"instance": _instance_descriptor(g, args.input),
+            "family": strategy_family(strategy),
+            "simulation": report.to_json(),
+            "closed_form": closed,
+            "z_score": ((report.mean - closed) / report.std_error
+                        if report.std_error > 0 else None)}, 0
 
 
 # -- table ------------------------------------------------------------------
 
-def _table_row(task) -> dict:
-    path, seed, trials = task
+def _table_row(path, seed: int, trials: int) -> dict:
     g = _load_instance(path)
     upper = revenue_bounds(g).upper
     row = {"instance": Path(path).name, "n": g.n, "directed": g.directed,
@@ -349,30 +265,22 @@ _TABLE_COLUMNS = ("instance", "n", "directed", "W", "N", "upper_bound",
                   "sdp_ie_vs_oracle")
 
 
-def _cmd_table(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_table(args):
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise ValidationError(f"corpus directory {corpus} does not exist")
     paths = sorted(str(p) for p in corpus.glob("*.txt"))
     if not paths:
         raise ValidationError(f"no *.txt instances under {corpus}")
-    tasks = [(p, args.seed, args.trials) for p in paths]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_table_row, tasks))
-    else:
-        rows = [_table_row(t) for t in tasks]
-    doc = {"corpus": str(corpus), "seed": args.seed, "trials": args.trials,
-           "rows": rows, "wall_time_s": time.perf_counter() - t0}
-    _emit(doc, args.output)
+    rows = [_table_row(p, args.seed, args.trials) for p in paths]
     if args.csv:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_TABLE_COLUMNS, restval="")
         writer.writeheader()
         writer.writerows(rows)
         _write_text(args.csv, buf.getvalue())
-    return 0
+    return {"corpus": str(corpus), "seed": args.seed, "trials": args.trials,
+            "rows": rows}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_seed, default=seed_default)
     sp.add_argument("--trials", type=int, default=100,
                     help="rounding trials per sdp-ie run")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=_cmd_table)
     return parser
 
@@ -492,8 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if report is not None:
+            report["wall_time_s"] = time.perf_counter() - t0
+            _write_text(args.output,
+                        json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 
+#: Largest accepted node count.  It is checked before anything of size n
+#: is allocated, so an absurd header or ``--n`` fails with a message
+#: instead of exhausting memory.
+MAX_NODES = 10 ** 7
+
+
 class ValidationError(ValueError):
     """Raised when inputs violate a documented precondition."""
 
@@ -50,12 +56,12 @@ class SocialNetwork:
         Edge ``(i, j)`` means ``i`` influences ``j``.  Undirected edges
         influence both ways and are stored once with ``i < j``.
     n:
-        Number of buyers, indexed ``0 .. n-1``.
+        Number of buyers, indexed ``0 .. n-1``; at most ``MAX_NODES``.
     edges:
         Iterable of ``(i, j, w)`` triples with ``i != j`` and ``w >= 0``.
         Duplicate entries (for undirected networks, regardless of endpoint
         order) are merged by summing their weights; zero-weight edges are
-        dropped.
+        dropped.  The totals ``W`` and ``N`` must be finite.
     self_weights:
         Optional per-buyer ``w[i, i]``.  Self-weights on directed networks
         are permitted only as input to :func:`eliminate_selfloops`; every
@@ -73,6 +79,9 @@ class SocialNetwork:
                  labels: Optional[Sequence] = None):
         if n < 0:
             raise ValidationError("node count must be non-negative")
+        if n > MAX_NODES:
+            raise ValidationError(
+                f"node count {n} exceeds MAX_NODES={MAX_NODES}")
         src, dst, wts = [], [], []
         for i, j, w in edges:
             i, j = int(i), int(j)
@@ -97,7 +106,8 @@ class SocialNetwork:
             keys, esrc, edst, ew = keys[order], esrc[order], edst[order], ew[order]
             uniq, inverse = np.unique(keys, return_inverse=True)
             merged = np.zeros(uniq.size)
-            np.add.at(merged, inverse, ew)
+            with np.errstate(over="ignore"):  # rejected below, as W = inf
+                np.add.at(merged, inverse, ew)
             esrc = uniq // n
             edst = uniq % n
             ew = merged
@@ -109,6 +119,11 @@ class SocialNetwork:
             if sw.shape != (n,):
                 raise ValidationError("self_weights must have one entry per buyer")
             _check_weights_finite(sw, "self-weights")
+        with np.errstate(over="ignore"):
+            totals = np.sum(ew), np.sum(sw)
+        if not np.all(np.isfinite(totals)):
+            raise ValidationError(
+                "total edge weight W and total self-weight N must be finite")
         for arr in (esrc, edst, ew, sw):
             arr.flags.writeable = False
         object.__setattr__(self, "directed", bool(directed))
@@ -260,6 +275,9 @@ def load_network(text: str) -> SocialNetwork:
                 raise ParseError(f"invalid node count {tokens[1]!r}", lineno) from None
             if n < 0:
                 raise ParseError("node count must be non-negative", lineno)
+            if n > MAX_NODES:
+                raise ParseError(f"node count {n} exceeds MAX_NODES={MAX_NODES}",
+                                 lineno)
             directed = tokens[0] == "directed"
             continue
         if len(tokens) != 3:
@@ -384,6 +402,8 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
     """
     if n < 1:
         raise ValidationError("generate requires n >= 1")
+    if n > MAX_NODES:
+        raise ValidationError(f"node count {n} exceeds MAX_NODES={MAX_NODES}")
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
     if not 0.0 <= density <= 1.0:

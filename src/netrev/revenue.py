@@ -207,6 +207,11 @@ class RandomIEStrategy(_ClassIEStrategy):
     def to_json(self) -> dict:
         return {"q": self.q, "p": self.p}
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "RandomIEStrategy":
+        _require_keys(doc, "random_ie", "q", "p")
+        return cls(doc["q"], doc["p"])
+
 
 def pricing_classes(K: int) -> np.ndarray:
     """Pricing probabilities ``p_k = 1 - (k - 1) / (2 (K - 1))`` for the
@@ -289,8 +294,8 @@ def strategy_from_json(doc: dict):
             return IEStrategy.from_json(doc)
         if "K" in doc:
             return GeneralizedIEStrategy.from_json(doc)
-        if "q" in doc and "p" in doc:
-            return RandomIEStrategy(doc["q"], doc["p"])
+        if "q" in doc:
+            return RandomIEStrategy.from_json(doc)
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:

@@ -152,31 +152,26 @@ def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
     _require_normalized(g, "build_sdp")
     p = _check_exploit_prob(p)
     m = p * (1.0 - p)
-    coef: dict[tuple[int, int], float] = {}
-    constant = 0.0
-
-    def add(a: int, b: int, c: float):
-        if a > b:
-            a, b = b, a
-        coef[(a, b)] = coef.get((a, b), 0.0) + c
-
-    if not g.directed:
-        s0, s1 = _SELF_TERMS
-        for i in np.nonzero(g.self_weights > 0)[0]:
-            base = 0.25 * m * g.self_weights[i]
-            constant += base * s0
-            add(0, i + 1, base * s1)
+    # Each pair's terms, and the constant's, are summed one by one in a fixed
+    # order: self terms, then (0, i), (0, j), (i, j) per edge in edge order.
+    selfs = np.nonzero(g.self_weights > 0)[0]
+    self_base = 0.25 * m * g.self_weights[selfs]
+    edge_base = 0.25 * m * g.edge_weight
+    s0, s1 = _SELF_TERMS
     e0, e_i, e_j, e_ij = _edge_terms(p, g.directed)
-    for i, j, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-        base = 0.25 * m * w
-        constant += base * e0
-        add(0, i + 1, base * e_i)
-        add(0, j + 1, base * e_j)
-        add(i + 1, j + 1, base * e_ij)
-    keys = sorted(coef)
-    a = np.array([k[0] for k in keys], dtype=np.int64)
-    b = np.array([k[1] for k in keys], dtype=np.int64)
-    c = np.array([coef[k] for k in keys], dtype=np.float64)
+    i, j = g.edge_src + 1, g.edge_dst + 1
+    zero = np.zeros_like(i)
+    a = np.concatenate([np.zeros_like(selfs), np.column_stack(
+        [zero, zero, np.minimum(i, j)]).ravel()])
+    b = np.concatenate([selfs + 1, np.column_stack(
+        [i, j, np.maximum(i, j)]).ravel()])
+    terms = np.concatenate([self_base * s1, np.column_stack(
+        [edge_base * e_i, edge_base * e_j, edge_base * e_ij]).ravel()])
+    constant = sum(np.concatenate([self_base * s0, edge_base * e0]), 0.0)
+    keys, pair = np.unique(a * (g.n + 1) + b, return_inverse=True)
+    c = np.zeros(keys.size)
+    np.add.at(c, pair, terms)
+    a, b = keys // (g.n + 1), keys % (g.n + 1)
     return SdpProblem(n=g.n, directed=g.directed, p=p, constant=constant,
                       coef_a=a, coef_b=b, coef=c)
 

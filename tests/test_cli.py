@@ -63,10 +63,11 @@ def test_gen_gadget_kind(capsys):
 
 
 def test_gen_rejects_bad_size(capsys):
-    rc = main(["gen", "--kind", "cycle", "--n", "0"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err.startswith("error:")
+    for n in ("0", str(10 ** 20)):
+        rc = main(["gen", "--kind", "cycle", "--n", n])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("density", ["3", "-0.5"])
@@ -135,6 +136,7 @@ def test_eval_rejects_unknown_strategy_document(cycle4_file, tmp_path, capsys):
     ({"order": [0, 1, 2, 3]}, "prices"),
     ({"influence_set": [1, 3]}, "p"),
     ({"K": 2, "seed": 0}, "q"),
+    ({"q": 0.3}, "p"),
 ])
 def test_eval_rejects_strategy_missing_key(cycle4_file, tmp_path, capsys,
                                            doc, missing):
@@ -160,6 +162,21 @@ def test_strategy_with_wrong_value_type_is_rejected(cycle4_file, tmp_path,
     bad = tmp_path / "typed.json"
     bad.write_text(json.dumps(doc))
     rc = main([command, "--input", cycle4_file, "--strategy", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "undirected 2\n0 1 1e308\n1 0 1e308\n",
+    "undirected 100000000000000000000\n",
+])
+@pytest.mark.filterwarnings("ignore:duplicate edge")
+def test_unrepresentable_network_is_a_validation_error(tmp_path, capsys,
+                                                       text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    rc = main(["ie", "--input", str(path), "--mode", "baseline"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error:") and captured.out == ""
@@ -241,14 +258,38 @@ def test_sdp_ie_rejects_rank_below_one(cycle4_file, capsys, rank):
     assert "rank" in captured.err
 
 
-def test_reports_deterministic_modulo_wall_time(cycle4_file, capsys):
-    argv = ["sdp-ie", "--input", cycle4_file, "--seed", "5",
-            "--trials", "40"]
-    first = run_json(argv, capsys)
-    second = run_json(argv, capsys)
-    first.pop("wall_time_s")
-    second.pop("wall_time_s")
-    assert first == second
+@pytest.mark.parametrize("command", ["eval", "ie", "gie", "sdp-ie", "oracle",
+                                     "gadget-table", "certify", "simulate",
+                                     "table"])
+def test_reports_deterministic_modulo_wall_time(command, cycle4_file,
+                                                ie_strategy_file, tmp_path,
+                                                capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "cycle4.txt").write_text(save_network(generate("cycle", 4)))
+    seed = ["--seed", "5"]
+    argv = {
+        "eval": ["eval", "--input", cycle4_file, "--strategy",
+                 ie_strategy_file] + seed,
+        "ie": ["ie", "--input", cycle4_file] + seed,
+        "gie": ["gie", "--input", cycle4_file] + seed,
+        "sdp-ie": ["sdp-ie", "--input", cycle4_file, "--trials", "40"] + seed,
+        "oracle": ["oracle", "--input", cycle4_file] + seed,
+        "gadget-table": ["gadget-table", "--kind", "three_path"] + seed,
+        "certify": ["certify", "--kind", "class_ie"],
+        "simulate": ["simulate", "--input", cycle4_file, "--strategy",
+                     ie_strategy_file, "--trials", "2000"] + seed,
+        "table": ["table", "--corpus", str(corpus), "--trials", "10"] + seed,
+    }[command]
+    texts = []
+    for _ in range(2):
+        assert main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    doc = json.loads(texts[0])
+    assert texts[0] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert isinstance(doc["wall_time_s"], float)
+    timing = r'"wall_time_s": [0-9.e+-]+'
+    assert re.sub(timing, "", texts[0]) == re.sub(timing, "", texts[1])
 
 
 def test_sdp_reports_carry_the_certificate_and_repeat_byte_for_byte(

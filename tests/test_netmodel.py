@@ -19,6 +19,7 @@ from netrev import (
     network_from_json,
     save_network,
 )
+from netrev.netmodel import MAX_NODES
 
 
 def test_duplicate_edges_merge_and_zero_weights_drop():
@@ -65,6 +66,27 @@ def test_negative_weight_rejected():
 def test_out_of_range_endpoint_rejected():
     with pytest.raises(ValidationError):
         SocialNetwork(False, 2, [(0, 2, 1.0)])
+
+
+@pytest.mark.parametrize("text", [
+    "undirected 2\n0 1 1e308\n1 0 1e308\n",  # duplicates merge to inf
+    "undirected 3\n0 1 1e308\n1 2 1e308\n",  # W overflows
+    "undirected 2\n0 0 1e308\n1 1 1e308\n",  # N overflows
+])
+@pytest.mark.filterwarnings("ignore:duplicate edge")
+def test_non_finite_total_weight_rejected(text):
+    with pytest.raises(ValidationError, match="must be finite"):
+        load_network(text)
+
+
+@pytest.mark.parametrize("n", [10 ** 20, MAX_NODES + 1])
+def test_node_count_above_cap_rejected_before_allocation(n):
+    with pytest.raises(ValidationError, match="MAX_NODES"):
+        SocialNetwork(False, n)
+    with pytest.raises(ValidationError, match="MAX_NODES"):
+        generate("path", n)
+    with pytest.raises(ParseError, match="line 2: node count"):
+        load_network(f"# header\nundirected {n}\n")
 
 
 def test_save_load_round_trip(cycle4):
