@@ -49,7 +49,7 @@ from .revenue import (GeneralizedIEStrategy, _check_exploit_prob,
 from .strategies import (DIRECTED_ROUNDING, RoundingSchedule,
                          SIX_CLASS_PRESET_Q, TUNED_EXPLOIT_PROB,
                          UNDIRECTED_ROUNDING, UNDIRECTED_ROUNDING_FLAT,
-                         _tuned_inclusion_prob, class_ratio_terms)
+                         _tuned_inclusion_prob, class_ratio, class_ratio_terms)
 from .sdprelax import (DIRECTED_SDP_GAMMA, DIRECTED_SDP_PRICING,
                        UNDIRECTED_SDP_GAMMA, UNDIRECTED_SDP_PRICING,
                        _SELF_TERMS, _edge_terms, _rotated_pair_angles, rotate)
@@ -302,8 +302,8 @@ def _certify_class_ie(K: int, q, directed: bool) -> CertificateReport:
         q = SIX_CLASS_PRESET_Q
     strategy = GeneralizedIEStrategy(K, tuple(q))
     t1, t2 = class_ratio_terms(strategy.K, strategy.q)
-    undirected = min(t1, t2)
-    directed_value = 0.5 * t2
+    undirected = class_ratio(strategy.K, strategy.q)
+    directed_value = class_ratio(strategy.K, strategy.q, directed=True)
     return CertificateReport(
         kind="class_ie",
         params={"K": strategy.K, "q": list(strategy.q), "directed": directed},

@@ -25,7 +25,7 @@ from .netmodel import (GADGET_KINDS, SocialNetwork, ValidationError, gadget,
                        generate, load_network, save_network)
 from .oracle import (best_ie_exhaustive, best_ordering_exhaustive,
                      best_strategy_search, gadget_revenue_table, simulate)
-from .revenue import (ie_revenue, revenue_bounds, strategy_family,
+from .revenue import (RandomIEStrategy, revenue_bounds, strategy_family,
                       strategy_from_json)
 from .sdprelax import sdp_ie
 from .strategies import generalized_ie, ie_baseline, ie_bipartite, ie_tuned
@@ -148,10 +148,10 @@ def _cmd_ie(args):
         revenue = tuned.expected_revenue
         parameters = {"q": tuned.q, "p": tuned.p}
         extra = {"ratio_bound": tuned.ratio_bound,
-                 "sampled_revenue": ie_revenue(g, strategy)}
+                 "sampled_revenue": strategy.expected_revenue(g)}
     else:
         strategy = (ie_baseline if args.mode == "baseline" else ie_bipartite)(g)
-        revenue = ie_revenue(g, strategy)
+        revenue = strategy.expected_revenue(g)
         parameters = {"p": strategy.p}
     return _strategy_report(g, args.input, strategy, revenue, parameters,
                             args.seed, **extra), 0
@@ -232,15 +232,12 @@ def _table_row(path, seed: int, trials: int) -> dict:
     upper = revenue_bounds(g).upper
     row = {"instance": Path(path).name, "n": g.n, "directed": g.directed,
            "W": g.W, "N": g.N, "upper_bound": upper}
-    base = ie_baseline(g)
-    row["baseline_ie"] = ie_revenue(g, base)
-    row["baseline_ie_ratio"] = _ratio(row["baseline_ie"], upper)
     tuned = ie_tuned(g, seed=seed)
-    row["tuned_ie"] = tuned.expected_revenue
-    row["tuned_ie_ratio"] = _ratio(tuned.expected_revenue, upper)
-    gie = generalized_ie(g, 6, mode="preset")
-    row["generalized_ie"] = gie.expected_revenue(g)
-    row["generalized_ie_ratio"] = _ratio(row["generalized_ie"], upper)
+    for key, strategy in (("baseline_ie", ie_baseline(g)),
+                          ("tuned_ie", RandomIEStrategy(tuned.q, tuned.p)),
+                          ("generalized_ie", generalized_ie(g, 6))):
+        row[key] = strategy.expected_revenue(g)
+        row[f"{key}_ratio"] = _ratio(row[key], upper)
     result = sdp_ie(g, trials=trials, seed=seed)
     row["sdp_ie"] = result.revenue
     row["sdp_ie_ratio"] = _ratio(result.revenue, upper)
@@ -404,8 +401,13 @@ def main(argv=None) -> int:
         report, code = args.func(args)
         if report is not None:
             report["wall_time_s"] = time.perf_counter() - t0
-            _write_text(args.output,
-                        json.dumps(report, indent=2, sort_keys=True) + "\n")
+            try:
+                text = json.dumps(report, indent=2, sort_keys=True,
+                                  allow_nan=False)
+            except ValueError:
+                raise ValidationError("report holds a non-finite value "
+                                      "(NaN or Infinity)") from None
+            _write_text(args.output, text + "\n")
         return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,10 +21,10 @@ from numpy.random import Generator, Philox, SeedSequence, default_rng
 
 from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
                        gadget)
-from .revenue import (IEStrategy, MarketingStrategy, _ClassIEStrategy,
-                      _check_exploit_prob, _check_price_prob, _ie_cubic,
-                      _influence_mask, _require_normalized,
-                      ie_coefficients_batch, ie_revenue, strategy_family)
+from .revenue import (IEStrategy, MarketingStrategy, _check_exploit_prob,
+                      _check_price_prob, _ie_cubic, _require_normalized,
+                      best_ordering_for_prices, ie_coefficients_batch,
+                      ie_revenue, strategy_family)
 
 _CHUNK = 1 << 15
 _SIM_CELLS = 1 << 17
@@ -53,8 +53,8 @@ class OracleReport:
     resolution: Optional[float] = None
 
     def to_json(self) -> dict:
-        witness = dict(self.best_witness.to_json())
-        witness["family"] = strategy_family(self.best_witness)
+        witness = {**self.best_witness.to_json(),
+                   "family": self.best_witness.family}
         return {"best_value": self.best_value, "best_witness": witness,
                 "search_space_size": self.search_space_size,
                 "method": self.method, "resolution": self.resolution}
@@ -235,9 +235,8 @@ def _search_undirected(g: SocialNetwork, pins: dict, seed) -> OracleReport:
     _ascend(Wm, sw, P, free=free)
     R = _revenue_rows(Wm, sw, _price_positions(P), P)
     k = int(np.argmax(R))
-    order = tuple(int(i) for i in np.argsort(-P[k], kind="stable"))
-    witness = MarketingStrategy(order, tuple(float(x) for x in P[k]))
-    return OracleReport(best_value=float(R[k]), best_witness=witness,
+    return OracleReport(best_value=float(R[k]),
+                        best_witness=best_ordering_for_prices(g, P[k]),
                         search_space_size=P.shape[0], method="multistart",
                         resolution=1.0 / 16.0)
 
@@ -440,36 +439,12 @@ class SimulationReport:
                 "acceptance_counts": list(self.acceptance_counts)}
 
 
-def _chunk_keys(strategy, n: int, seed: int, start: int, m: int):
-    """Pricing probabilities and approach keys of one chunk, buyer-major.
-
-    Both broadcast to (n, m).  In trial t buyer i is approached before
-    buyer j when ``keys[i, t] < keys[j, t]``: a fixed order keys by
-    position, the IE families by class plus a uniform ordering draw (an
-    IE strategy's free buyers form class 0, its priced buyers class 1).
-    """
-    if isinstance(strategy, MarketingStrategy):
-        return np.asarray(strategy.prices)[:, None], strategy.positions()[:, None]
-    keys = _stream_uniforms(seed, "ordering", start, m, n)
-    if isinstance(strategy, IEStrategy):
-        member = _influence_mask(strategy.influence_set, n)[:, None]
-        return np.where(member, 1.0, strategy.p), ~member + keys
-    if isinstance(strategy, _ClassIEStrategy):
-        q, prices = strategy.classes()
-        draws = _stream_uniforms(seed, "assignment", start, m, n)
-        cls = np.minimum(np.searchsorted(np.cumsum(q), draws, side="right"),
-                         q.size - 1)
-        return prices[cls], cls + keys
-    raise ValidationError(
-        f"cannot simulate strategy of type {type(strategy).__name__}")
-
-
 def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationReport:
     """Run the sequential-offer process ``trials`` times and estimate the
     expected revenue.
 
-    Buyers are approached in the strategy's order (IE families redraw
-    random sets/orders every trial); each buyer i sees the total weight M
+    Buyers are approached in the order of ``strategy.offers`` (the IE
+    families redraw it every trial); each buyer i sees the total weight M
     of itself plus previously accepting buyers, is offered price
     (1 - p_i) * M, and accepts with probability p_i: when its valuation
     quantile, uniform on [0, 1], reaches 1 - p_i.  That holds for M = 0
@@ -490,9 +465,7 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     trials = int(trials)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if getattr(strategy, "n", g.n) != g.n:
-        raise ValidationError(
-            f"strategy covers {strategy.n} buyers, network has {g.n}")
+    strategy_family(strategy)  # rejects a non-strategy
     n = g.n
     src, dst, w = g.edge_src, g.edge_dst, g.edge_weight
     chunk = max(1, _SIM_CELLS // max(1, n, w.size))
@@ -501,7 +474,7 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        prices, keys = _chunk_keys(strategy, n, seed, start, m)
+        prices, keys = strategy.offers(n, lambda s: _stream_uniforms(seed, s, start, m, n))
         accepted = _stream_uniforms(seed, "acceptance", start, m, n) >= 1.0 - prices
         gain = np.where(accepted, 1.0 - prices, 0.0)
         forward = keys[src] < keys[dst]

@@ -12,8 +12,8 @@ influence set ``A`` and charge everyone else with a common probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,8 +64,30 @@ def _require_keys(doc: dict, family: str, *keys: str) -> None:
 # Strategy types
 # ---------------------------------------------------------------------------
 
+class _Strategy:
+    """Buyers in pricing classes: a marketing strategy gives each buyer its
+    own, IE two fixed ones (free, then ``p``); the random families draw them
+    i.i.d.  ``family`` names the family, the dataclass fields its JSON keys."""
+
+    family: ClassVar[str]
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        """Inverse of ``to_json``; fields without defaults are required."""
+        needed = {f.name: f.default is MISSING for f in fields(cls)}
+        _require_keys(doc, cls.family, *(k for k in needed if needed[k]))
+        return cls(**{k: doc[k] for k in needed if k in doc})
+
+    def offers(self, n: int, draw):
+        """A chunk's pricing probabilities and approach keys, buyer-major and
+        broadcasting to (n, m), from its (n, m) uniforms ``draw(stream)``:
+        buyer i precedes j in trial t when keys[i, t] < keys[j, t]."""
+        prices, classes = self.assignment(n, draw)
+        return prices[classes], classes + draw("ordering")
+
+
 @dataclass(frozen=True)
-class MarketingStrategy:
+class MarketingStrategy(_Strategy):
     """Approach order plus per-buyer pricing probabilities.
 
     ``order[k]`` is the buyer approached at step ``k``; ``prices[i]`` is the
@@ -74,6 +96,7 @@ class MarketingStrategy:
     so larger values mean cheaper offers sold with higher probability).
     """
 
+    family: ClassVar[str] = "marketing"
     order: tuple[int, ...]
     prices: tuple[float, ...]
 
@@ -98,6 +121,15 @@ class MarketingStrategy:
         pos[np.asarray(self.order, dtype=np.int64)] = np.arange(self.n)
         return pos
 
+    def _check_size(self, n: int) -> None:
+        if self.n != n:
+            raise ValidationError(f"strategy covers {self.n} buyers, network has {n}")
+
+    def offers(self, n: int, draw):
+        """The fixed prices and approach positions; nothing is drawn."""
+        self._check_size(n)
+        return np.asarray(self.prices)[:, None], self.positions()[:, None]
+
     def expected_revenue(self, g: SocialNetwork) -> float:
         """Exact expected revenue on ``g``.
 
@@ -107,8 +139,7 @@ class MarketingStrategy:
         probability ``p_j``, independently).
         """
         _require_normalized(g, "strategy_revenue")
-        if self.n != g.n:
-            raise ValidationError(f"strategy covers {self.n} buyers, network has {g.n}")
+        self._check_size(g.n)
         p = np.asarray(self.prices)
         pos = self.positions()
         src, dst, w = g.influence_pairs()
@@ -122,18 +153,14 @@ class MarketingStrategy:
     def to_json(self) -> dict:
         return {"order": list(self.order), "prices": list(self.prices)}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "MarketingStrategy":
-        _require_keys(doc, "marketing", "order", "prices")
-        return cls(tuple(doc["order"]), tuple(doc["prices"]))
-
 
 @dataclass(frozen=True)
-class IEStrategy:
+class IEStrategy(_Strategy):
     """Influence-and-exploit strategy: free products for ``influence_set``,
     then a common pricing probability ``p`` for everyone else (approached in
     any order after the set; expected revenue does not depend on it)."""
 
+    family: ClassVar[str] = "ie"
     influence_set: frozenset[int]
     p: float
 
@@ -141,6 +168,11 @@ class IEStrategy:
         object.__setattr__(self, "influence_set",
                            frozenset(int(i) for i in self.influence_set))
         object.__setattr__(self, "p", _check_exploit_prob(self.p))
+
+    def assignment(self, n: int, draw):
+        """Class prices ``(1, p)`` and the fixed classes: members free."""
+        member = _influence_mask(self.influence_set, n)[:, None]
+        return np.array([1.0, self.p]), (~member).astype(np.intp)
 
     def expected_revenue(self, g: SocialNetwork) -> float:
         """Exact expected revenue on ``g``; see :func:`ie_revenue`."""
@@ -150,20 +182,31 @@ class IEStrategy:
     def to_json(self) -> dict:
         return {"influence_set": sorted(self.influence_set), "p": self.p}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "IEStrategy":
-        _require_keys(doc, "ie", "influence_set", "p")
-        return cls(frozenset(doc["influence_set"]), doc["p"])
+
+def _draw_classes(q, u) -> np.ndarray:
+    """First class k with u < q_0 + ... + q_k (the last past round-off)."""
+    return np.minimum(np.searchsorted(np.cumsum(q), u, side="right"),
+                      q.size - 1)
 
 
-class _ClassIEStrategy:
+class _ClassIEStrategy(_Strategy):
     """IE with buyers drawn i.i.d. into the pricing classes of ``classes()``
     (probabilities, non-increasing prices), approached class by class."""
+
+    def assignment(self, n: int, draw):
+        """Class prices and classes drawn from the "assignment" stream."""
+        q, prices = self.classes()
+        return prices, _draw_classes(q, draw("assignment"))
+
+    def sample_classes(self, n: int, seed) -> np.ndarray:
+        """Classes of ``n`` buyers drawn with ``np.random.default_rng(seed)``."""
+        q, _ = self.classes()
+        return _draw_classes(q, np.random.default_rng(seed).random(n))
 
     def expected_revenue(self, g: SocialNetwork) -> float:
         """Exact expected revenue on ``g``, averaged over classes and order:
         ``S1 N + S2 W`` undirected, ``S2 W / 2`` directed (:func:`class_moments`)."""
-        _require_normalized(g, f"{strategy_family(self)}_revenue")
+        _require_normalized(g, f"{self.family}_revenue")
         S1, S2 = class_moments(*self.classes())
         if g.directed:
             return float(0.5 * S2 * g.W)
@@ -186,6 +229,7 @@ class RandomIEStrategy(_ClassIEStrategy):
     probability ``q``; the rest are priced with probability ``p``.  This is
     two-class IE with class prices ``(1, p)``."""
 
+    family: ClassVar[str] = "random_ie"
     q: float
     p: float
 
@@ -197,8 +241,7 @@ class RandomIEStrategy(_ClassIEStrategy):
         object.__setattr__(self, "p", _check_exploit_prob(self.p))
 
     def sample(self, g: SocialNetwork, seed) -> IEStrategy:
-        rng = np.random.default_rng(seed)
-        members = np.nonzero(rng.random(g.n) < self.q)[0]
+        members = np.flatnonzero(self.sample_classes(g.n, seed) == 0)
         return IEStrategy(frozenset(int(i) for i in members), self.p)
 
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,11 +249,6 @@ class RandomIEStrategy(_ClassIEStrategy):
 
     def to_json(self) -> dict:
         return {"q": self.q, "p": self.p}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RandomIEStrategy":
-        _require_keys(doc, "random_ie", "q", "p")
-        return cls(doc["q"], doc["p"])
 
 
 def pricing_classes(K: int) -> np.ndarray:
@@ -230,6 +268,7 @@ class GeneralizedIEStrategy(_ClassIEStrategy):
     approached in order of decreasing pricing probability
     (``pricing_classes(K)``), buyers within a class in random order."""
 
+    family: ClassVar[str] = "generalized_ie"
     K: int
     q: tuple[float, ...]
     seed: Optional[int] = None
@@ -258,44 +297,30 @@ class GeneralizedIEStrategy(_ClassIEStrategy):
         return np.asarray(self.q), self.class_prices
 
     def sample_classes(self, n: int, seed=None) -> np.ndarray:
-        use = self.seed if seed is None else seed
-        rng = np.random.default_rng(use)
-        return rng.choice(self.K, size=n, p=np.asarray(self.q))
+        return super().sample_classes(n, self.seed if seed is None else seed)
 
     def to_json(self) -> dict:
         return {"K": self.K, "q": list(self.q), "seed": self.seed}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "GeneralizedIEStrategy":
-        _require_keys(doc, "generalized_ie", "K", "q")
-        return cls(doc["K"], tuple(doc["q"]), doc.get("seed"))
-
 
 def strategy_family(strategy) -> str:
     """Short family name: marketing, ie, random_ie, or generalized_ie."""
-    names = {MarketingStrategy: "marketing", IEStrategy: "ie",
-             RandomIEStrategy: "random_ie",
-             GeneralizedIEStrategy: "generalized_ie"}
-    try:
-        return names[type(strategy)]
-    except KeyError:
-        raise ValidationError(
-            f"unknown strategy type {type(strategy).__name__}") from None
+    if isinstance(strategy, _Strategy):
+        return strategy.family
+    raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
 
 
 def strategy_from_json(doc: dict):
-    """Rebuild any strategy family from its JSON form, detected by keys."""
+    """Rebuild any strategy family from its JSON form, detected by the first
+    family key present ("K" before "q": generalized IE has a "q" too)."""
     if not isinstance(doc, dict):
         raise ValidationError("strategy document must be a JSON object")
     try:
-        if "order" in doc:
-            return MarketingStrategy.from_json(doc)
-        if "influence_set" in doc:
-            return IEStrategy.from_json(doc)
-        if "K" in doc:
-            return GeneralizedIEStrategy.from_json(doc)
-        if "q" in doc:
-            return RandomIEStrategy.from_json(doc)
+        for key, cls in (("order", MarketingStrategy),
+                         ("influence_set", IEStrategy),
+                         ("K", GeneralizedIEStrategy), ("q", RandomIEStrategy)):
+            if key in doc:
+                return cls.from_json(doc)
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:

@@ -439,6 +439,32 @@ def test_simulate_rejects_influence_member_out_of_range(cycle4_file,
     assert "out of range" in captured.err
 
 
+# Totals finite but near the float maximum: the commands overflow to NaN or
+# Infinity, which JSON cannot hold, so the report is refused.
+_HUGE_CYCLE = "undirected 4\n" + "".join(
+    f"{i} {(i + 1) % 4} 1.1e307\n" for i in range(4))
+_HUGE_PAIR = "undirected 2\n0 0 1e308\n0 1 1.7e308\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (_HUGE_CYCLE, ["oracle"]),
+    (_HUGE_CYCLE, ["simulate", "--strategy", "STRATEGY", "--trials", "100"]),
+    (_HUGE_PAIR, ["ie", "--mode", "baseline"]),
+    (_HUGE_PAIR, ["sdp-ie", "--trials", "5"]),
+], ids=["oracle", "simulate", "ie", "sdp-ie"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_report_is_a_validation_error(tmp_path, ie_strategy_file,
+                                                 capsys, text, argv):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    argv = [ie_strategy_file if a == "STRATEGY" else a for a in argv]
+    rc = main(argv[:1] + ["--input", str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: report holds a non-finite value")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["sdp-ie", "--input", "net.txt"],
     ["ie", "--input", "net.txt"],

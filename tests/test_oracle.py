@@ -313,8 +313,10 @@ def test_simulate_std_error_survives_cancellation():
 def test_simulate_validation(cycle4, random_net):
     with pytest.raises(ValidationError):
         simulate(cycle4, IEStrategy(frozenset(), 0.6), 0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="covers 2 buyers"):
         simulate(cycle4, MarketingStrategy((0, 1), (0.6, 0.6)), 10)
+    with pytest.raises(ValidationError, match="unknown strategy type object"):
+        simulate(cycle4, object(), 10)
     # -1 would otherwise index buyer 3, and 4 past the end
     for member in (4, -1):
         with pytest.raises(ValidationError, match="out of range"):

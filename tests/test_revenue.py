@@ -309,6 +309,21 @@ def test_generalized_strategy_class_prices_and_sampling():
     np.testing.assert_array_equal(cls, GeneralizedIEStrategy(3, (0.2, 0.3, 0.5), seed=5).sample_classes(1000))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_class_samplers_follow_the_numpy_rules(seed):
+    # both random families draw classes by one searchsorted rule, which
+    # reproduces the rng.random(n) < q and rng.choice(K, n, p=q) samplers
+    n = 50
+    g = generate("cycle", n)
+    u = np.random.default_rng(seed).random(n)
+    members = RandomIEStrategy(0.3, 0.6).sample(g, seed).influence_set
+    assert members == {i for i in range(n) if u[i] < 0.3}
+    q = (0.2, 0.3, 0.5)
+    np.testing.assert_array_equal(
+        GeneralizedIEStrategy(3, q).sample_classes(n, seed),
+        np.random.default_rng(seed).choice(3, n, p=q))
+
+
 def test_generalized_strategy_validation():
     with pytest.raises(ValidationError):
         GeneralizedIEStrategy(1, (1.0,))
@@ -397,8 +412,9 @@ def test_strategy_json_round_trips():
     ]
     families = ["marketing", "ie", "random_ie", "generalized_ie"]
     for s, fam in zip(strategies, families):
-        assert strategy_family(s) == fam
+        assert strategy_family(s) == fam == type(s).family
         back = strategy_from_json(s.to_json())
+        assert back == s
         assert strategy_family(back) == fam
         assert back.to_json() == s.to_json()
 
