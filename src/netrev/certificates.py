@@ -13,6 +13,9 @@ and the box it is scanned over:
                    ``rotated_pair_angle``), min over feasible angle
                    triples: (theta_i, theta_j, t) in [0, pi]^2 x [0, 1],
                    with theta_ij at fraction t of its ``_cos_band`` band.
+                   Each angle term is evaluated per axis or per (theta_i,
+                   theta_j) face; only theta_ij, its cosine, its rotated
+                   angle and the ratio are evaluated per cell.
 ``sdp_undirected`` same for undirected edge terms.
 ``sdp_self``       same for the self-weight term ``sdprelax._SELF_TERMS``
                    (depends only on gamma), over theta in [0, pi].
@@ -168,9 +171,10 @@ def _sdp_edge_ratio(kind: str, p: float, gamma: float, x, y, z):
     term is (2 / pi) num with num = -dx f(x) - dy f(y) - dz f(z).
     """
     d0, dy, dz, dx = _edge_terms(p, kind == "sdp_directed")
-    num = -(dx * _rotated_pair_angles(x, y, z, gamma)
+    cx = np.cos(x)
+    num = -(dx * _rotated_pair_angles(cx, y, z, gamma)
             + dy * rotate(y, gamma) + dz * rotate(z, gamma))
-    return _ratio(num, d0 + dy * np.cos(y) + dz * np.cos(z) + dx * np.cos(x))
+    return _ratio(num, d0 + dy * np.cos(y) + dz * np.cos(z) + dx * cx)
 
 
 def _certify_sdp_pair(kind: str, p: float, gamma: float,

@@ -20,6 +20,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .certificates import CERTIFICATE_KINDS, ratio_certificate
 from .netmodel import (GADGET_KINDS, SocialNetwork, ValidationError, gadget,
                        generate, load_network, save_network)
@@ -398,7 +400,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        report, code = args.func(args)
+        # an overflow surfaces once, as the non-finite report refused below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report, code = args.func(args)
         if report is not None:
             report["wall_time_s"] = time.perf_counter() - t0
             try:

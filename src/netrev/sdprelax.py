@@ -616,31 +616,29 @@ def rotate(theta, gamma: float):
     return float(out) if np.isscalar(theta) else out
 
 
-def _rotated_pair_angles(x, y, z, gamma: float):
+def _rotated_pair_angles(cx, y, z, gamma: float):
     """Vectorized pair angle after rotating both vectors.
 
-    ``x`` is the angle between v_i and v_j, ``y``/``z`` their angles to
-    v_0.  Degenerate endpoints (v = +-v_0) bypass the spherical-law term;
-    the inner cosine is clamped against floating-point drift.
+    ``cx`` is the cosine of the angle between v_i and v_j, ``y``/``z``
+    their angles to v_0, broadcast; each term is computed at the shape of
+    the inputs it depends on.  Degenerate endpoints (v = +-v_0) bypass the
+    spherical-law term; the inner cosine is clamped against drift.
     """
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    x, y, z = np.broadcast_arrays(x, y, z)
     fy = rotate(y, gamma)
     fz = rotate(z, gamma)
-    sy, sz = np.sin(y), np.sin(z)
-    denom = sy * sz
-    safe = np.maximum(denom, 1e-300)
-    t = (np.cos(x) - np.cos(y) * np.cos(z)) / safe
+    safe = np.maximum(np.sin(y) * np.sin(z), 1e-300)
+    t = (cx - np.cos(y) * np.cos(z)) / safe
     inner = np.cos(fy) * np.cos(fz) + np.clip(t, -1.0, 1.0) * np.sin(fy) * np.sin(fz)
     general = np.arccos(np.clip(inner, -1.0, 1.0))
     eps = 1e-9
-    out = np.select(
-        [y <= eps, y >= math.pi - eps, z <= eps, z >= math.pi - eps],
-        [fz, math.pi - fz, fy, math.pi - fy],
-        default=general)
-    return out
+    y_end = (y <= eps) | (y >= math.pi - eps)
+    z_end = (z <= eps) | (z >= math.pi - eps)
+    # v_i = +-v_0 leaves v_j's rotated angle or its supplement, and vice versa
+    pole = np.where(y_end, np.where(y <= eps, fz, math.pi - fz),
+                    np.where(z <= eps, fy, math.pi - fy))
+    return np.where(y_end | z_end, pole, general)
 
 
 def rotated_pair_angle(theta_ij: float, theta_i: float, theta_j: float,
@@ -664,7 +662,7 @@ def rotated_pair_angle(theta_ij: float, theta_i: float, theta_j: float,
         raise UnrealizableTripleError(
             f"angles ({x}, {y}, {z}) violate |cos x - cos y cos z| "
             "<= sin y sin z and cannot come from unit vectors")
-    return float(_rotated_pair_angles(x, y, z, gamma))
+    return float(_rotated_pair_angles(np.cos(x), y, z, gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .netmodel import SocialNetwork, ValidationError
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
                       _check_price_prob, _influence_mask, _require_normalized,
                       class_moments, pricing_classes, revenue_bounds)
+from .sdprelax import _one_blas_thread
 
 SQRT2 = math.sqrt(2.0)
 
@@ -350,7 +351,8 @@ def optimize_class_assignment(K: int) -> np.ndarray:
     subject to term1 >= t, term2 >= t, sum q = 1, q >= 0.  SLSQP can end
     with status 8 once round-off stalls its line search (K = 3 and 4), at
     a point that is still its best, so that point is returned, clipped to
-    the simplex.
+    the simplex.  scipy's BLAS runs at one thread: its thread-pool start
+    took about 0.9 s on a first call with K >= 16, against 0.01 s.
     """
     K = int(K)
     if K > MAX_OPTIMIZE_CLASSES:
@@ -369,10 +371,12 @@ def optimize_class_assignment(K: int) -> np.ndarray:
          "jac": lambda z: np.append(H8 @ z[:K], -1.0)},
         {"type": "eq", "fun": lambda z: np.sum(z[:K]) - 1.0,
          "jac": lambda z: 1.0 - dt})
-    res = minimize(lambda z: -z[K], np.append(q0, min(class_ratio_terms(K, q0))),
-                   jac=lambda z: -dt, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * K + [(None, None)],
-                   constraints=constraints,
-                   options={"ftol": 1e-15, "maxiter": 1000})
+    with _one_blas_thread():
+        res = minimize(lambda z: -z[K],
+                       np.append(q0, min(class_ratio_terms(K, q0))),
+                       jac=lambda z: -dt, method="SLSQP",
+                       bounds=[(0.0, 1.0)] * K + [(None, None)],
+                       constraints=constraints,
+                       options={"ftol": 1e-15, "maxiter": 1000})
     q = np.clip(res.x[:K], 0.0, None)
     return q / np.sum(q)

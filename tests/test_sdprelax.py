@@ -494,6 +494,30 @@ def test_rotated_pair_angle_degenerate_triples():
         math.pi - rotate(1.2, 0.7))
 
 
+def test_rotated_pair_angles_broadcasts_each_term_at_its_own_shape():
+    from netrev.certificates import _band_angle
+
+    gamma = 0.722
+    # both poles of theta_i and theta_j, and t = 0 and 1 put cos x at the
+    # ends of its band
+    y = np.array([0.0, 1e-12, 2e-9, 0.3, 1.7, math.pi - 1e-12,
+                  math.pi])[:, None, None]
+    z = np.array([0.0, 0.9, 2.5, math.pi])[None, :, None]
+    t = np.linspace(0.0, 1.0, 5)[None, None, :]
+    x = np.broadcast_to(_band_angle(y, z, t), (7, 4, 5))
+    for cx in (np.linspace(-1.0, 1.0, 5)[None, None, :], np.cos(x)):
+        got = sdprelax._rotated_pair_angles(cx, y, z, gamma)
+        full = sdprelax._rotated_pair_angles(
+            *np.broadcast_arrays(cx, y, z), gamma)
+        assert got.shape == (7, 4, 5)
+        np.testing.assert_array_equal(got, full)
+    Y, Z = np.broadcast_arrays(y, z, x)[:2]
+    for idx in np.ndindex(x.shape):
+        assert got[idx] == pytest.approx(
+            rotated_pair_angle(x[idx], Y[idx], Z[idx], gamma),
+            rel=0, abs=1e-15)
+
+
 def test_rotated_pair_angle_rejects_impossible_triple():
     with pytest.raises(UnrealizableTripleError):
         rotated_pair_angle(3.0, 0.4, 0.4, 0.5)

@@ -1,5 +1,10 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +258,23 @@ def test_optimizer_rejects_k_above_limit_without_solving(monkeypatch, cycle4):
             optimize_class_assignment(K)
         with pytest.raises(ValidationError, match="K <= 200"):
             generalized_ie(cycle4, K, mode="optimize")
+
+
+def test_optimizer_output_does_not_depend_on_blas_threads():
+    # unpinned, two BLAS threads moved q by up to 6.5e-7 at K = 200
+    src = str(Path(netrev.strategies.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import json\n"
+            "from netrev import optimize_class_assignment\n"
+            "print(json.dumps([optimize_class_assignment(K).tolist()"
+            " for K in (3, 6, 16, 40, 200)]))")
+    outputs = [subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+    ).stdout for threads in ("1", "2")]
+    assert len(json.loads(outputs[0])) == 5
+    assert outputs[0] == outputs[1]
 
 
 def test_optimizer_accepts_k_at_limit():
