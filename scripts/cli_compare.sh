@@ -38,6 +38,13 @@ run simulate --input $R --strategy rie.json --trials 20000 --seed 5
 run table --corpus corpus --csv t.csv --seed 2 --trials 30
 run gen --kind random --n 30 --density 0.2 --weight-range 0.1 1 --seed 3
 run gen --kind set_edge --pricing-prob 0.7
+run gen --kind random --n 20 --density 0.25 --weight-range 0.1 1 --self-weight-range 0.2 1 --seed 7 --output u20.txt
+run gen --kind random --n 20 --directed --density 0.2 --weight-range 0.1 1 --seed 8 --output d20.txt
+for net in u20.txt d20.txt; do
+  run oracle --input $net --mode best-ie
+  run oracle --input $net --mode best-ie --pricing-prob 0.6
+  run simulate --input $net --strategy ie.json --trials 20000 --seed 5
+done
 run eval --input $C --strategy missing.json
 run table --corpus nowhere
 cd /; rm -rf "$work"

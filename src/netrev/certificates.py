@@ -47,8 +47,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .netmodel import ValidationError
-from .revenue import (GeneralizedIEStrategy, _check_exploit_prob,
-                      _random_ie_classes, class_moments)
+from .revenue import (_BLOCK_CELLS, GeneralizedIEStrategy,
+                      _check_exploit_prob, _random_ie_classes, class_moments)
 from .strategies import (DIRECTED_ROUNDING, RoundingSchedule,
                          SIX_CLASS_PRESET_Q, TUNED_EXPLOIT_PROB,
                          UNDIRECTED_ROUNDING, UNDIRECTED_ROUNDING_FLAT,
@@ -74,7 +74,6 @@ MAX_GRID_STEP = 0.1
 _TWO_OVER_PI = 2.0 / math.pi
 _DEN_TOL = 1e-9
 _CAP = 1.0 - 1e-9  # price boxes end here, where 1 - price is still positive
-_BLOCK_CELLS = 1 << 15  # grid cells evaluated at once by ``_box_min``
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,8 @@ def _box_min(fn, axes) -> tuple[float, np.ndarray]:
     ``fn`` takes one coordinate array per axis, broadcast against each
     other, and returns the ratio there (inf where it is undefined).  The
     grid ``axes[0] x axes[1] x ...`` is scanned in blocks of first-axis
-    rows; one bounded Nelder-Mead run from the best cell then polishes it.
+    rows, about ``_BLOCK_CELLS`` cells each; one bounded Nelder-Mead run
+    from the best cell then polishes it.
     """
     mesh = np.ix_(*axes)
     shape = tuple(len(a) for a in axes)

@@ -21,13 +21,12 @@ from numpy.random import Generator, Philox, SeedSequence, default_rng
 
 from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
                        gadget)
-from .revenue import (IEStrategy, MarketingStrategy, _check_exploit_prob,
-                      _check_price_prob, _ie_cubic, _require_normalized,
-                      best_ordering_for_prices, ie_coefficients_batch,
+from .revenue import (_BLOCK_CELLS, IEStrategy, MarketingStrategy,
+                      _check_exploit_prob, _check_price_prob, _ie_cubic,
+                      _require_normalized, best_ordering_for_prices,
                       ie_revenue, strategy_family)
 
 _CHUNK = 1 << 15
-_SIM_CELLS = 1 << 17
 _TINY = 1e-12
 
 _ENUMERATION_LIMIT = 22
@@ -91,11 +90,28 @@ def _bits_of(index: int, n: int) -> frozenset:
     return frozenset(int(i) for i in range(n) if (index >> i) & 1)
 
 
+def _half_patterns(cap: np.ndarray, pair: np.ndarray):
+    """The 2^k patterns of k buyers, pattern a freeing buyer t when bit t
+    of a is set: their priced indicators (2^k, k), cap sums and D among
+    the half, with ``pair`` the half's symmetric pair weights."""
+    k = cap.size
+    priced = (((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) == 0).astype(float)
+    return priced, priced @ cap, 0.5 * np.einsum("ij,ij->i", priced @ pair, priced)
+
+
 def best_ie_exhaustive(g: SocialNetwork, p: Optional[float] = None) -> OracleReport:
     """Exact best IE strategy by enumerating all 2^n influence sets.
 
     With ``p`` supplied the pricing probability is held fixed; otherwise
     each set gets its revenue-maximizing p in [1/2, 1).
+
+    D is a quadratic form in the priced indicator x, so the enumeration
+    splits the buyers in two halves, the first h = n // 2 (pattern a) and
+    the rest (pattern b), meeting in the middle (Horowitz and Sahni 1974):
+    each half's cap sum and in-half D are tabulated once, and the cross
+    term x_b' W x_a of a block of b rows against every a is one matrix
+    product.  Blocks hold about ``_BLOCK_CELLS`` sets; set a + (b << h)
+    frees buyer i when bit i is set, and ties go to the smallest index.
     """
     _require_normalized(g, "best_ie_exhaustive")
     n = g.n
@@ -106,24 +122,34 @@ def best_ie_exhaustive(g: SocialNetwork, p: Optional[float] = None) -> OracleRep
     if p is not None:
         p = _check_exploit_prob(p)
     scale = max(1.0, g.W + g.N)
-    total = 1 << n
-    bit = np.arange(n, dtype=np.int64)
+    Wm = g.in_weight_matrix()
+    # pair[i, j] is the weight D counts when buyers i and j are both priced
+    pair = Wm + Wm.T
+    cap = g.self_weights + Wm.sum(axis=0)
+    h = n // 2
+    low, low_cap, low_D = _half_patterns(cap[:h], pair[:h, :h])
+    high, high_cap, high_D = _half_patterns(cap[h:], pair[h:, h:])
+    low_t = np.ascontiguousarray(low.T)
+    cross = pair[h:, :h]
+    rows = max(1, _BLOCK_CELLS >> h)
     best_val, best_idx, best_p = -np.inf, 0, 0.5
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        members = ((idx[None, :] >> bit[:, None]) & 1).astype(bool).T
-        C, D = ie_coefficients_batch(g, members)
+    for b in range(0, high.shape[0], rows):
+        D = (high[b:b + rows] @ cross) @ low_t
+        D += low_D
+        D += high_D[b:b + rows, None]
+        C = low_cap + high_cap[b:b + rows, None]
+        C -= D
         if p is None:
             vals, popt = _optimal_p_for_sets(C, D, scale)
         else:
             vals = _ie_cubic(p, C, D)
-            popt = np.full(idx.size, p)
         k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_idx, best_p = float(vals[k]), int(idx[k]), float(popt[k])
+        if vals.flat[k] > best_val:
+            best_val, best_idx = float(vals.flat[k]), k + (b << h)
+            best_p = float(popt.flat[k]) if p is None else p
     witness = IEStrategy(_bits_of(best_idx, n), best_p)
     return OracleReport(best_value=best_val, best_witness=witness,
-                        search_space_size=total, method="exhaustive")
+                        search_space_size=1 << n, method="exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +428,35 @@ def gadget_revenue_table(kind: str, constraint=None, p: Optional[float] = None,
 _STREAM_KEYS = {"acceptance": 0xACC, "ordering": 0x08D, "assignment": 0xA55}
 
 
+def _philox_blocks(width: int) -> int:
+    """Philox blocks of four 64-bit outputs that hold one trial's draws."""
+    return max(1, (width + 3) // 4)
+
+
+def _stream(seed: int, stream: str) -> Generator:
+    """The Philox generator of one named stream, at trial 0."""
+    return Generator(Philox(SeedSequence([int(seed), _STREAM_KEYS[stream]])))
+
+
+def _next_uniforms(gen: Generator, count: int, width: int) -> np.ndarray:
+    """The next ``count`` trials of ``gen``, buyer-major: entry [i, t] is
+    buyer i's draw in the t-th of them.
+
+    Philox advances its counter once per block of four 64-bit outputs, and
+    each trial is padded to a whole number of blocks, so successive calls
+    on one generator give the draws of consecutive trials.
+    """
+    vals = gen.random((count, 4 * _philox_blocks(width)))
+    return np.ascontiguousarray(vals[:, :width].T)
+
+
 def _stream_uniforms(seed: int, stream: str, start: int, count: int,
                      width: int) -> np.ndarray:
-    """Uniforms addressed by (trial, buyer), independent of chunking,
-    returned buyer-major: entry [i, t] is buyer i's draw in trial start + t.
-
-    Philox advances its counter once per block of four 64-bit outputs, so
-    each trial is padded to a whole number of blocks and trial t always
-    starts at block t * blocks regardless of where a chunk begins.
-    """
-    blocks = max(1, (width + 3) // 4)
-    bg = Philox(SeedSequence([int(seed), _STREAM_KEYS[stream]]))
-    bg.advance(start * blocks)
-    vals = Generator(bg).random((count, 4 * blocks))
-    return np.ascontiguousarray(vals[:, :width].T)
+    """Uniforms addressed by (trial, buyer), independent of chunking:
+    :func:`_next_uniforms` of trials start, ..., start + count - 1."""
+    gen = _stream(seed, stream)
+    gen.bit_generator.advance(start * _philox_blocks(width))
+    return _next_uniforms(gen, count, width)
 
 
 @dataclass(frozen=True)
@@ -455,11 +496,14 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     up front; with g_i = a_i (1 - p_i) it earns sum_i g_i w[i, i] plus
     w a_j g_i over stored edges (j, i, w) with j approached first (an
     undirected edge pays whichever endpoint comes later).  Cost is
-    O(trials (n + |E|)), in chunks of about ``_SIM_CELLS`` buyer or edge
-    cells.  Draws are addressed per (trial, buyer), so results depend only
-    on ``seed``, never on chunk boundaries.  The standard error merges
-    per-chunk centered moments (Chan, Golub and LeVeque 1979), so it
-    survives a revenue whose spread is tiny next to its mean.
+    O(trials (n + |E|)), in chunks of at least 16 trials and otherwise of
+    about ``_BLOCK_CELLS`` buyer or edge cells.  Draws are addressed per
+    (trial, buyer), so results depend only on ``seed``, never on chunk
+    boundaries: each stream is one Philox generator per call, drawn chunk
+    after chunk, and gives the draws :func:`_stream_uniforms` addresses.
+    The standard error merges per-chunk centered moments (Chan, Golub and
+    LeVeque 1979), so it survives a revenue whose spread is tiny next to
+    its mean.
     """
     _require_normalized(g, "simulate")
     trials = int(trials)
@@ -468,19 +512,29 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     strategy_family(strategy)  # rejects a non-strategy
     n = g.n
     src, dst, w = g.edge_src, g.edge_dst, g.edge_weight
-    chunk = max(1, _SIM_CELLS // max(1, n, w.size))
+    chunk = max(16, _BLOCK_CELLS // max(4 * _philox_blocks(n), w.size))
     seed = int(seed)
+    streams = {}
+
+    def draw(stream):  # every chunk draws each stream it uses once
+        if stream not in streams:
+            streams[stream] = _stream(seed, stream)
+        return _next_uniforms(streams[stream], m, n)
+
     done, mean, m2 = 0, 0.0, 0.0
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        prices, keys = strategy.offers(n, lambda s: _stream_uniforms(seed, s, start, m, n))
-        accepted = _stream_uniforms(seed, "acceptance", start, m, n) >= 1.0 - prices
-        gain = np.where(accepted, 1.0 - prices, 0.0)
+        prices, keys = strategy.offers(n, draw)
+        discount = 1.0 - prices
+        accepted = draw("acceptance") >= discount
+        gain = accepted * discount
+        # masks select by multiplying: np.where on a random mask is slower
         forward = keys[src] < keys[dst]
-        revenue = g.self_weights @ gain + w @ np.where(
-            forward, accepted[src] * gain[dst],
-            0.0 if g.directed else accepted[dst] * gain[src])
+        paid = gain[dst] * (forward & accepted[src])
+        if not g.directed:
+            paid += gain[src] * (~forward & accepted[dst])
+        revenue = g.self_weights @ gain + w @ paid
         counts += np.sum(accepted, axis=1)
         chunk_mean = float(np.mean(revenue))
         chunk_m2 = float(np.sum((revenue - chunk_mean) ** 2))

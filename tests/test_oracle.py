@@ -22,6 +22,7 @@ from netrev import (
     gadget,
     gadget_revenue_table,
     generate,
+    ie_coefficients_batch,
     ie_revenue,
     random_ie_revenue,
     revenue_bounds,
@@ -95,6 +96,71 @@ def test_best_ie_size_limit():
     g = SocialNetwork(False, 23, [])
     with pytest.raises(ValidationError):
         best_ie_exhaustive(g)
+
+
+def _reference_best_ie(g, ps):
+    """Every set's (C, D) from ``ie_coefficients_batch``, in index order;
+    for each p in ``ps`` (None: each set's best), the best value, the index
+    of its first set, that set's p, and the runner-up over the other sets."""
+    n = g.n
+    idx = np.arange(1 << n)
+    C, D = np.concatenate([
+        np.array(ie_coefficients_batch(g, (block[:, None] >> np.arange(n)) & 1))
+        for block in np.array_split(idx, max(1, idx.size >> 15))], axis=1)
+    for p in ps:
+        if p is None:
+            vals, prices = oracle._optimal_p_for_sets(C, D, max(1.0, g.W + g.N))
+        else:
+            vals, prices = p * (1.0 - p) * (C + 0.5 * p * D), np.full(idx.size, p)
+        k = int(np.argmax(vals))
+        runner_up = np.max(np.delete(vals, k), initial=-np.inf)
+        yield p, float(vals[k]), k, float(prices[k]), float(runner_up)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(5)
+    return {
+        "n0": SocialNetwork(False, 0),
+        "n1": SocialNetwork(False, 1, [], self_weights=[0.7]),
+        "n2": SocialNetwork(False, 2, [(0, 1, 1.5)]),
+        "n3-directed": SocialNetwork(True, 3, [(0, 1, 1.0), (1, 2, 0.5),
+                                               (2, 0, 0.25)]),
+        "n17": generate("random", 17, density=0.3, weight_range=(0.1, 1.0),
+                        self_weight_range=(0.2, 1.0), seed=17),
+        "n20-directed": generate("random", 20, directed=True, density=0.25,
+                                 weight_range=(0.1, 1.0), seed=20),
+        "n21": generate("random", 21, density=0.2, seed=21),
+        "edgeless": SocialNetwork(False, 6, []),
+        "self-weights-only": SocialNetwork(False, 7, [],
+                                           self_weights=rng.uniform(0.1, 1.0, 7)),
+        "star": SocialNetwork(False, 9, [(0, i, 1.0) for i in range(1, 9)]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_best_ie_split_enumeration_matches_reference(case):
+    g = _oracle_cases()[case]
+    for p, value, k, best_p, runner_up in _reference_best_ie(g, (None, 0.7)):
+        rep = best_ie_exhaustive(g, p=p)
+        assert rep.search_space_size == 1 << g.n
+        assert rep.best_value == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert ie_revenue(g, rep.best_witness) == pytest.approx(
+            rep.best_value, rel=1e-13, abs=0.0)
+        if runner_up < value * (1.0 - 1e-9):  # a unique maximum
+            assert rep.best_witness == IEStrategy(
+                frozenset(i for i in range(g.n) if k >> i & 1), best_p)
+
+
+def test_best_ie_exhaustive_memory_does_not_grow_with_the_sets():
+    # one 2^15-set membership block with its (C, D) pricing peaks at 7.5 MB
+    g = generate("random", 20, density=0.3, weight_range=(0.1, 1.0), seed=3)
+    tracemalloc.start()
+    try:
+        best_ie_exhaustive(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +449,7 @@ def test_simulate_matches_sequential_process(random_net, directed, family):
                    self_weights=not directed)
     s = _four_families(g.n)[family]
     trials = 6000
-    assert trials > 2 * (oracle._SIM_CELLS // max(g.n, g.num_edges))
+    assert trials > 2 * (oracle._BLOCK_CELLS // max(g.n, g.num_edges))
     rep = simulate(g, s, trials, seed=9)
     revenue, counts = _sequential_reference(g, s, trials, seed=9)
     assert rep.acceptance_counts == tuple(int(c) for c in counts)
@@ -399,12 +465,38 @@ def test_simulate_does_not_depend_on_chunk_size(random_net, monkeypatch,
                    self_weights=not directed)
     trials = 700
     full = [simulate(g, s, trials, seed=3) for s in _four_families(g.n)]
-    monkeypatch.setattr(oracle, "_SIM_CELLS", 3 * max(g.n, g.num_edges))
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 3 * max(g.n, g.num_edges))
     for s, ref in zip(_four_families(g.n), full):
         rep = simulate(g, s, trials, seed=3)
         assert rep.acceptance_counts == ref.acceptance_counts
         assert rep.mean == pytest.approx(ref.mean, rel=1e-12)
         assert rep.std_error == pytest.approx(ref.std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 12])
+def test_successive_stream_draws_follow_the_trial_addressing(n):
+    # each chunk of one generator starts where _stream_uniforms addresses
+    # its first trial: every trial fills whole Philox blocks
+    for stream in ("acceptance", "ordering", "assignment"):
+        gen, start = oracle._stream(11, stream), 0
+        for count in (1, 7, 3, 16, 5, 33, 2):
+            got = oracle._next_uniforms(gen, count, n)
+            assert got.shape == (n, count)
+            assert np.array_equal(
+                got, oracle._stream_uniforms(11, stream, start, count, n))
+            start += count
+
+
+def test_simulate_temporaries_stay_within_the_block_budget(random_net):
+    g = random_net(76, n=12, self_weights=True, density=0.4)
+    for s in _four_families(g.n):
+        tracemalloc.start()
+        try:
+            simulate(g, s, 200_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, s.family
 
 
 def test_simulate_memory_grows_with_edges_not_n_squared():
