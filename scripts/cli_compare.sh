@@ -35,6 +35,7 @@ run certify --kind sdp_undirected --p 0.5 --gamma 0.176 --grid-step 0.05
 run certify --kind sdp_self
 run simulate --input $C --strategy ie.json --trials 20000 --seed 5
 run simulate --input $R --strategy rie.json --trials 20000 --seed 5
+run simulate --input $C --strategy marketing.json --trials 20000 --seed 5
 run table --corpus corpus --csv t.csv --seed 2 --trials 30
 run gen --kind random --n 30 --density 0.2 --weight-range 0.1 1 --seed 3
 run gen --kind set_edge --pricing-prob 0.7
@@ -43,7 +44,7 @@ run gen --kind random --n 20 --directed --density 0.2 --weight-range 0.1 1 --see
 for net in u20.txt d20.txt; do
   run oracle --input $net --mode best-ie
   run oracle --input $net --mode best-ie --pricing-prob 0.6
-  run simulate --input $net --strategy ie.json --trials 20000 --seed 5
+  for s in ie rie gie; do run simulate --input $net --strategy $s.json --trials 20000 --seed 5; done
 done
 run eval --input $C --strategy missing.json
 run table --corpus nowhere

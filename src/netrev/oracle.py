@@ -26,7 +26,6 @@ from .revenue import (_BLOCK_CELLS, IEStrategy, MarketingStrategy,
                       _require_normalized, best_ordering_for_prices,
                       ie_revenue, strategy_family)
 
-_CHUNK = 1 << 15
 _TINY = 1e-12
 
 _ENUMERATION_LIMIT = 22
@@ -267,16 +266,23 @@ def _search_undirected(g: SocialNetwork, pins: dict, seed) -> OracleReport:
                         resolution=1.0 / 16.0)
 
 
-def _all_positions(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    return np.argsort(perms, axis=1)
+def _all_positions(n: int, rows: int):
+    """Every approach order of n buyers, in ``itertools.permutations``
+    order, as blocks of at most ``rows`` pairs (orders, positions):
+    orders[r, k] is the buyer approached at step k, positions[r, i] the
+    step of buyer i."""
+    perms = itertools.permutations(range(n))
+    while block := list(itertools.islice(perms, rows)):
+        orders = np.fromiter(itertools.chain.from_iterable(block), np.int64,
+                             len(block) * n).reshape(len(block), n)
+        yield orders, np.argsort(orders, axis=1)
 
 
 def _search_directed(g: SocialNetwork, seed) -> OracleReport:
     n = g.n
     Wm = g.in_weight_matrix()
     sw = np.asarray(g.self_weights)
-    pos = _all_positions(n)
+    orders, pos = next(_all_positions(n, math.factorial(n)))
     m = pos.shape[0]
     rng = default_rng(seed)
     starts = [np.full((m, n), 0.75), np.full((m, n), 1.0),
@@ -290,8 +296,8 @@ def _search_directed(g: SocialNetwork, seed) -> OracleReport:
         k = int(np.argmax(R))
         if R[k] > best_val:
             best_val, best_row, best_P = float(R[k]), k, P[k].copy()
-    order = tuple(int(i) for i in np.argsort(pos[best_row]))
-    witness = MarketingStrategy(order, tuple(float(x) for x in best_P))
+    witness = MarketingStrategy(tuple(int(i) for i in orders[best_row]),
+                                tuple(float(x) for x in best_P))
     return OracleReport(best_value=best_val, best_witness=witness,
                         search_space_size=m * len(starts), method="multistart")
 
@@ -319,7 +325,11 @@ def best_strategy_search(g: SocialNetwork, seed=0) -> OracleReport:
 
 
 def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
-    """Exact best approach order for a fixed price vector (n <= 10)."""
+    """Exact best approach order for a fixed price vector (n <= 10).
+
+    The n! orders stream in blocks of about ``_BLOCK_CELLS`` positions, so
+    memory stays flat in n; ties go to the first order in
+    ``itertools.permutations`` order."""
     _require_normalized(g, "best_ordering_exhaustive")
     n = g.n
     if n > _ORDERING_LIMIT:
@@ -331,18 +341,17 @@ def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
         raise ValidationError("prices must supply one probability per buyer")
     Wm = g.in_weight_matrix()
     sw = np.asarray(g.self_weights)
-    pos = _all_positions(n)
-    best_val, best_row = -np.inf, 0
-    for start in range(0, pos.shape[0], _CHUNK):
-        block = pos[start:start + _CHUNK]
-        R = _revenue_rows(Wm, sw, block, np.broadcast_to(prices, block.shape))
+    best_val, best_order = -np.inf, None
+    for orders, pos in _all_positions(n, _BLOCK_CELLS // max(n, 1)):
+        R = _revenue_rows(Wm, sw, pos, np.broadcast_to(prices, pos.shape))
         k = int(np.argmax(R))
         if R[k] > best_val:
-            best_val, best_row = float(R[k]), start + k
-    order = tuple(int(i) for i in np.argsort(pos[best_row]))
-    witness = MarketingStrategy(order, tuple(float(x) for x in prices))
+            best_val, best_order = float(R[k]), orders[k]
+    witness = MarketingStrategy(tuple(int(i) for i in best_order),
+                                tuple(float(x) for x in prices))
     return OracleReport(best_value=best_val, best_witness=witness,
-                        search_space_size=pos.shape[0], method="exhaustive")
+                        search_space_size=math.factorial(n),
+                        method="exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +504,20 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     Acceptance does not depend on M, so a trial's acceptances a are drawn
     up front; with g_i = a_i (1 - p_i) it earns sum_i g_i w[i, i] plus
     w a_j g_i over stored edges (j, i, w) with j approached first (an
-    undirected edge pays whichever endpoint comes later).  Cost is
-    O(trials (n + |E|)), in chunks of at least 16 trials and otherwise of
-    about ``_BLOCK_CELLS`` buyer or edge cells.  Draws are addressed per
-    (trial, buyer), so results depend only on ``seed``, never on chunk
-    boundaries: each stream is one Philox generator per call, drawn chunk
-    after chunk, and gives the draws :func:`_stream_uniforms` addresses.
-    The standard error merges per-chunk centered moments (Chan, Golub and
-    LeVeque 1979), so it survives a revenue whose spread is tiny next to
-    its mean.
+    undirected edge pays whichever endpoint comes later).  The IE families
+    approach their classes by non-increasing pricing probability
+    (``price_ordered``), so on an undirected network the later endpoint
+    holds the larger discount and an edge pays w a_i a_j max(1 - p_i,
+    1 - p_j) whatever the order within a class: there the "ordering"
+    stream is not drawn.  Directed networks and marketing strategies
+    compare approach keys.  Cost is O(trials (n + |E|)), in chunks of at
+    least 16 trials and otherwise of about ``_BLOCK_CELLS`` buyer or edge
+    cells.  Draws are addressed per (trial, buyer), so results depend only
+    on ``seed``, never on chunk boundaries: each stream is one Philox
+    generator per call, drawn chunk after chunk, and gives the draws
+    :func:`_stream_uniforms` addresses.  The standard error merges
+    per-chunk centered moments (Chan, Golub and LeVeque 1979), so it
+    survives a revenue whose spread is tiny next to its mean.
     """
     _require_normalized(g, "simulate")
     trials = int(trials)
@@ -513,6 +527,7 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     n = g.n
     src, dst, w = g.edge_src, g.edge_dst, g.edge_weight
     chunk = max(16, _BLOCK_CELLS // max(4 * _philox_blocks(n), w.size))
+    by_discount = strategy.price_ordered and not g.directed
     seed = int(seed)
     streams = {}
 
@@ -525,15 +540,19 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        prices, keys = strategy.offers(n, draw)
+        prices, keys = strategy.offers(n, draw, ordered=not by_discount)
         discount = 1.0 - prices
         accepted = draw("acceptance") >= discount
         gain = accepted * discount
-        # masks select by multiplying: np.where on a random mask is slower
-        forward = keys[src] < keys[dst]
-        paid = gain[dst] * (forward & accepted[src])
-        if not g.directed:
-            paid += gain[src] * (~forward & accepted[dst])
+        if by_discount:
+            paid = np.maximum(discount[src], discount[dst])
+            paid = paid * (accepted[src] & accepted[dst])
+        else:
+            # masks select by multiplying: np.where on a random mask is slower
+            forward = keys[src] < keys[dst]
+            paid = gain[dst] * (forward & accepted[src])
+            if not g.directed:
+                paid += gain[src] * (~forward & accepted[dst])
         revenue = g.self_weights @ gain + w @ paid
         counts += np.sum(accepted, axis=1)
         chunk_mean = float(np.mean(revenue))

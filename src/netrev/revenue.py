@@ -75,6 +75,9 @@ class _Strategy:
     i.i.d.  ``family`` names the family, the dataclass fields its JSON keys."""
 
     family: ClassVar[str]
+    # Classes are approached by non-increasing pricing probability, so of
+    # two buyers in different classes the later holds the larger discount.
+    price_ordered: ClassVar[bool] = True
 
     @classmethod
     def from_json(cls, doc: dict):
@@ -83,12 +86,14 @@ class _Strategy:
         _require_keys(doc, cls.family, *(k for k in needed if needed[k]))
         return cls(**{k: doc[k] for k in needed if k in doc})
 
-    def offers(self, n: int, draw):
+    def offers(self, n: int, draw, ordered: bool = True):
         """A chunk's pricing probabilities and approach keys, buyer-major and
         broadcasting to (n, m), from its (n, m) uniforms ``draw(stream)``:
-        buyer i precedes j in trial t when keys[i, t] < keys[j, t]."""
+        buyer i precedes j in trial t when keys[i, t] < keys[j, t].  With
+        ``ordered`` False the keys are None and "ordering" is not drawn."""
         prices, classes = self.assignment(n, draw)
-        return prices[classes], classes + draw("ordering")
+        keys = classes + draw("ordering") if ordered else None
+        return prices.take(classes), keys
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,7 @@ class MarketingStrategy(_Strategy):
     """
 
     family: ClassVar[str] = "marketing"
+    price_ordered: ClassVar[bool] = False
     order: tuple[int, ...]
     prices: tuple[float, ...]
 
@@ -130,7 +136,7 @@ class MarketingStrategy(_Strategy):
         if self.n != n:
             raise ValidationError(f"strategy covers {self.n} buyers, network has {n}")
 
-    def offers(self, n: int, draw):
+    def offers(self, n: int, draw, ordered: bool = True):
         """The fixed prices and approach positions; nothing is drawn."""
         self._check_size(n)
         return np.asarray(self.prices)[:, None], self.positions()[:, None]
@@ -189,9 +195,14 @@ class IEStrategy(_Strategy):
 
 
 def _draw_classes(q, u) -> np.ndarray:
-    """First class k with u < q_0 + ... + q_k (the last past round-off)."""
-    return np.minimum(np.searchsorted(np.cumsum(q), u, side="right"),
-                      q.size - 1)
+    """First class k with u < q_0 + ... + q_k (the last past round-off):
+    the count of the first K - 1 cut points q_0 + ... + q_j at or below u,
+    in the smallest unsigned type that holds K - 1."""
+    cuts = np.cumsum(q)[:-1]
+    classes = np.zeros(np.shape(u), dtype=np.min_scalar_type(cuts.size))
+    for cut in cuts:
+        classes += u >= cut
+    return classes
 
 
 class _ClassIEStrategy(_Strategy):
@@ -206,7 +217,8 @@ class _ClassIEStrategy(_Strategy):
     def sample_classes(self, n: int, seed) -> np.ndarray:
         """Classes of ``n`` buyers drawn with ``np.random.default_rng(seed)``."""
         q, _ = self.classes()
-        return _draw_classes(q, np.random.default_rng(seed).random(n))
+        u = np.random.default_rng(seed).random(n)
+        return _draw_classes(q, u).astype(np.intp)
 
     def expected_revenue(self, g: SocialNetwork) -> float:
         """Exact expected revenue on ``g``, averaged over classes and order:

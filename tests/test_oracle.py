@@ -237,6 +237,31 @@ def test_best_ordering_exhaustive_checks_prices_before_enumerating(
             best_ordering_exhaustive(g, prices)
 
 
+def test_best_ordering_exhaustive_ties_do_not_depend_on_block_size(
+        random_net, monkeypatch):
+    # equal prices tie many orders; the first best in permutation order wins
+    for directed in (False, True):
+        g = random_net(66, n=6, directed=directed)
+        for prices in (np.full(6, 0.75), np.array([1, .5, 1, .5, .75, .75])):
+            full = best_ordering_exhaustive(g, prices).to_json()
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", 7 * 6)
+            assert best_ordering_exhaustive(g, prices).to_json() == full
+            monkeypatch.undo()
+
+
+def test_best_ordering_exhaustive_streams_the_orders(random_net):
+    # all 9! orders at once took 26 MB as int64 positions alone
+    g = random_net(67, n=9, density=0.5)
+    tracemalloc.start()
+    try:
+        rep = best_ordering_exhaustive(g, np.linspace(0.5, 1.0, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.search_space_size == math.factorial(9)
+    assert peak < 2 * 2 ** 20
+
+
 def test_best_ordering_exhaustive_directed(random_net):
     g = random_net(65, n=5, directed=True)
     prices = np.full(5, 0.75)
@@ -456,6 +481,47 @@ def test_simulate_matches_sequential_process(random_net, directed, family):
     assert rep.mean == pytest.approx(np.mean(revenue), rel=1e-12)
     assert rep.std_error == pytest.approx(
         np.std(revenue, ddof=1) / math.sqrt(trials), rel=1e-12)
+
+
+# float.hex of mean and std_error, and acceptance_counts, of 5000 trials at
+# seed 13 on random_net(77, n=12, density=0.8): 18 chunks undirected (with
+# self-weights, 54 edges), 34 directed (104 edges).  Recorded with the key
+# rule on every edge, so the undirected IE rows pin the larger-discount rule
+# to it.
+_SIMULATE_GOLDEN = [
+    (False, "marketing", "0x1.822f1c0806ad6p+2", "0x1.150e210d79460p-5",
+     (4741, 4650, 2494, 3826, 2786, 3158, 3545, 3617, 3630, 4808, 3121, 2962)),
+    (False, "ie", "0x1.a4dc57d696085p+2", "0x1.cfd22b9fff9aap-6",
+     (5000, 3491, 3491, 5000, 3490, 3522, 3506, 5000, 3460, 3452, 3480, 3527)),
+    (False, "random_ie", "0x1.964f2137cd1a8p+2", "0x1.0c9ee8d77cf04p-5",
+     (3738, 3752, 3767, 3708, 3722, 3785, 3757, 3812, 3799, 3783, 3733, 3774)),
+    (False, "generalized_ie", "0x1.ad3748dcaafc1p+2", "0x1.3bb3b8ec718efp-5",
+     (3481, 3518, 3490, 3468, 3482, 3535, 3519, 3535, 3507, 3547, 3492, 3500)),
+    (True, "marketing", "0x1.176fe0d40c181p+2", "0x1.774952202da86p-6",
+     (4741, 4650, 2494, 3826, 2786, 3158, 3545, 3617, 3630, 4808, 3121, 2962)),
+    (True, "ie", "0x1.5e38eacb97d0ap+2", "0x1.a8ee505e393bep-6",
+     (5000, 3491, 3491, 5000, 3490, 3522, 3506, 5000, 3460, 3452, 3480, 3527)),
+    (True, "random_ie", "0x1.4c83bf68bb35fp+2", "0x1.d413bcdbb4828p-6",
+     (3738, 3752, 3767, 3708, 3722, 3785, 3757, 3812, 3799, 3783, 3733, 3774)),
+    (True, "generalized_ie", "0x1.5bb5426e67750p+2", "0x1.13d83b3047ef0p-5",
+     (3481, 3518, 3490, 3468, 3482, 3535, 3519, 3535, 3507, 3547, 3492, 3500)),
+]
+
+
+@pytest.mark.parametrize("directed, family, mean, std_error, counts",
+                         _SIMULATE_GOLDEN,
+                         ids=[f"{'directed' if d else 'undirected'}-{f}"
+                              for d, f, *_ in _SIMULATE_GOLDEN])
+def test_simulate_output_bits_are_pinned(random_net, directed, family, mean,
+                                         std_error, counts):
+    # the revenue sums run through BLAS; another BLAS build may round them
+    # differently, but acceptance_counts depend on the draws alone
+    g = random_net(77, n=12, directed=directed, density=0.8,
+                   self_weights=not directed)
+    s = {f.family: f for f in _four_families(g.n)}[family]
+    rep = simulate(g, s, 5000, seed=13)
+    assert rep.acceptance_counts == counts
+    assert (rep.mean.hex(), rep.std_error.hex()) == (mean, std_error)
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -324,6 +324,46 @@ def test_class_samplers_follow_the_numpy_rules(seed):
         np.random.default_rng(seed).choice(3, n, p=q))
 
 
+def _searchsorted_classes(q, u):
+    return np.minimum(np.searchsorted(np.cumsum(q), u, side="right"),
+                      q.size - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.7]) |
+                st.floats(1e-9, 1.0), min_size=2, max_size=12)
+       .filter(lambda w: sum(w) > 0),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+       st.integers(0, 2 ** 32))
+def test_draw_classes_counts_the_cut_points_searchsorted_finds(w, u, seed):
+    # zero weights repeat a cut point; K equal classes of 1/K end below 1
+    # by round-off for K in {6, 7, 10} and above it for K in {9, 11}; u
+    # also sits on, just below and just above every cut point
+    n = 40
+    for q in (np.asarray(w) / sum(w), np.full(len(w), 1.0 / len(w))):
+        cuts = np.cumsum(q)
+        v = np.concatenate([u, cuts, np.nextafter(cuts, 0.0),
+                            np.nextafter(cuts, 2.0), [1.0 - 2.0 ** -53]])
+        got = revenue._draw_classes(q, v)
+        assert got.dtype.kind == "u"
+        np.testing.assert_array_equal(got, _searchsorted_classes(q, v))
+        if q.size == 2:
+            s = RandomIEStrategy(float(q[0]), 0.6)
+        else:
+            s = GeneralizedIEStrategy(q.size, tuple(q))
+        cls = s.sample_classes(n, seed)
+        assert cls.dtype == np.intp
+        np.testing.assert_array_equal(cls, _searchsorted_classes(
+            s.classes()[0], np.random.default_rng(seed).random(n)))
+
+
+def test_draw_classes_past_a_sum_that_ends_below_one():
+    q = np.full(10, 0.1)
+    assert np.cumsum(q)[-1] < 1.0
+    u = np.array([np.cumsum(q)[-1], 1.0 - 2.0 ** -53])
+    np.testing.assert_array_equal(revenue._draw_classes(q, u), [9, 9])
+
+
 def test_generalized_strategy_validation():
     with pytest.raises(ValidationError):
         GeneralizedIEStrategy(1, (1.0,))
