@@ -9,6 +9,7 @@ echo '{"order": [0, 1, 2, 3], "prices": [0.9, 0.8, 0.7, 0.6]}' > marketing.json
 echo '{"influence_set": [1, 3], "p": 0.5}' > ie.json
 echo '{"q": 0.3, "p": 0.6}' > rie.json
 echo '{"K": 3, "q": [0.2, 0.3, 0.5], "seed": 1}' > gie.json
+echo '{"influence_set": [Infinity], "p": 0.6}' > inf.json
 printf 'undirected 4\n0 1 1.1e307\n1 2 1.1e307\n2 3 1.1e307\n3 0 1.1e307\n' > huge.txt
 C=corpus/cycle4.txt; R=corpus/random12.txt; B=corpus/bipartite33.txt
 i=0
@@ -33,6 +34,12 @@ run certify --kind random_ie --lam 0.5 --grid-step 0.05
 run certify --kind sdp_directed
 run certify --kind sdp_undirected --p 0.5 --gamma 0.176 --grid-step 0.05
 run certify --kind sdp_self
+run certify --kind rounding_undirected
+run certify --kind rounding_undirected --schedule flat
+run certify --kind rounding_directed
+run certify --kind random_ie --directed
+run certify --kind class_ie --K 3 --q 0.2,0.3,0.5 --directed
+run certify --kind sdp_self --lam 1
 run simulate --input $C --strategy ie.json --trials 20000 --seed 5
 run simulate --input $R --strategy rie.json --trials 20000 --seed 5
 run simulate --input $C --strategy marketing.json --trials 20000 --seed 5
@@ -47,5 +54,6 @@ for net in u20.txt d20.txt; do
   for s in ie rie gie; do run simulate --input $net --strategy $s.json --trials 20000 --seed 5; done
 done
 run eval --input $C --strategy missing.json
+run eval --input $C --strategy inf.json
 run table --corpus nowhere
 cd /; rm -rf "$work"

@@ -57,10 +57,6 @@ from .sdprelax import (DIRECTED_SDP_GAMMA, DIRECTED_SDP_PRICING,
                        UNDIRECTED_SDP_GAMMA, UNDIRECTED_SDP_PRICING,
                        _SELF_TERMS, _edge_terms, _rotated_pair_angles, rotate)
 
-CERTIFICATE_KINDS = ("sdp_directed", "sdp_undirected", "sdp_self",
-                     "rounding_undirected", "rounding_directed",
-                     "random_ie", "class_ie")
-
 #: Finest accepted scan step.  The polish, not the grid, sets the precision,
 #: and at this step the sdp pair scan already evaluates 2.4e8 angle triples.
 MIN_GRID_STEP = 1e-3
@@ -177,8 +173,8 @@ def _sdp_edge_ratio(kind: str, p: float, gamma: float, x, y, z):
     return _ratio(num, d0 + dy * np.cos(y) + dz * np.cos(z) + dx * cx)
 
 
-def _certify_sdp_pair(kind: str, p: float, gamma: float,
-                      step: float) -> CertificateReport:
+def _certify_sdp_pair(kind: str, step: float, p, gamma) -> CertificateReport:
+    p, gamma = _check_exploit_prob(p), float(gamma)
     angles = _axis(0.0, math.pi, step)
     val, (y, z, t) = _box_min(
         lambda y, z, t: _sdp_edge_ratio(kind, p, gamma,
@@ -192,8 +188,8 @@ def _certify_sdp_pair(kind: str, p: float, gamma: float,
         grid_step=step)
 
 
-def _certify_sdp_self(gamma: float, step: float) -> CertificateReport:
-    d0, d1 = _SELF_TERMS
+def _certify_sdp_self(step: float, gamma) -> CertificateReport:
+    gamma, (d0, d1) = float(gamma), _SELF_TERMS
     val, (theta,) = _box_min(
         lambda t: _ratio(-d1 * rotate(t, gamma), d0 + d1 * np.cos(t)),
         (_axis(0.0, math.pi, step),))
@@ -230,7 +226,7 @@ def _rounding_edge_ratio(sched: RoundingSchedule, x, y, directed: bool):
     return sched.edge_term(x, y, directed) / (x * y * (1.0 - y))
 
 
-def _certify_rounding_undirected(schedule, step: float) -> CertificateReport:
+def _certify_rounding_undirected(step: float, schedule) -> CertificateReport:
     sched = _resolve_schedule(schedule)
     left_val, (left_x,) = _box_min(partial(_rounding_self_ratio, sched),
                                    (_axis(0.5, _CAP, step),))
@@ -282,8 +278,11 @@ def _tuned_random_ie(lam: float, directed: bool) -> dict:
             "value": float(_random_ie_ratio(q, p, lam, directed))}
 
 
-def _certify_random_ie(lam: float, directed: bool,
-                       step: float) -> CertificateReport:
+def _certify_random_ie(step: float, lam, directed) -> CertificateReport:
+    lam, directed = float(lam), bool(directed)
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValidationError(
+            f"self-weight ratio lam must be finite and non-negative, got {lam}")
     val, (q, p) = _box_min(
         lambda q, p: -_random_ie_ratio(q, p, lam, directed),
         (_axis(0.0, 1.0, step), _axis(0.5, 1.0, step)))
@@ -299,7 +298,8 @@ def _certify_random_ie(lam: float, directed: bool,
 # Class-based IE ratio
 # ---------------------------------------------------------------------------
 
-def _certify_class_ie(K: int, q, directed: bool) -> CertificateReport:
+def _certify_class_ie(step: float, K, q, directed) -> CertificateReport:
+    directed = bool(directed)
     if q is None:
         if K != 6:
             raise ValidationError("default assignment vector exists for K=6 only")
@@ -321,6 +321,25 @@ def _certify_class_ie(K: int, q, directed: bool) -> CertificateReport:
 # Entry point
 # ---------------------------------------------------------------------------
 
+#: kind -> (certify function, its parameters with their defaults).  Each
+#: function takes the scan step, then these parameters, and checks them.
+_KINDS = {
+    "sdp_directed": (partial(_certify_sdp_pair, "sdp_directed"),
+                     {"p": DIRECTED_SDP_PRICING, "gamma": DIRECTED_SDP_GAMMA}),
+    "sdp_undirected": (partial(_certify_sdp_pair, "sdp_undirected"),
+                       {"p": UNDIRECTED_SDP_PRICING,
+                        "gamma": UNDIRECTED_SDP_GAMMA}),
+    "sdp_self": (_certify_sdp_self, {"gamma": UNDIRECTED_SDP_GAMMA}),
+    "rounding_undirected": (_certify_rounding_undirected,
+                            {"schedule": "piecewise"}),
+    "rounding_directed": (_certify_rounding_directed, {}),
+    "random_ie": (_certify_random_ie, {"lam": 0.0, "directed": False}),
+    # q=None: the stored six-class vector SIX_CLASS_PRESET_Q
+    "class_ie": (_certify_class_ie, {"K": 6, "q": None, "directed": False}),
+}
+CERTIFICATE_KINDS = tuple(_KINDS)
+
+
 def ratio_certificate(kind: str, grid_step: Optional[float] = None,
                       **params) -> CertificateReport:
     """Certify one ratio expression; see the module docstring for kinds.
@@ -329,53 +348,18 @@ def ratio_certificate(kind: str, grid_step: Optional[float] = None,
     (default 1e-2, within [MIN_GRID_STEP, MAX_GRID_STEP]; the sdp pair
     kinds also take 24 samples across each theta_ij band); the polish then
     settles the best cell to about 1e-10.  Remaining keyword arguments
-    are kind-specific: ``p`` and ``gamma`` for the sdp kinds,
-    ``schedule`` ("piecewise" or "flat") for rounding_undirected, ``lam``
-    and ``directed`` for random_ie, ``K``, ``q``, ``directed`` for
-    class_ie.
+    are the kind's parameters, defaulting as ``_KINDS`` lists them; any
+    other keyword is rejected.
     """
     step = 1e-2 if grid_step is None else float(grid_step)
     if not MIN_GRID_STEP <= step <= MAX_GRID_STEP:
         raise ValidationError(f"grid_step must lie in [{MIN_GRID_STEP}, "
                               f"{MAX_GRID_STEP}], got {step}")
-    if kind in ("sdp_directed", "sdp_undirected"):
-        directed = kind == "sdp_directed"
-        p = _check_exploit_prob(params.pop(
-            "p", DIRECTED_SDP_PRICING if directed else UNDIRECTED_SDP_PRICING))
-        gamma = float(params.pop(
-            "gamma", DIRECTED_SDP_GAMMA if directed else UNDIRECTED_SDP_GAMMA))
-        _no_extras(kind, params)
-        return _certify_sdp_pair(kind, p, gamma, step)
-    if kind == "sdp_self":
-        gamma = float(params.pop("gamma", UNDIRECTED_SDP_GAMMA))
-        _no_extras(kind, params)
-        return _certify_sdp_self(gamma, step)
-    if kind == "rounding_undirected":
-        schedule = params.pop("schedule", None)
-        _no_extras(kind, params)
-        return _certify_rounding_undirected(schedule, step)
-    if kind == "rounding_directed":
-        _no_extras(kind, params)
-        return _certify_rounding_directed(step)
-    if kind == "random_ie":
-        lam = float(params.pop("lam", 0.0))
-        if not (math.isfinite(lam) and lam >= 0):
-            raise ValidationError(
-                f"self-weight ratio lam must be finite and non-negative, got {lam}")
-        directed = bool(params.pop("directed", False))
-        _no_extras(kind, params)
-        return _certify_random_ie(lam, directed, step)
-    if kind == "class_ie":
-        K = params.pop("K", 6)
-        q = params.pop("q", None)
-        directed = bool(params.pop("directed", False))
-        _no_extras(kind, params)
-        return _certify_class_ie(K, q, directed)
-    raise ValidationError(
-        f"unknown certificate kind {kind!r}; choose from {CERTIFICATE_KINDS}")
-
-
-def _no_extras(kind: str, params: dict) -> None:
-    if params:
+    if kind not in CERTIFICATE_KINDS:  # a tuple: unhashable kinds fail here too
         raise ValidationError(
-            f"unexpected parameters for {kind}: {sorted(params)}")
+            f"unknown certificate kind {kind!r}; choose from {CERTIFICATE_KINDS}")
+    certify, defaults = _KINDS[kind]
+    extra = sorted(params.keys() - defaults.keys())
+    if extra:
+        raise ValidationError(f"unexpected parameters for {kind}: {extra}")
+    return certify(step, **{**defaults, **params})

@@ -84,7 +84,7 @@ def _load_strategy(path):
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValidationError(f"cannot read strategy file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ValidationError(f"strategy file {path} is not valid JSON: {exc}")
     return strategy_from_json(doc)
 

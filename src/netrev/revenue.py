@@ -12,8 +12,10 @@ influence set ``A`` and charge everyone else with a common probability.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import MISSING, dataclass, fields
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import (ClassVar, Iterable, Optional, Sequence, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -56,13 +58,19 @@ def _require_normalized(g: SocialNetwork, what: str) -> None:
             "apply eliminate_selfloops first")
 
 
-def _require_keys(doc: dict, family: str, *keys: str) -> None:
-    """Reject a strategy document that lacks any of ``keys``."""
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ValidationError(
-            f"{family} strategy document is missing key(s): "
-            + ", ".join(missing))
+def _json_fits(value, hint) -> bool:
+    """Whether a parsed JSON value has the field type ``hint``: ``int``
+    takes integers and ``float`` any number (neither a bool), a tuple or
+    frozenset of either takes a list of them, and Optional also null."""
+    if get_origin(hint) is Union:
+        return any(_json_fits(value, arg) for arg in get_args(hint))
+    if get_origin(hint) in (tuple, frozenset):
+        return (isinstance(value, list)
+                and all(_json_fits(v, get_args(hint)[0]) for v in value))
+    if hint is type(None):
+        return value is None
+    return (isinstance(value, (int, float) if hint is float else hint)
+            and not isinstance(value, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +89,28 @@ class _Strategy:
 
     @classmethod
     def from_json(cls, doc: dict):
-        """Inverse of ``to_json``; fields without defaults are required."""
-        needed = {f.name: f.default is MISSING for f in fields(cls)}
-        _require_keys(doc, cls.family, *(k for k in needed if needed[k]))
-        return cls(**{k: doc[k] for k in needed if k in doc})
+        """Inverse of ``to_json``; fields without defaults are required, and
+        each value must have its field's JSON type (``_json_fits``)."""
+        missing = [f.name for f in fields(cls)
+                   if f.name not in doc and f.default is MISSING]
+        if missing:
+            raise ValidationError(f"{cls.family} strategy document is missing "
+                                  f"key(s): {', '.join(missing)}")
+        given = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name in given and not _json_fits(given[f.name], hints[f.name]):
+                raise ValidationError(
+                    f"{cls.family} strategy field {f.name!r} must encode "
+                    f"{f.type}, got {reprlib.repr(given[f.name])}")
+        return cls(**given)
+
+    def to_json(self) -> dict:
+        """The fields in field order, sets sorted and tuples as lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: (sorted(v) if isinstance(v, frozenset) else
+                    list(v) if isinstance(v, tuple) else v)
+                for k, v in doc.items()}
 
     def offers(self, n: int, draw, ordered: bool = True):
         """A chunk's pricing probabilities and approach keys, buyer-major and
@@ -161,9 +187,6 @@ class MarketingStrategy(_Strategy):
             total += float(np.sum((margin[dst] * p[src] * w)[before]))
         return total
 
-    def to_json(self) -> dict:
-        return {"order": list(self.order), "prices": list(self.prices)}
-
 
 @dataclass(frozen=True)
 class IEStrategy(_Strategy):
@@ -189,9 +212,6 @@ class IEStrategy(_Strategy):
         """Exact expected revenue on ``g``; see :func:`ie_revenue`."""
         _require_normalized(g, "ie_revenue")
         return _ie_cubic(self.p, *ie_revenue_coefficients(g, self.influence_set))
-
-    def to_json(self) -> dict:
-        return {"influence_set": sorted(self.influence_set), "p": self.p}
 
 
 def _draw_classes(q, u) -> np.ndarray:
@@ -264,9 +284,6 @@ class RandomIEStrategy(_ClassIEStrategy):
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         return _random_ie_classes(self.q, self.p)
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "p": self.p}
-
 
 def pricing_classes(K: int) -> np.ndarray:
     """Pricing probabilities ``p_k = 1 - (k - 1) / (2 (K - 1))`` for the
@@ -316,9 +333,6 @@ class GeneralizedIEStrategy(_ClassIEStrategy):
     def sample_classes(self, n: int, seed=None) -> np.ndarray:
         return super().sample_classes(n, self.seed if seed is None else seed)
 
-    def to_json(self) -> dict:
-        return {"K": self.K, "q": list(self.q), "seed": self.seed}
-
 
 def strategy_family(strategy) -> str:
     """Short family name: marketing, ie, random_ie, or generalized_ie."""
@@ -340,7 +354,7 @@ def strategy_from_json(doc: dict):
                 return cls.from_json(doc)
     except ValidationError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed strategy document: {exc}") from None
     raise ValidationError(
         "unrecognized strategy document; expected keys for one of the "

@@ -20,8 +20,8 @@ from netrev import (
     rounding_expected_revenue,
     strategy_revenue,
 )
-from netrev.certificates import (_random_ie_ratio, _rounding_edge_ratio,
-                                 _rounding_self_ratio)
+from netrev.certificates import (_KINDS, _random_ie_ratio,
+                                 _rounding_edge_ratio, _rounding_self_ratio)
 
 
 def test_kind_catalogue():
@@ -34,6 +34,71 @@ def test_kind_catalogue():
         ratio_certificate("rounding_directed", banana=1)
     with pytest.raises(ValidationError):
         ratio_certificate("rounding_directed", grid_step=-1.0)
+
+
+# float.hex of value and argopt, recorded before the kinds were tabulated;
+# every certificate must reproduce them bit for bit
+_PINNED_BITS = [
+    ("sdp_directed", {}, "0x1.d01977c28c4d5p-1",
+     {"theta_ij": "0x1.0b752440ed9f8p+1", "theta_i": "0x1.d1a04046fc83cp+0",
+      "theta_j": "0x1.d51df5d447724p+0"}),
+    ("sdp_undirected", {}, "0x1.ce99c1157d572p-1",
+     {"theta_ij": "0x1.18e401a733b04p+1", "theta_i": "0x1.c7c310bc91ca1p+0",
+      "theta_j": "0x1.c7c3105624530p+0"}),
+    ("sdp_self", {}, "0x1.ced218ba21932p-1", {"theta": "0x1.2a62379666668p+1"}),
+    ("rounding_undirected", {}, "0x1.d27bb44af2946p-1",
+     {"x": "0x1.958d40a76c8b6p-1", "y": "0x1.00000003b82fdp-1"}),
+    ("rounding_directed", {}, "0x1.1b153d310ae6ap-1",
+     {"x": "0x1.0792781ab020cp-1", "y": "0x1.4498517d70a3ep-1"}),
+    ("random_ie", {}, "0x1.5f619980c4338p-1",
+     {"q": "0x1.2bec32da449b9p-2", "p": "0x1.2bec3345b3745p-1"}),
+    ("class_ie", {}, "0x1.680d276379d59p-1", {}),
+    ("rounding_undirected", {"schedule": "flat"}, "0x1.9adbed6f71612p-1",
+     {"x": "0x1.0000000000000p+0", "y": "0x1.421305caa5732p-1"}),
+    ("random_ie", {"lam": 0.5}, "0x1.6e05aa90cc605p-1",
+     {"q": "0x1.db9d00688fd44p-4", "p": "0x1.2bec332bbbe8ep-1"}),
+    ("random_ie", {"directed": True}, "0x1.5f619980c4338p-2",
+     {"q": "0x1.2bec32da449b9p-2", "p": "0x1.2bec3345b3745p-1"}),
+    ("sdp_undirected", {"p": 0.5, "gamma": 0.176, "grid_step": 0.05},
+     "0x1.ccb023fbc3d3bp-1",
+     {"theta_ij": "0x1.1c50a28bc86f2p+1", "theta_i": "0x1.c4f377d5d6804p+0",
+      "theta_j": "0x1.c4f377dc8ae12p+0"}),
+    ("class_ie", {"K": 3, "q": (0.2, 0.3, 0.5), "directed": True},
+     "0x1.619999999999ap-2", {}),
+]
+
+
+@pytest.mark.parametrize("kind, params, value, argopt", _PINNED_BITS)
+def test_certificate_bits_are_pinned(kind, params, value, argopt):
+    rep = ratio_certificate(kind, **params)
+    assert rep.value.hex() == value
+    assert {k: float(v).hex() for k, v in rep.argopt.items()} == argopt
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind in CERTIFICATE_KINDS
+    for key in sorted({k for _, d in _KINDS.values() for k in d}
+                      - _KINDS[kind][1].keys())])
+def test_every_kind_rejects_another_kinds_parameter(kind, key):
+    value = next(d[key] for _, d in _KINDS.values() if key in d)
+    with pytest.raises(ValidationError, match="unexpected parameters"):
+        ratio_certificate(kind, **{key: value})
+
+
+# how a report names a default it resolved: the schedule by its full name,
+# q=None by the stored six-class vector
+_RESOLVED = {("schedule", "piecewise"): UNDIRECTED_ROUNDING.name,
+             ("q", None): list(SIX_CLASS_PRESET_Q)}
+
+
+@pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+def test_default_report_params_are_the_table_defaults(kind):
+    _, defaults = _KINDS[kind]
+    params = ratio_certificate(kind).params
+    assert {k: params[k] for k in defaults} == {
+        k: _RESOLVED.get((k, v), v) for k, v in defaults.items()}
+    # beyond its parameters a report names only the rounding p_hat
+    assert params.keys() - defaults.keys() <= {"p_hat"}
 
 
 def test_directed_rounding_minimum():

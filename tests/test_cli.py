@@ -156,12 +156,32 @@ def test_eval_rejects_strategy_missing_key(cycle4_file, tmp_path, capsys,
     {"q": "x", "p": 0.5},
     {"q": 0.5, "p": [0.5]},
     {"K": "two", "q": [0.5, 0.5]},
+    {"influence_set": [math.inf], "p": 0.6},
+    {"K": math.inf, "q": [0.5, 0.5]},
+    {"influence_set": [0, 0.5], "p": 0.6},
+    {"influence_set": "01", "p": 0.6},
+    {"order": "10", "prices": [0.9, 0.8, 0.7, 0.6]},
+    {"K": 6.9, "q": [0.5, 0.5]},
+    {"K": "6", "q": [0.5, 0.5]},
+    {"q": "0.3", "p": 0.6},
+    {"q": True, "p": 0.6},
+    {"q": 0.3, "p": 10 ** 400},
 ])
 def test_strategy_with_wrong_value_type_is_rejected(cycle4_file, tmp_path,
                                                     capsys, command, doc):
     bad = tmp_path / "typed.json"
     bad.write_text(json.dumps(doc))
     rc = main([command, "--input", cycle4_file, "--strategy", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_eval_rejects_a_json_integer_too_long_to_parse(cycle4_file, tmp_path,
+                                                       capsys):
+    bad = tmp_path / "long.json"
+    bad.write_text('{"q": 0.3, "p": 1' + "0" * 5000 + '}')
+    rc = main(["eval", "--input", cycle4_file, "--strategy", str(bad)])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error:") and captured.out == ""

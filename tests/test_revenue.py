@@ -464,6 +464,61 @@ def test_strategy_from_json_rejects_junk():
         strategy_from_json({"what": 1})
 
 
+def test_strategy_to_json_is_the_fields_in_order():
+    assert list(MarketingStrategy((1, 0), (0.5, 0.75)).to_json().items()) \
+        == [("order", [1, 0]), ("prices", [0.5, 0.75])]
+    assert list(IEStrategy(frozenset({2, 0}), 0.6).to_json().items()) \
+        == [("influence_set", [0, 2]), ("p", 0.6)]
+    assert list(RandomIEStrategy(0.3, 0.7).to_json().items()) \
+        == [("q", 0.3), ("p", 0.7)]
+    assert list(GeneralizedIEStrategy(2, (0.5, 0.5), seed=1).to_json()
+                .items()) == [("K", 2), ("q", [0.5, 0.5]), ("seed", 1)]
+
+
+# JSON documents whose values have the wrong type for their field
+MALFORMED_STRATEGY_DOCS = [
+    {"influence_set": [math.inf], "p": 0.6},
+    {"K": math.inf, "q": [0.5, 0.5]},
+    {"influence_set": [0, 0.5], "p": 0.6},
+    {"influence_set": "01", "p": 0.6},
+    {"order": "10", "prices": [0.9, 0.8]},
+    {"order": [1, 0], "prices": "0.9"},
+    {"K": 6.9, "q": [0.5, 0.5]},
+    {"K": "6", "q": [0.5, 0.5]},
+    {"K": True, "q": [0.5, 0.5]},
+    {"K": 2, "q": [True, False]},
+    {"K": 2, "q": [0.5, 0.5], "seed": 1.0},
+    {"q": "0.3", "p": 0.6},
+    {"q": True, "p": 0.6},
+    {"q": 0.3, "p": True},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_STRATEGY_DOCS)
+def test_strategy_from_json_checks_json_types(doc):
+    with pytest.raises(ValidationError, match="must encode"):
+        strategy_from_json(doc)
+
+
+def test_strategy_from_json_takes_integers_for_numbers_and_null_seed():
+    assert strategy_from_json({"K": 3, "q": [0.2, 0.3, 0.5], "seed": 1}) \
+        == GeneralizedIEStrategy(3, (0.2, 0.3, 0.5), seed=1)
+    assert strategy_from_json({"K": 2, "q": [1, 0], "seed": None}).q \
+        == (1.0, 0.0)
+    assert strategy_from_json({"order": [1, 0], "prices": [1, 0.5]}) \
+        == MarketingStrategy((1, 0), (1.0, 0.5))
+    # a number too large for a float is rejected, not raised
+    with pytest.raises(ValidationError):
+        strategy_from_json({"q": 0.3, "p": 10 ** 400})
+
+
+def test_strategies_built_in_python_still_coerce_numpy_scalars():
+    s = IEStrategy(frozenset({np.int64(1)}), np.float64(0.6))
+    assert s.to_json() == {"influence_set": [1], "p": 0.6}
+    g = GeneralizedIEStrategy(np.int64(2), np.array([0.5, 0.5]))
+    assert g.to_json() == {"K": 2, "q": [0.5, 0.5], "seed": None}
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
