@@ -10,6 +10,8 @@ echo '{"influence_set": [1, 3], "p": 0.5}' > ie.json
 echo '{"q": 0.3, "p": 0.6}' > rie.json
 echo '{"K": 3, "q": [0.2, 0.3, 0.5], "seed": 1}' > gie.json
 echo '{"influence_set": [Infinity], "p": 0.6}' > inf.json
+echo '{"K": 2, "q": [0.5, 0.5], "sed": 3}' > sed.json
+echo '{"K": 2, "q": [0.5, 0.5], "seed": -1}' > negseed.json
 printf 'undirected 4\n0 1 1.1e307\n1 2 1.1e307\n2 3 1.1e307\n3 0 1.1e307\n' > huge.txt
 C=corpus/cycle4.txt; R=corpus/random12.txt; B=corpus/bipartite33.txt
 i=0
@@ -56,4 +58,8 @@ done
 run eval --input $C --strategy missing.json
 run eval --input $C --strategy inf.json
 run table --corpus nowhere
+run gen --kind random --n 7 --density 0.6666666666666666 --weight-range 0.1 1 --seed 5 --output m7.txt
+run sdp-ie --input m7.txt --seed 0
+run eval --input $C --strategy sed.json
+run eval --input $C --strategy negseed.json
 cd /; rm -rf "$work"

@@ -259,8 +259,7 @@ _TABLE_COLUMNS = ("instance", "n", "directed", "W", "N", "upper_bound",
                   "tuned_ie_ratio", "generalized_ie", "generalized_ie_ratio",
                   "sdp_ie", "sdp_ie_ratio", "sdp_converged",
                   "sdp_upper_bound", "sdp_certified_gap", "winning_start",
-                  "starts_run", "blas_pinned",
-                  "oracle_best_ie", "oracle_best_ie_ratio",
+                  "blas_pinned", "oracle_best_ie", "oracle_best_ie_ratio",
                   "sdp_ie_vs_oracle")
 
 

@@ -89,13 +89,20 @@ class _Strategy:
 
     @classmethod
     def from_json(cls, doc: dict):
-        """Inverse of ``to_json``; fields without defaults are required, and
+        """Inverse of ``to_json``; fields without defaults are required, no
+        other key is allowed but a "family" that names this family, and
         each value must have its field's JSON type (``_json_fits``)."""
         missing = [f.name for f in fields(cls)
                    if f.name not in doc and f.default is MISSING]
         if missing:
             raise ValidationError(f"{cls.family} strategy document is missing "
                                   f"key(s): {', '.join(missing)}")
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if doc.get("family") == cls.family:
+            unknown.discard("family")
+        if unknown:
+            raise ValidationError(f"{cls.family} strategy document has unknown "
+                                  f"key(s): {', '.join(sorted(unknown))}")
         given = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
         hints = get_type_hints(cls)
         for f in fields(cls):
@@ -318,6 +325,8 @@ class GeneralizedIEStrategy(_ClassIEStrategy):
             raise ValidationError("q must be non-negative")
         if abs(float(np.sum(q)) - 1.0) > 1e-9:
             raise ValidationError(f"q must sum to 1, got {float(np.sum(q))!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError(f"seed must be None or >= 0, got {self.seed}")
         q = np.clip(q, 0.0, None)
         q = q / np.sum(q)
         object.__setattr__(self, "K", K)

@@ -182,13 +182,12 @@ def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
 
 @dataclass(frozen=True)
 class SdpRound:
-    """One outer augmented-Lagrangian round of one start of ``solve_sdp``:
-    the inner L-BFGS ``ftol`` and iteration count, then the objective and
-    the certified upper bound from the round's multipliers (both in the
+    """One outer augmented-Lagrangian round of ``solve_sdp``: the inner
+    L-BFGS ``ftol`` and iteration count, then the objective and the
+    certified upper bound from the round's multipliers (both in the
     caller's units) and max violation at its end, and the penalty mu the
     round ran with."""
 
-    start: int
     round: int
     ftol: float
     iterations: int
@@ -207,9 +206,8 @@ class SdpSolution:
     is (upper_bound - objective_value) / max(1, |objective_value|) in
     coefficient units; it can be slightly negative, since the vectors are
     feasible only to FEAS_TOL.  ``trace`` holds one SdpRound per outer
-    round of every start run, ``starts_run`` counts those starts, and
-    ``winning_start`` is the start whose vectors were returned (-1 for the
-    integral assignment)."""
+    round, and ``winning_start`` is 0 when the ascent's vectors were
+    returned and -1 for the integral assignment."""
 
     vectors: np.ndarray
     objective_value: float
@@ -221,7 +219,6 @@ class SdpSolution:
     winning_start: int = -1
     upper_bound: float = math.inf
     certified_gap: float = math.inf
-    starts_run: int = 0
 
     def angles(self) -> np.ndarray:
         """theta_i = angle between v_i and v_0, per buyer."""
@@ -234,12 +231,11 @@ def default_rank(n: int) -> int:
 
 
 #: Solver settings: feasibility and relative objective tolerances, outer
-#: augmented-Lagrangian rounds, L-BFGS iterations per round, and starts.
+#: augmented-Lagrangian rounds, and L-BFGS iterations per round.
 FEAS_TOL = 1e-4
 OBJ_TOL = 1e-4
 MAX_OUTER = 40
 INNER_ITERATIONS = 200
-STARTS = 3
 #: Initial augmented-Lagrangian penalty, in units of one coefficient (see
 #: ``_coefficient_unit``); it grows 4x per stalled round up to 1e8 times this.
 MU_START = 10.0
@@ -473,22 +469,19 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
 
     Factorizes the Gram matrix as V V^T with unit rows of dimension ``rank``
     (an integer >= 1, used as min(max(rank, 2), n + 1); ``default_rank``
-    if None) and runs up to STARTS local ascents: the first jittered from
-    the greedy integral assignment of ``_best_integral_signs``, the rest
-    random.  Every edge pair's four constraint rows sit in the augmented
-    Lagrangian from the first inner solve.  Returns the best feasible
-    candidate, the integral assignment included, so the objective never
-    falls below its value; ``converged`` is False if no start reached the
-    tolerances.
+    if None) and runs one local ascent, started from the greedy integral
+    assignment of ``_best_integral_signs`` jittered by seeded noise.  Every
+    edge pair's four constraint rows sit in the augmented Lagrangian from
+    the first inner solve.  The integral assignment is returned instead
+    (``winning_start`` -1) when the ascent ends infeasible or no higher, so
+    the objective never falls below its value; ``converged`` is False if
+    the ascent did not reach the tolerances.
 
     After every outer round, the round's multipliers give a proven upper
     bound on the relaxation (``_dual_bound``), and so on the best IE
     revenue at the problem's p, at any n; ``upper_bound`` is the minimum
-    over rounds.  After each start that converged, the remaining starts
-    are skipped once that minimum is within OBJ_TOL * max(1, |best|) of the
-    best feasible objective; ``starts_run`` counts the starts run,
-    ``certified_gap`` is the final relative gap, and ``trace`` holds one
-    SdpRound per outer round.
+    over rounds, ``certified_gap`` its relative gap to the returned
+    objective, and ``trace`` holds one SdpRound per outer round.
 
     The problem is solved in units of one coefficient (``coef`` and
     ``constant`` divided by the power of two nearest the mean |coef|), so
@@ -501,7 +494,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
 
     Each evaluation costs O((|E| + n) rank) and builds no (n+1) x (n+1)
     array; the bound keeps that with sparse products, an (n+1) x 3 rank
-    Krylov block and a sparse factorization.  The starts and bounds run
+    Krylov block and a sparse factorization.  The ascent and bounds run
     with scipy's OpenBLAS pinned to one thread (restored afterwards), so
     the output does not depend on the BLAS thread count at any n; where
     that library is not found they run unpinned, which
@@ -518,81 +511,63 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     caller_prob = prob
     prob = dataclasses.replace(prob, coef=prob.coef / unit,
                                constant=prob.constant / unit)
-    rng = np.random.default_rng(seed)
 
     y_int = _best_integral_signs(prob, seed)
     V_int = np.zeros((m, rank))
     V_int[:, 0] = y_int
     int_obj = prob.objective_at_signs(y_int)
-    candidates = [(int_obj, 0.0, V_int, True, -1)]
     if prob.n == 0 or prob.coef.size == 0:
         return SdpSolution(V_int, int_obj * unit, 0.0, 0, True, caller_prob,
                            upper_bound=int_obj * unit, certified_gap=0.0)
 
     W, pair_of_entry = _scatter_matrix(prob)
     D, pair_of_diag_entry = _scatter_matrix(prob, diagonal=True)
+    X = V_int + 0.2 * np.random.default_rng(seed).standard_normal((m, rank))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    lam = np.zeros((len(prob._edge_triples), len(CONSTRAINT_SIGNS)))
+    mu = MU_START
+    prev_obj, prev_viol = None, np.inf
+    converged = False
     total_iters = 0
     trace = []
     upper = math.inf
     with _one_blas_thread():
-        for s in range(STARTS):
-            if s == 0:
-                X = V_int + 0.2 * rng.standard_normal((m, rank))
-            else:
-                X = rng.standard_normal((m, rank))
-            X /= np.linalg.norm(X, axis=1, keepdims=True)
-            lam = np.zeros((len(prob._edge_triples), len(CONSTRAINT_SIGNS)))
-            mu = MU_START
-            prev_obj, prev_viol = None, np.inf
-            converged = False
-
-            for outer in range(MAX_OUTER):
-                ftol = max(FTOL_START / 10.0 ** outer, FTOL_FLOOR)
-                res = minimize(_al_value_grad, X.ravel(),
-                               args=(prob, W, pair_of_entry, lam, mu),
-                               jac=True, method="L-BFGS-B",
-                               options={"maxiter": INNER_ITERATIONS,
-                                        "ftol": ftol})
-                total_iters += int(res.nit)
-                X = res.x.reshape(m, rank)
-                V = _unit_rows(X)[0]
-                g = _gram_entries(prob, V)
-                obj = prob._objective(g)
-                slack = _slacks(prob, g)
-                max_viol = float(max(0.0, -np.min(slack))) \
-                    if slack.size else 0.0
-                lam = np.maximum(0.0, lam - mu * slack)
-                bound = _dual_bound(prob, D, pair_of_diag_entry, V, lam)
-                upper = min(upper, bound)
-                trace.append(SdpRound(s, outer, ftol, int(res.nit),
-                                      obj * unit, max_viol, mu,
-                                      bound * unit))
-                if max_viol <= FEAS_TOL and prev_obj is not None \
-                        and abs(obj - prev_obj) <= OBJ_TOL * max(1.0, abs(obj)):
-                    converged = True
-                    break
-                if max_viol > 0.5 * prev_viol and outer > 0:
-                    mu = min(mu * 4.0, 1e8 * MU_START)
-                prev_obj, prev_viol = obj, max(max_viol, 1e-16)
-            candidates.append((obj, max_viol, V, converged, s))
-            if converged and _certified_gap(upper, candidates) <= OBJ_TOL:
+        for outer in range(MAX_OUTER):
+            ftol = max(FTOL_START / 10.0 ** outer, FTOL_FLOOR)
+            res = minimize(_al_value_grad, X.ravel(),
+                           args=(prob, W, pair_of_entry, lam, mu),
+                           jac=True, method="L-BFGS-B",
+                           options={"maxiter": INNER_ITERATIONS,
+                                    "ftol": ftol})
+            total_iters += int(res.nit)
+            X = res.x.reshape(m, rank)
+            V = _unit_rows(X)[0]
+            g = _gram_entries(prob, V)
+            obj = prob._objective(g)
+            slack = _slacks(prob, g)
+            max_viol = float(max(0.0, -np.min(slack))) if slack.size else 0.0
+            lam = np.maximum(0.0, lam - mu * slack)
+            bound = _dual_bound(prob, D, pair_of_diag_entry, V, lam)
+            upper = min(upper, bound)
+            trace.append(SdpRound(outer, ftol, int(res.nit), obj * unit,
+                                  max_viol, mu, bound * unit))
+            if max_viol <= FEAS_TOL and prev_obj is not None \
+                    and abs(obj - prev_obj) <= OBJ_TOL * max(1.0, abs(obj)):
+                converged = True
                 break
+            if max_viol > 0.5 * prev_viol and outer > 0:
+                mu = min(mu * 4.0, 1e8 * MU_START)
+            prev_obj, prev_viol = obj, max(max_viol, 1e-16)
 
-    feasible = [c for c in candidates if c[1] <= FEAS_TOL]
-    best = max(feasible, key=lambda c: c[0])
-    return SdpSolution(vectors=best[2], objective_value=best[0] * unit,
-                       max_violation=best[1], iterations=total_iters,
-                       converged=any(c[3] for c in candidates[1:]),
-                       problem=caller_prob, trace=tuple(trace),
-                       winning_start=best[4], upper_bound=upper * unit,
-                       certified_gap=_certified_gap(upper, candidates),
-                       starts_run=len(candidates) - 1)
-
-
-def _certified_gap(upper: float, candidates) -> float:
-    """(upper - best feasible objective) / max(1, |best|)."""
-    best = max(c[0] for c in candidates if c[1] <= FEAS_TOL)
-    return (upper - best) / max(1.0, abs(best))
+    winner = 0
+    if max_viol > FEAS_TOL or obj <= int_obj:
+        V, obj, max_viol, winner = V_int, int_obj, 0.0, -1
+    return SdpSolution(vectors=V, objective_value=obj * unit,
+                       max_violation=max_viol, iterations=total_iters,
+                       converged=converged, problem=caller_prob,
+                       trace=tuple(trace), winning_start=winner,
+                       upper_bound=upper * unit,
+                       certified_gap=(upper - obj) / max(1.0, abs(obj)))
 
 
 # ---------------------------------------------------------------------------
@@ -720,14 +695,13 @@ class SdpIEResult:
     seed: object
 
     def solver_diagnostics(self) -> dict:
-        """The relaxation's certified upper bound and gap, the start whose
-        vectors were rounded, the number of starts run, and whether the
-        solver found scipy's OpenBLAS to pin to one thread."""
+        """The relaxation's certified upper bound and gap, whether the
+        ascent (0) or the integral assignment (-1) was rounded, and whether
+        the solver found scipy's OpenBLAS to pin to one thread."""
         sol = self.solution
         return {"sdp_upper_bound": sol.upper_bound,
                 "sdp_certified_gap": sol.certified_gap,
                 "winning_start": sol.winning_start,
-                "starts_run": sol.starts_run,
                 "blas_pinned": _scipy_openblas() is not None}
 
     def to_json(self) -> dict:

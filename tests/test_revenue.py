@@ -464,6 +464,33 @@ def test_strategy_from_json_rejects_junk():
         strategy_from_json({"what": 1})
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"K": 2, "q": [0.5, 0.5], "sed": 3}, "sed"),
+    ({"q": 0.3, "p": 0.6, "banana": [0]}, "banana"),
+    ({"influence_set": [1], "p": 0.6, "family": "random_ie"}, "family"),
+])
+def test_strategy_from_json_rejects_unknown_keys(doc, key):
+    with pytest.raises(ValidationError, match=f"unknown key\\(s\\): {key}$"):
+        strategy_from_json(doc)
+
+
+def test_strategy_from_json_takes_the_family_it_detects():
+    # an oracle report's witness carries its family beside the fields
+    for s in [MarketingStrategy((1, 0), (0.5, 0.75)),
+              IEStrategy(frozenset({0, 2}), 0.6), RandomIEStrategy(0.3, 0.7),
+              GeneralizedIEStrategy(3, (0.2, 0.3, 0.5), seed=4)]:
+        assert strategy_from_json({**s.to_json(), "family": s.family}) == s
+
+
+def test_generalized_ie_seed_must_be_none_or_non_negative():
+    with pytest.raises(ValidationError, match="seed must be None or >= 0"):
+        GeneralizedIEStrategy(2, (0.5, 0.5), seed=-1)
+    with pytest.raises(ValidationError, match="seed must be None or >= 0"):
+        strategy_from_json({"K": 2, "q": [0.5, 0.5], "seed": -1})
+    assert GeneralizedIEStrategy(2, (0.5, 0.5), seed=0).sample_classes(4) \
+        .shape == (4,)
+
+
 def test_strategy_to_json_is_the_fields_in_order():
     assert list(MarketingStrategy((1, 0), (0.5, 0.75)).to_json().items()) \
         == [("order", [1, 0]), ("prices", [0.5, 0.75])]
