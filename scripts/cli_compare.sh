@@ -62,4 +62,10 @@ run gen --kind random --n 7 --density 0.6666666666666666 --weight-range 0.1 1 --
 run sdp-ie --input m7.txt --seed 0
 run eval --input $C --strategy sed.json
 run eval --input $C --strategy negseed.json
+run oracle --input corpus/dag6.txt --mode best-strategy --seed 1
+run oracle --input u20.txt --mode best-strategy --seed 1
+run oracle --input corpus/dag6.txt --mode best-ordering --prices 0.9,0.8,0.7,0.6,0.55,0.5
+run gadget-table --kind extended_triangle --seed 1
+printf 'undirected 3\n' > empty3.txt
+run ie --input empty3.txt --mode tuned
 cd /; rm -rf "$work"

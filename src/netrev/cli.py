@@ -27,8 +27,8 @@ from .netmodel import (GADGET_KINDS, SocialNetwork, ValidationError, gadget,
                        generate, load_network, save_network)
 from .oracle import (best_ie_exhaustive, best_ordering_exhaustive,
                      best_strategy_search, gadget_revenue_table, simulate)
-from .revenue import (RandomIEStrategy, revenue_bounds, strategy_family,
-                      strategy_from_json)
+from .revenue import (RandomIEStrategy, _revenue_ratio, revenue_bounds,
+                      strategy_family, strategy_from_json)
 from .sdprelax import sdp_ie
 from .strategies import generalized_ie, ie_baseline, ie_bipartite, ie_tuned
 
@@ -63,12 +63,6 @@ def _float_list(text: str) -> list[float]:
 def _instance_descriptor(g: SocialNetwork, path) -> dict:
     return {"path": str(path), "n": g.n, "directed": g.directed,
             "num_edges": g.num_edges, "W": g.W, "N": g.N}
-
-
-def _ratio(revenue: float, upper: float) -> float:
-    if upper <= 0.0:
-        return 0.0
-    return min(1.0, revenue / upper)
 
 
 def _load_instance(path) -> SocialNetwork:
@@ -108,13 +102,13 @@ def _write_text(path, text: str) -> None:
 def _strategy_report(g: SocialNetwork, path, strategy, revenue: float,
                      parameters: dict, seed: Optional[int], **extra) -> dict:
     """Report on one strategy: its family, parameters and revenue against
-    the upper bound R* = (W + N)/4 (``ratio``, capped at 1 against float
-    noise), plus any command-specific ``extra`` fields."""
+    the upper bound R* = (W + N)/4 (``ratio``, see ``_revenue_ratio``),
+    plus any command-specific ``extra`` fields."""
     upper = revenue_bounds(g).upper
     return {"instance": _instance_descriptor(g, path),
             "family": strategy_family(strategy), "parameters": parameters,
             "revenue": revenue, "upper_bound": upper,
-            "ratio": _ratio(revenue, upper), "seed": seed,
+            "ratio": _revenue_ratio(revenue, upper), "seed": seed,
             "strategy": strategy.to_json(), **extra}
 
 
@@ -239,18 +233,18 @@ def _table_row(path, seed: int, trials: int) -> dict:
                           ("tuned_ie", RandomIEStrategy(tuned.q, tuned.p)),
                           ("generalized_ie", generalized_ie(g, 6))):
         row[key] = strategy.expected_revenue(g)
-        row[f"{key}_ratio"] = _ratio(row[key], upper)
+        row[f"{key}_ratio"] = _revenue_ratio(row[key], upper)
     result = sdp_ie(g, trials=trials, seed=seed)
     row["sdp_ie"] = result.revenue
-    row["sdp_ie_ratio"] = _ratio(result.revenue, upper)
+    row["sdp_ie_ratio"] = _revenue_ratio(result.revenue, upper)
     row["sdp_converged"] = result.solution.converged
     row.update(result.solver_diagnostics())
     if g.n <= _ORACLE_TABLE_LIMIT:
         oracle = best_ie_exhaustive(g)
         row["oracle_best_ie"] = oracle.best_value
-        row["oracle_best_ie_ratio"] = _ratio(oracle.best_value, upper)
-        row["sdp_ie_vs_oracle"] = (result.revenue / oracle.best_value
-                                   if oracle.best_value > 0 else 1.0)
+        row["oracle_best_ie_ratio"] = _revenue_ratio(oracle.best_value, upper)
+        row["sdp_ie_vs_oracle"] = _revenue_ratio(result.revenue,
+                                                 oracle.best_value)
     return row
 
 

@@ -184,16 +184,6 @@ class SocialNetwork:
         w = np.concatenate([self.edge_weight, self.edge_weight])
         return src, dst, w
 
-    def in_weight_matrix(self) -> np.ndarray:
-        """Dense ``n x n`` matrix ``M[j, i]`` = influence of ``j`` on ``i``.
-
-        Intended for small instances (simulation, oracles); zero diagonal.
-        """
-        M = np.zeros((self.n, self.n))
-        src, dst, w = self.influence_pairs()
-        M[src, dst] = w
-        return M
-
     def scaled(self, c: float) -> "SocialNetwork":
         """Network with every weight multiplied by ``c > 0``."""
         if not c > 0:

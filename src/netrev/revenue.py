@@ -26,9 +26,9 @@ PRICE_PROB_MAX = 1.0
 _PROB_TOL = 1e-12
 _BATCH_CELLS = 1 << 19
 # Cells per block of the loops that run many times per call (``simulate``,
-# ``best_ie_exhaustive``, the certificate scan): a float64 temporary of this
-# size, 120 KiB, stays under glibc's default 128 KiB mmap threshold, so it
-# is served from the heap and reused without page faults.
+# ``best_ie_exhaustive``, marketing revenue, the certificate scan): a float64
+# temporary of this size, 120 KiB, stays under glibc's default 128 KiB mmap
+# threshold, so it is served from the heap and reused without page faults.
 _BLOCK_CELLS = 15 << 10
 
 
@@ -175,24 +175,12 @@ class MarketingStrategy(_Strategy):
         return np.asarray(self.prices)[:, None], self.positions()[:, None]
 
     def expected_revenue(self, g: SocialNetwork) -> float:
-        """Exact expected revenue on ``g``.
-
-        Buyer ``i`` contributes ``p_i (1 - p_i)`` times its expected
-        valuation cap, which counts ``w[i, i]`` plus ``p_j * w[j, i]`` over
-        in-neighbors ``j`` approached earlier (those own the product with
-        probability ``p_j``, independently).
-        """
+        """Exact expected revenue on ``g``: one row of
+        :func:`_marketing_revenue_rows`."""
         _require_normalized(g, "strategy_revenue")
         self._check_size(g.n)
-        p = np.asarray(self.prices)
-        pos = self.positions()
-        src, dst, w = g.influence_pairs()
-        margin = p * (1.0 - p)
-        total = float(np.sum(margin * g.self_weights))
-        if w.size:
-            before = pos[src] < pos[dst]
-            total += float(np.sum((margin[dst] * p[src] * w)[before]))
-        return total
+        return float(_marketing_revenue_rows(
+            g, np.asarray(self.prices)[None], self.positions()[None])[0])
 
 
 @dataclass(frozen=True)
@@ -380,6 +368,34 @@ def strategy_revenue(g: SocialNetwork, strategy: MarketingStrategy) -> float:
     return strategy.expected_revenue(g)
 
 
+def _marketing_revenue_rows(g: SocialNetwork, P: np.ndarray,
+                            pos: np.ndarray) -> np.ndarray:
+    """Expected revenue of each row of prices ``P`` (T, n) approached in
+    the order of the row of positions ``pos`` (T, n), ``pos[r, i]`` the
+    step of buyer i: buyer i earns ``p_i (1 - p_i)`` times its expected cap
+    ``w[i, i]`` plus ``p_j w[j, i]`` over the influence pairs (j, i) with j
+    approached earlier.  Rows go in blocks of about ``_BLOCK_CELLS`` cells,
+    each summed alone with its pairs grouped by the buyer they pay, so its
+    value does not depend on the rows around it."""
+    src, dst, w = g.influence_pairs()
+    by_buyer = np.lexsort((src, dst))
+    src, dst, w = src[by_buyer], dst[by_buyer], w[by_buyer]
+    R = np.empty(P.shape[0])
+    rows = max(1, _BLOCK_CELLS // max(1, g.n, w.size))
+    for start in range(0, R.size, rows):
+        # np.sum reduces a C-contiguous row alone; p[:, src] is not one
+        p = np.ascontiguousarray(P[start:start + rows])
+        at = pos[start:start + rows]
+        margin = p * (1.0 - p)
+        R[start:start + rows] = np.sum(margin * g.self_weights, axis=1)
+        if w.size:
+            gain = p.take(src, axis=1) * w
+            gain *= margin.take(dst, axis=1)
+            gain *= at.take(src, axis=1) < at.take(dst, axis=1)
+            R[start:start + rows] += np.sum(gain, axis=1)
+    return R
+
+
 def _influence_mask(A: Iterable[int], n: int) -> np.ndarray:
     """Membership vector of influence set ``A``; members must lie in [0, n)."""
     A = {int(i) for i in A}
@@ -426,6 +442,19 @@ def _ie_cubic(p, C, D):
     return p * (1.0 - p) * (C + 0.5 * p * D)
 
 
+def _ie_weights(g: SocialNetwork):
+    """The IE weight table ``(cap, src, dst, w)``: ``cap[i]`` is buyer i's
+    cap when all others own the product; priced, it splits into C (self-
+    weight and influence from the free set) and D, which counts ``w[k]``
+    when ``src[k]`` and ``dst[k]`` are both priced (undirected: doubled)."""
+    src, dst, w = g.edge_src, g.edge_dst, g.edge_weight
+    in_w = np.bincount(dst, w, g.n)
+    if not g.directed:
+        in_w += np.bincount(src, w, g.n)
+        w = 2.0 * w
+    return g.self_weights + in_w, src, dst, w
+
+
 def ie_coefficients_batch(g: SocialNetwork, members: np.ndarray):
     """:func:`ie_revenue_coefficients` of many influence sets at once.
 
@@ -439,15 +468,7 @@ def ie_coefficients_batch(g: SocialNetwork, members: np.ndarray):
     if M.ndim != 2 or M.shape[1] != g.n:
         raise ValidationError(f"membership matrix must have {g.n} columns")
     T, n = M.shape
-    src, dst, w = g.edge_src, g.edge_dst, g.edge_weight
-    # cap[i] is buyer i's valuation cap when every other buyer owns the
-    # product; priced, it splits into C (self-weight plus influence from
-    # the free set) and D (influence from the other priced buyers).
-    in_w = np.bincount(dst, w, n)
-    if not g.directed:  # each stored edge is an influence pair both ways
-        in_w += np.bincount(src, w, n)
-        w = 2.0 * w
-    cap = g.self_weights + in_w
+    cap, src, dst, w = _ie_weights(g)
     C, D = np.empty(T), np.empty(T)
     rows = max(1, _BATCH_CELLS // max(1, n, w.size))
     for start in range(0, T, rows):
@@ -514,6 +535,12 @@ class RevenueBounds:
 
     def to_json(self) -> dict:
         return {"upper": self.upper, "myopic_lower": self.myopic_lower}
+
+
+def _revenue_ratio(revenue: float, reference: float) -> float:
+    """``revenue / reference`` capped at 1 against float noise; 1 when the
+    reference, such as R* = (W + N)/4, is 0, since nothing can be earned."""
+    return min(1.0, revenue / reference) if reference > 0.0 else 1.0
 
 
 def revenue_bounds(g: SocialNetwork) -> RevenueBounds:

@@ -114,16 +114,6 @@ class SdpProblem:
         return self.constant + float(
             np.sum(self.coef * y[self.coef_a] * y[self.coef_b]))
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "directedness": "directed" if self.directed else "undirected",
-            "p": self.p,
-            "constant": self.constant,
-            "coefficients": [[int(a), int(b), float(c)] for a, b, c in
-                             zip(self.coef_a, self.coef_b, self.coef)],
-        }
-
 
 #: (constant, c_0i) of a unit self-weight on buyer i, in units of
 #: p(1 - p) / 4: the buyer earns p(1 - p) when priced (y_i = -y_0).

@@ -18,7 +18,8 @@ from scipy.optimize import minimize
 from .netmodel import SocialNetwork, ValidationError
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
                       _check_price_prob, _influence_mask, _require_normalized,
-                      class_moments, pricing_classes, revenue_bounds)
+                      _revenue_ratio, class_moments, pricing_classes,
+                      revenue_bounds)
 from .sdprelax import _one_blas_thread
 
 SQRT2 = math.sqrt(2.0)
@@ -87,17 +88,14 @@ def ie_tuned(g: SocialNetwork, seed=0) -> TunedIE:
     """
     _require_normalized(g, "ie_tuned")
     if g.W == 0:
-        n_quarter = 0.25 * g.N
         return TunedIE(q=0.0, p=0.5, strategy=IEStrategy(frozenset(), 0.5),
-                       expected_revenue=n_quarter, ratio_bound=1.0)
+                       expected_revenue=0.25 * g.N, ratio_bound=1.0)
     random_ie = RandomIEStrategy(_tuned_inclusion_prob(g.lam, g.directed),
                                  TUNED_EXPLOIT_PROB)
     expected = random_ie.expected_revenue(g)
-    upper = revenue_bounds(g).upper
-    ratio = expected / upper if upper > 0 else 1.0
     return TunedIE(q=random_ie.q, p=random_ie.p,
-                   strategy=random_ie.sample(g, seed),
-                   expected_revenue=expected, ratio_bound=ratio)
+                   strategy=random_ie.sample(g, seed), expected_revenue=expected,
+                   ratio_bound=_revenue_ratio(expected, revenue_bounds(g).upper))
 
 
 # ---------------------------------------------------------------------------

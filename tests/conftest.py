@@ -31,6 +31,21 @@ def random_net():
 
 
 @pytest.fixture
+def dense_weights():
+    """Builder of a network's dense n x n matrix M[j, i], the influence of
+    j on i (zero diagonal): an independent reference for the edge-list
+    formulas, on small networks only."""
+
+    def build(g):
+        M = np.zeros((g.n, g.n))
+        src, dst, w = g.influence_pairs()
+        M[src, dst] = w
+        return M
+
+    return build
+
+
+@pytest.fixture
 def tiny_selfloop():
     """Single buyer with unit self-weight: smallest nontrivial market."""
     return SocialNetwork(False, 1, [], self_weights=np.array([1.0]))

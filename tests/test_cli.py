@@ -255,6 +255,19 @@ def test_ie_tuned_reports_ratio_bound(cycle4_file, capsys):
     assert "sampled_revenue" in doc
 
 
+@pytest.mark.parametrize("mode", ["tuned", "baseline"])
+def test_ie_on_an_edgeless_network_earns_all_of_nothing(tmp_path, capsys,
+                                                        mode):
+    # R* = 0: nothing can be earned, so every strategy earns all of it
+    path = tmp_path / "empty.txt"
+    path.write_text("undirected 3\n")
+    doc = run_json(["ie", "--input", str(path), "--mode", mode], capsys)
+    assert doc["upper_bound"] == 0.0 and doc["revenue"] == 0.0
+    assert doc["ratio"] == 1.0
+    if mode == "tuned":
+        assert doc["ratio_bound"] == 1.0
+
+
 def test_ie_bipartite_meets_upper_bound(cycle4_file, capsys):
     doc = run_json(["ie", "--input", cycle4_file, "--mode", "bipartite"],
                    capsys)

@@ -414,10 +414,11 @@ def test_simulate_validation(cycle4, random_net):
             simulate(cycle4, IEStrategy(frozenset({0, member}), 0.6), 10)
 
 
-def _sequential_reference(g, strategy, trials, seed):
+def _sequential_reference(g, Wm, strategy, trials, seed):
     """The sequential-offer process walked one approach step at a time
-    across all trials: buyer b sees M = w[b, b] plus the weight of earlier
-    acceptors and, offered (1 - p_b) M, accepts when u >= 1 - p_b."""
+    across all trials, with Wm the dense weights of g: buyer b sees
+    M = w[b, b] plus the weight of earlier acceptors and, offered
+    (1 - p_b) M, accepts when u >= 1 - p_b."""
     n = g.n
 
     def draws(stream):  # (trials, n), trial-major
@@ -441,7 +442,6 @@ def _sequential_reference(g, strategy, trials, seed):
             prices = np.where(member, 1.0, strategy.p)
             cls = ~member
         order = np.argsort(cls + draws("ordering"), axis=1)
-    Wm = g.in_weight_matrix()
     u = draws("acceptance")
     rows = np.arange(trials)
     accepted = np.zeros((trials, n))
@@ -469,14 +469,16 @@ def _four_families(n):
 
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("family", range(4))
-def test_simulate_matches_sequential_process(random_net, directed, family):
+def test_simulate_matches_sequential_process(random_net, dense_weights,
+                                             directed, family):
     g = random_net(74, n=12, directed=directed, density=0.8,
                    self_weights=not directed)
     s = _four_families(g.n)[family]
     trials = 6000
     assert trials > 2 * (oracle._BLOCK_CELLS // max(g.n, g.num_edges))
     rep = simulate(g, s, trials, seed=9)
-    revenue, counts = _sequential_reference(g, s, trials, seed=9)
+    revenue, counts = _sequential_reference(g, dense_weights(g), s, trials,
+                                            seed=9)
     assert rep.acceptance_counts == tuple(int(c) for c in counts)
     assert rep.mean == pytest.approx(np.mean(revenue), rel=1e-12)
     assert rep.std_error == pytest.approx(

@@ -57,6 +57,30 @@ def test_strategy_revenue_ignores_edges_against_order(wedge3):
     assert strategy_revenue(wedge3, s) == 0.0
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_marketing_revenue_of_a_row_does_not_depend_on_its_block(
+        random_net, monkeypatch, directed):
+    g = random_net(31, n=9, directed=directed, density=0.7,
+                   self_weights=not directed)
+    rng = np.random.default_rng(5)
+    P = rng.uniform(0.5, 1.0, size=(60, g.n))
+    P[::3] = 0.75  # equal prices tie many orders
+    pos = np.argsort(rng.random((60, g.n)), axis=1)
+    pairs = g.influence_pairs()[2].size
+    alone = [revenue._marketing_revenue_rows(g, P[r:r + 1], pos[r:r + 1])[0]
+             for r in range(60)]
+    monkeypatch.setattr(revenue, "_BLOCK_CELLS", 7 * max(g.n, pairs))
+    by_seven = revenue._marketing_revenue_rows(g, P, pos)
+    monkeypatch.setattr(revenue, "_BLOCK_CELLS", 60 * max(g.n, pairs))
+    whole = revenue._marketing_revenue_rows(g, P, pos)
+    assert ([x.hex() for x in alone] == [float(x).hex() for x in by_seven]
+            == [float(x).hex() for x in whole])
+    for r in (0, 1, 59):
+        s = MarketingStrategy(tuple(int(i) for i in np.argsort(pos[r])),
+                              tuple(P[r]))
+        assert s.expected_revenue(g).hex() == alone[r].hex()
+
+
 def test_strategy_revenue_counts_self_weights():
     g = SocialNetwork(False, 2, [], self_weights=[1.0, 2.0])
     s = MarketingStrategy((0, 1), (0.5, 0.5))
@@ -255,12 +279,13 @@ def test_pricing_classes_ladder():
         pricing_classes(1)
 
 
-def test_generalized_ie_matches_assignment_enumeration(random_net):
+def test_generalized_ie_matches_assignment_enumeration(random_net,
+                                                       dense_weights):
     g = random_net(8, n=4, self_weights=True)
     K = 2
     q = (0.4, 0.6)
     prices = pricing_classes(K)
-    Wm = g.in_weight_matrix()
+    Wm = dense_weights(g)
     sw = np.asarray(g.self_weights)
     total = 0.0
     for cls in itertools.product(range(K), repeat=4):
