@@ -3,10 +3,10 @@ strategies, gadget revenue tables, and a Monte Carlo simulator that runs
 the buyer valuation model directly.
 
 The searches are the reference points the approximation algorithms are
-measured against.  ``best_ie_exhaustive`` is exact (it enumerates every
-influence set and maximizes the cubic revenue in p in closed form);
-``best_strategy_search`` is a heuristic lower bound except for directed
-networks small enough to enumerate every approach order.
+measured against.  ``best_ie_exhaustive`` (every influence set, each at
+its best p in closed form) and ``best_ordering_exhaustive`` (every
+approach order at fixed prices) are exact; ``best_strategy_search`` is a
+multistart heuristic, so its values are lower bounds.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence, default_rng
+from scipy.sparse import csr_array
 
 from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
                        gadget)
@@ -30,7 +31,7 @@ _TINY = 1e-12
 
 _ENUMERATION_LIMIT = 22
 _PERMUTATION_LIMIT = 8
-_ORDERING_LIMIT = 10
+_ORDERING_LIMIT = 18
 _UNDIRECTED_LIMIT = 50
 
 
@@ -38,10 +39,10 @@ _UNDIRECTED_LIMIT = 50
 class OracleReport:
     """Outcome of one ground-truth search.
 
-    ``method`` is "exhaustive" when the search space was fully enumerated
-    and "multistart" for the heuristic continuous searches (whose values are
-    lower bounds, not certified optima).  ``resolution`` carries the pitch
-    of the multistart price grid when one was used.
+    ``method`` is "exhaustive" for the exact searches and "multistart"
+    for the heuristic continuous searches (whose values are lower bounds,
+    not certified optima).  ``resolution`` carries the pitch of the
+    multistart price grid when one was used.
     """
 
     best_value: float
@@ -83,10 +84,6 @@ def _optimal_p_for_sets(C: np.ndarray, D: np.ndarray, scale: float):
     p = np.where(vals >= half, p, 0.5)
     vals = np.maximum(vals, half)
     return vals, p
-
-
-def _bits_of(index: int, n: int) -> frozenset:
-    return frozenset(int(i) for i in range(n) if (index >> i) & 1)
 
 
 def _half_patterns(cap, src, dst, w, lo: int, hi: int):
@@ -148,7 +145,8 @@ def best_ie_exhaustive(g: SocialNetwork, p: Optional[float] = None) -> OracleRep
         if vals.flat[k] > best_val:
             best_val, best_idx = float(vals.flat[k]), k + (b << h)
             best_p = float(popt.flat[k]) if p is None else p
-    witness = IEStrategy(_bits_of(best_idx, n), best_p)
+    witness = IEStrategy(frozenset(i for i in range(n) if best_idx >> i & 1),
+                         best_p)
     return OracleReport(best_value=best_val, best_witness=witness,
                         search_space_size=1 << n, method="exhaustive")
 
@@ -268,25 +266,14 @@ def _search_undirected(g: SocialNetwork, pins: dict, seed) -> OracleReport:
                         resolution=1.0 / 16.0)
 
 
-def _all_positions(n: int, rows: int):
-    """Every approach order of n buyers, in ``itertools.permutations``
-    order, as blocks of at most ``rows`` pairs (orders, positions):
-    orders[r, k] is the buyer approached at step k, positions[r, i] the
-    step of buyer i."""
-    perms = itertools.permutations(range(n))
-    while block := list(itertools.islice(perms, rows)):
-        orders = np.fromiter(itertools.chain.from_iterable(block), np.int64,
-                             len(block) * n).reshape(len(block), n)
-        yield orders, np.argsort(orders, axis=1).astype(np.min_scalar_type(n))
-
-
 def _search_directed(g: SocialNetwork, seed) -> OracleReport:
     n = g.n
     buyers = _buyer_pairs(g)
-    orders, pos = next(_all_positions(n, math.factorial(n)))
-    m = pos.shape[0]
-    # column r holds the prices of order r
-    starts = [np.full((n, m), c) for c in (0.75, 1.0, 0.5)]
+    m = math.factorial(n)  # orders[r] is the r-th in permutations order
+    orders = np.fromiter(itertools.chain.from_iterable(
+        itertools.permutations(range(n))), np.int64, m * n).reshape(m, n)
+    pos = np.argsort(orders, axis=1).astype(np.min_scalar_type(n))
+    starts = [np.full((n, m), c) for c in (0.75, 1.0, 0.5)]  # columns: orders
     starts.append(default_rng(seed).uniform(0.5, 1.0, size=(m, n)).T.copy())
     at = np.ascontiguousarray(pos.T)
     best_val, best_row, best_P = -np.inf, 0, None
@@ -311,7 +298,9 @@ def best_strategy_search(g: SocialNetwork, seed=0) -> OracleReport:
     sort, so the search runs multistart ascent over the price vector alone.
     Directed networks (n <= 8): every approach order is enumerated and the
     prices are optimized per order.  Values are lower bounds on the true
-    optimum (method="multistart").
+    optimum (method="multistart").  The first candidate of largest computed
+    revenue wins, by start and then permutation order, so among optima of
+    equal value the last bits of the sums decide.
     """
     _require_normalized(g, "best_strategy_search")
     if g.directed:
@@ -327,29 +316,49 @@ def best_strategy_search(g: SocialNetwork, seed=0) -> OracleReport:
 
 
 def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
-    """Exact best approach order for a fixed price vector (n <= 10).
+    """Exact best approach order for a fixed price vector (n <= 18).
 
-    The n! orders stream in blocks of about ``_BLOCK_CELLS`` positions, so
-    memory stays flat in n; ties go to the first order in
-    ``itertools.permutations`` order."""
+    At fixed prices, revenue is the constant sum m_i w[i, i] plus c_ji =
+    p_j w[j, i] m_i over the influence pairs (j, i) with j first, m_i =
+    p_i (1 - p_i): a linear ordering problem, solved over all n! orders by
+    the subset recursion of Held and Karp (1962) in O(2^n n^2) time: the
+    best f(S) of a set S approached first is the max over i in S of
+    f(S - {i}) + sum_{j in S} c_ji.  Sets (bit i for buyer i) go one
+    popcount layer at a time, in blocks of about ``_BLOCK_CELLS`` (set,
+    buyer) cells, each one product with the sparse c; an int8 table keeps
+    each set's last buyer, read back from the full set.  Ties: among last
+    buyers of equal computed value the smallest index goes last, and so
+    on backwards.  ``best_value`` is the witness's own revenue."""
     _require_normalized(g, "best_ordering_exhaustive")
     n = g.n
     if n > _ORDERING_LIMIT:
-        raise ValidationError(
-            f"best_ordering_exhaustive enumerates n! orders; n={n} exceeds "
-            f"{_ORDERING_LIMIT}")
+        raise ValidationError(f"best_ordering_exhaustive supports n <= "
+                              f"{_ORDERING_LIMIT}; got n={n}")
     prices = _check_price_prob(prices, "prices")
     if prices.shape != (n,):
         raise ValidationError("prices must supply one probability per buyer")
-    best_val, best_order = -np.inf, None
-    for orders, pos in _all_positions(n, _BLOCK_CELLS // max(n, 1)):
-        R = _marketing_revenue_rows(g, np.broadcast_to(prices, pos.shape), pos)
-        k = int(np.argmax(R))
-        if R[k] > best_val:
-            best_val, best_order = float(R[k]), orders[k]
-    witness = MarketingStrategy(tuple(int(i) for i in best_order),
-                                tuple(float(x) for x in prices))
-    return OracleReport(best_value=best_val, best_witness=witness,
+    src, dst, w = g.influence_pairs()
+    margin = prices * (1.0 - prices)
+    c = csr_array((prices[src] * w * margin[dst], (src, dst)), shape=(n, n))
+    size = np.zeros(1 << n, np.int8)  # popcount of each set
+    for b in range(n):  # a set with top bit b: one more than without it
+        size[1 << b:2 << b] = size[:1 << b] + 1
+    f, last = np.zeros(1 << n), np.zeros(1 << n, np.int8)
+    unit, rows = 1 << np.arange(n), max(1, _BLOCK_CELLS // max(n, 1))
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(size == k)
+        for S in np.split(layer, range(rows, layer.size, rows)):
+            member = (S[:, None] & unit) != 0
+            cand = f[S[:, None] ^ unit] + member @ c  # i in S, c_ii = 0
+            cand[~member] = -np.inf
+            f[S], last[S] = np.max(cand, axis=1), np.argmax(cand, axis=1)
+    order, S = [], (1 << n) - 1
+    while S:
+        order.insert(0, int(last[S]))
+        S ^= 1 << order[0]
+    witness = MarketingStrategy(order, prices)
+    return OracleReport(best_value=witness.expected_revenue(g),
+                        best_witness=witness,
                         search_space_size=math.factorial(n),
                         method="exhaustive")
 
@@ -459,15 +468,6 @@ def _next_uniforms(gen: Generator, count: int, width: int) -> np.ndarray:
     return np.ascontiguousarray(vals[:, :width].T)
 
 
-def _stream_uniforms(seed: int, stream: str, start: int, count: int,
-                     width: int) -> np.ndarray:
-    """Uniforms addressed by (trial, buyer), independent of chunking:
-    :func:`_next_uniforms` of trials start, ..., start + count - 1."""
-    gen = _stream(seed, stream)
-    gen.bit_generator.advance(start * _philox_blocks(width))
-    return _next_uniforms(gen, count, width)
-
-
 @dataclass(frozen=True)
 class SimulationReport:
     """Monte Carlo estimate of expected revenue.
@@ -514,8 +514,8 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     least 16 trials and otherwise of about ``_BLOCK_CELLS`` buyer or edge
     cells.  Draws are addressed per (trial, buyer), so results depend only
     on ``seed``, never on chunk boundaries: each stream is one Philox
-    generator per call, drawn chunk after chunk, and gives the draws
-    :func:`_stream_uniforms` addresses.  The standard error merges
+    generator per call, drawn chunk after chunk, every trial from its own
+    Philox block (:func:`_next_uniforms`).  The standard error merges
     per-chunk centered moments (Chan, Golub and LeVeque 1979), so it
     survives a revenue whose spread is tiny next to its mean.
     """

@@ -26,7 +26,7 @@ PRICE_PROB_MAX = 1.0
 _PROB_TOL = 1e-12
 _BATCH_CELLS = 1 << 19
 # Cells per block of the loops that run many times per call (``simulate``,
-# ``best_ie_exhaustive``, marketing revenue, the certificate scan): a float64
+# the exhaustive oracles, marketing revenue, the certificate scan): a float64
 # temporary of this size, 120 KiB, stays under glibc's default 128 KiB mmap
 # threshold, so it is served from the heap and reused without page faults.
 _BLOCK_CELLS = 15 << 10
@@ -533,9 +533,6 @@ class RevenueBounds:
     upper: float
     myopic_lower: float
 
-    def to_json(self) -> dict:
-        return {"upper": self.upper, "myopic_lower": self.myopic_lower}
-
 
 def _revenue_ratio(revenue: float, reference: float) -> float:
     """``revenue / reference`` capped at 1 against float noise; 1 when the
@@ -581,11 +578,6 @@ class MyopicQuote:
     price: float
     acceptance_probability: float
     expected_revenue: float
-
-    def to_json(self) -> dict:
-        return {"price": self.price,
-                "acceptance_probability": self.acceptance_probability,
-                "expected_revenue": self.expected_revenue}
 
 
 def myopic_price(M: float) -> MyopicQuote:

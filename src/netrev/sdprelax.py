@@ -100,10 +100,6 @@ class SdpProblem:
                                 np.searchsorted(ref, self.coef_a[k0:]),
                                 np.searchsorted(ref, self.coef_b[k0:])])
 
-    def objective_of_gram(self, G: np.ndarray) -> float:
-        """Objective at an (n+1, n+1) Gram matrix ``G``."""
-        return self._objective(G[self.coef_a, self.coef_b])
-
     def _objective(self, g: np.ndarray) -> float:
         """Objective at the Gram entries ``g`` of the coefficient pairs."""
         return self.constant + float(np.einsum("i,i", self.coef, g))

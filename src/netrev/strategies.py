@@ -62,11 +62,6 @@ class TunedIE:
     expected_revenue: float
     ratio_bound: float
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "p": self.p, "strategy": self.strategy.to_json(),
-                "expected_revenue": self.expected_revenue,
-                "ratio_bound": self.ratio_bound}
-
 
 def _tuned_inclusion_prob(lam: float, directed: bool) -> float:
     """Ratio-optimal random-IE inclusion probability q at self-weight ratio
@@ -241,12 +236,6 @@ class RoundedIE:
     expected_revenue: float
     influence_probabilities: tuple[float, ...]
     schedule: RoundingSchedule
-
-    def to_json(self) -> dict:
-        return {"strategy": self.strategy.to_json(),
-                "expected_revenue": self.expected_revenue,
-                "influence_probabilities": list(self.influence_probabilities),
-                "schedule": self.schedule.name}
 
 
 def rounding_expected_revenue(g: SocialNetwork, prices: Sequence[float],

@@ -229,6 +229,37 @@ def test_unrepresentable_network_is_a_validation_error(tmp_path, capsys,
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("text, message", [
+    ("undirected x\n", "line 1: invalid node count 'x'"),
+    ("directed -1\n", "line 1: node count must be non-negative"),
+    ("graph 3\n", "line 1: expected header"),
+    ("undirected 3\n0 1\n", "line 2: expected 'i j w', got '0 1'"),
+    ("undirected 3\n0 1 0.5 2\n", "line 2: expected 'i j w'"),
+    ("undirected 3\n0 b 0.5\n", "line 2: expected 'i j w', got '0 b 0.5'"),
+    ("undirected 3\n0 1 heavy\n", "line 2: expected 'i j w'"),
+    ("undirected 3\n-1 0 0.5\n", "line 2: node labels must be non-negative"),
+    ("undirected 3\n0 1 inf\n", "line 2: weight must be finite"),
+    ("undirected 3\n0 1 nan\n", "line 2: weight must be finite"),
+    ("undirected 3\n# note\n0 1 -0.5\n",
+     "line 3: weight must be non-negative"),
+    ("", "empty document: missing header line"),
+    ("# only a comment\n\n", "empty document: missing header line"),
+    ("undirected 2\n0 1 1\n1 2 1\n",
+     "3 distinct node labels exceed declared n=2"),
+    ("directed 2\n0 1 1\n1 1 0.5\n",
+     "line 3: self-loop (1, 1) not allowed"),
+])
+def test_malformed_network_file_exits_2_with_its_message(tmp_path, capsys,
+                                                         text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    rc = main(["ie", "--input", str(path), "--mode", "baseline"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_eval_missing_input_file(tmp_path, ie_strategy_file, capsys):
     rc = main(["eval", "--input", str(tmp_path / "ghost.txt"),
                "--strategy", ie_strategy_file])

@@ -124,6 +124,14 @@ def test_json_round_trip(random_net):
     assert h == g
 
 
+@pytest.mark.parametrize("doc", [{"n": 2}, {"directedness": "both", "n": 2},
+                                 {"directedness": True, "n": 2}])
+def test_json_without_a_known_directedness_is_rejected(doc):
+    message = "directedness must be 'directed' or 'undirected'"
+    with pytest.raises(ValidationError, match=message):
+        network_from_json(doc)
+
+
 def test_scaled_multiplies_all_weights(cycle4):
     h = cycle4.scaled(0.5)
     assert h.W == pytest.approx(2.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -29,6 +30,7 @@ from netrev import (
     simulate,
     strategy_revenue,
 )
+from netrev.revenue import _marketing_revenue_rows
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +227,11 @@ def test_best_ordering_exhaustive_agrees_with_sort_rule(random_net):
 
 def test_best_ordering_exhaustive_checks_prices_before_enumerating(
         monkeypatch):
-    def enumerate_orders(n):
-        raise AssertionError("orders enumerated before the prices were checked")
+    def read_pairs(self):
+        raise AssertionError("pairs read before the prices were checked")
 
-    monkeypatch.setattr(oracle, "_all_positions", enumerate_orders)
+    # the subset recursion starts from the influence pairs
+    monkeypatch.setattr(SocialNetwork, "influence_pairs", read_pairs)
     g = generate("random", 10, density=0.5, seed=1)
     prices = np.full(10, 0.75)
     for bad, message in ((2.0, "must lie in"), (np.nan, "must be finite")):
@@ -239,7 +242,8 @@ def test_best_ordering_exhaustive_checks_prices_before_enumerating(
 
 def test_best_ordering_exhaustive_ties_do_not_depend_on_block_size(
         random_net, monkeypatch):
-    # equal prices tie many orders; the first best in permutation order wins
+    # equal prices tie many orders; each set's candidates are summed on
+    # their own, so the tie rule picks the same order at any block size
     for directed in (False, True):
         g = random_net(66, n=6, directed=directed)
         for prices in (np.full(6, 0.75), np.array([1, .5, 1, .5, .75, .75])):
@@ -250,7 +254,8 @@ def test_best_ordering_exhaustive_ties_do_not_depend_on_block_size(
 
 
 def test_best_ordering_exhaustive_streams_the_orders(random_net):
-    # all 9! orders at once took 26 MB as int64 positions alone
+    # all 9! orders at once took 26 MB as int64 positions alone; the
+    # subset recursion keeps 9 bytes for each of the 2^9 sets
     g = random_net(67, n=9, density=0.5)
     tracemalloc.start()
     try:
@@ -260,6 +265,73 @@ def test_best_ordering_exhaustive_streams_the_orders(random_net):
         tracemalloc.stop()
     assert rep.search_space_size == math.factorial(9)
     assert peak < 2 * 2 ** 20
+
+
+def test_best_ordering_exhaustive_memory_at_n18(random_net):
+    # a 2^18 float64 value table and int8 last-buyer table take 2.25 MB
+    g = random_net(68, n=18, directed=True, density=0.3)
+    prices = np.random.default_rng(68).uniform(0.5, 1.0, size=18)
+    tracemalloc.start()
+    try:
+        rep = best_ordering_exhaustive(g, prices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.search_space_size == math.factorial(18)
+    assert rep.best_value == strategy_revenue(g, rep.best_witness)
+    assert peak <= 8 * 2 ** 20
+    with pytest.raises(ValidationError, match="n <= 18"):
+        best_ordering_exhaustive(random_net(68, n=19),
+                                 np.full(19, 0.75))
+
+
+def _orders_by_enumeration(g, prices):
+    """Every approach order of g in ``itertools.permutations`` order, with
+    its revenue at ``prices`` from the marketing-revenue rows that
+    ``strategy_revenue`` reads one at a time."""
+    orders = np.array(list(itertools.permutations(range(g.n))),
+                      dtype=np.int64).reshape(math.factorial(g.n), g.n)
+    pos = np.argsort(orders, axis=1)
+    return orders, _marketing_revenue_rows(
+        g, np.broadcast_to(prices, pos.shape), pos)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n", range(9))
+def test_best_ordering_exhaustive_matches_the_enumeration(directed, n):
+    rng = np.random.default_rng(100 * n + directed)
+    for seed in range(2):
+        g = generate("random", n, directed=directed, density=0.6,
+                     weight_range=(0.1, 1.0), seed=seed,
+                     self_weight_range=None if directed else (0.0, 0.5)
+                     ) if n else SocialNetwork(directed, 0, [])
+        for prices in (rng.uniform(0.5, 1.0, size=n), np.full(n, 0.75)):
+            rep = best_ordering_exhaustive(g, prices)
+            _, R = _orders_by_enumeration(g, prices)
+            assert rep.best_value == pytest.approx(np.max(R), rel=1e-12,
+                                                   abs=0.0)
+            assert strategy_revenue(g, rep.best_witness) == rep.best_value
+            assert rep.search_space_size == math.factorial(n)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_best_ordering_exhaustive_tie_rule(directed):
+    # dyadic weights and prices make every sum exact, so orders of equal
+    # revenue tie exactly; the rule puts the smallest index last among the
+    # optimal orders, then the smallest among those next to last, ...
+    for seed in range(4):
+        g = generate("random", 6, directed=directed, density=0.7,
+                     weight=1.0 if seed < 2 else 0.5, seed=seed)
+        for prices in (np.full(6, 0.5), np.full(6, 0.75),
+                       np.array([1, .5, 1, .5, .75, .75])):
+            orders, R = _orders_by_enumeration(g, prices)
+            best = orders[R == np.max(R)]
+            expected = min(tuple(int(i) for i in o[::-1]) for o in best)[::-1]
+            rep = best_ordering_exhaustive(g, prices)
+            assert rep.best_witness.order == expected
+            if not directed and np.ptp(prices) == 0:
+                # equal prices on an undirected network tie every order
+                assert expected == (5, 4, 3, 2, 1, 0)
 
 
 def test_best_ordering_exhaustive_directed(random_net):
@@ -414,6 +486,14 @@ def test_simulate_validation(cycle4, random_net):
             simulate(cycle4, IEStrategy(frozenset({0, member}), 0.6), 10)
 
 
+def _stream_uniforms(seed, stream, start, count, width):
+    """Uniforms addressed by (trial, buyer), independent of chunking: the
+    draws of trials start, ..., start + count - 1 of one named stream."""
+    gen = oracle._stream(seed, stream)
+    gen.bit_generator.advance(start * oracle._philox_blocks(width))
+    return oracle._next_uniforms(gen, count, width)
+
+
 def _sequential_reference(g, Wm, strategy, trials, seed):
     """The sequential-offer process walked one approach step at a time
     across all trials, with Wm the dense weights of g: buyer b sees
@@ -422,7 +502,7 @@ def _sequential_reference(g, Wm, strategy, trials, seed):
     n = g.n
 
     def draws(stream):  # (trials, n), trial-major
-        return oracle._stream_uniforms(seed, stream, 0, trials, n).T
+        return _stream_uniforms(seed, stream, 0, trials, n).T
 
     if isinstance(strategy, MarketingStrategy):
         order = np.tile(strategy.order, (trials, 1))
@@ -551,7 +631,7 @@ def test_successive_stream_draws_follow_the_trial_addressing(n):
             got = oracle._next_uniforms(gen, count, n)
             assert got.shape == (n, count)
             assert np.array_equal(
-                got, oracle._stream_uniforms(11, stream, start, count, n))
+                got, _stream_uniforms(11, stream, start, count, n))
             start += count
 
 

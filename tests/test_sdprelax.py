@@ -67,11 +67,14 @@ def test_objective_reproduces_ie_revenue_at_integral_points(directed, random_net
 
 
 def test_objective_of_gram_matches_signs(random_net):
+    # the objective at a full (n+1, n+1) Gram matrix, read at the
+    # coefficient pairs the solver works on
     g = random_net(21, n=4)
     prob = build_sdp(g, 0.7)
     y = np.array([1, -1, 1, 1, -1], dtype=np.float64)
     G = np.outer(y, y)
-    assert prob.objective_of_gram(G) == pytest.approx(prob.objective_at_signs(y))
+    assert prob._objective(G[prob.coef_a, prob.coef_b]) == pytest.approx(
+        prob.objective_at_signs(y))
 
 
 def test_build_sdp_validation(random_net):
