@@ -2,7 +2,8 @@
 # Usage: cli_compare.sh <tree> <outdir>
 # Runs every CLI invocation against <tree>/src from a fresh working copy of
 # <tree>'s corpus and records stdout, stderr, exit code and the --csv file,
-# with "wall_time_s": <number> masked.
+# with "wall_time_s": <number> and the path of <tree> (which warnings print)
+# masked.
 tree=$(cd "$1" && pwd); out=$(realpath -m "$2"); rm -rf "$out"; mkdir -p "$out"
 work=$(mktemp -d); cp -r "$tree/corpus" "$work/corpus"; cd "$work"
 echo '{"order": [0, 1, 2, 3], "prices": [0.9, 0.8, 0.7, 0.6]}' > marketing.json
@@ -17,6 +18,7 @@ C=corpus/cycle4.txt; R=corpus/random12.txt; B=corpus/bipartite33.txt
 i=0
 run() { i=$((i+1)); PYTHONPATH="$tree/src" python -m netrev.cli "$@" >"$out/$i.out" 2>"$out/$i.err"; echo "$? $*" >"$out/$i.rc"
         sed -i -E 's/"wall_time_s": [0-9.eE+-]+/"wall_time_s": X/' "$out/$i.out"
+        sed -i "s#$tree/#TREE/#g" "$out/$i.err"
         if [ -f t.csv ]; then mv t.csv "$out/$i.csv"; fi; }
 for s in marketing ie rie gie; do run eval --input $C --strategy $s.json; done
 for m in baseline tuned bipartite; do run ie --input $B --mode $m --seed 3; done
@@ -68,4 +70,11 @@ run oracle --input corpus/dag6.txt --mode best-ordering --prices 0.9,0.8,0.7,0.6
 run gadget-table --kind extended_triangle --seed 1
 printf 'undirected 3\n' > empty3.txt
 run ie --input empty3.txt --mode tuned
+run gen --kind random --n 2000 --density 0.002 --weight-range 0.1 1 --self-weight-range 0.1 0.5 --seed 11 --output u2000.txt
+run gen --kind random --n 2000 --directed --density 0.002 --weight-range 0.1 1 --seed 12 --output d2000.txt
+for net in u2000.txt d2000.txt; do cp $net "$out/$net"; run ie --input $net --mode baseline; done
+printf 'directed 3\n1 1 0.5\n0 1 -1\n0 x 1\n0 1\n' > faults.txt
+run ie --input faults.txt --mode baseline
+printf 'undirected 3\n0 1 0.5\n2 2 0.1\n1 0 0.25\n2 2 0.2\n0 1 1\n' > dup.txt
+run ie --input dup.txt --mode baseline
 cd /; rm -rf "$work"

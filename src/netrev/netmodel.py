@@ -9,7 +9,7 @@ Networks are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-import io
+import re
 import warnings
 from typing import Iterable, Optional, Sequence
 
@@ -61,7 +61,8 @@ class SocialNetwork:
         Iterable of ``(i, j, w)`` triples with ``i != j`` and ``w >= 0``.
         Duplicate entries (for undirected networks, regardless of endpoint
         order) are merged by summing their weights; zero-weight edges are
-        dropped.  The totals ``W`` and ``N`` must be finite.
+        dropped.  The totals ``W`` and ``N`` must be finite.  The stored
+        edge arrays are sorted by ``(src, dst)``.
     self_weights:
         Optional per-buyer ``w[i, i]``.  Self-weights on directed networks
         are permitted only as input to :func:`eliminate_selfloops`; every
@@ -77,45 +78,59 @@ class SocialNetwork:
                  edges: Iterable[tuple[int, int, float]] = (),
                  self_weights: Optional[Sequence[float]] = None,
                  labels: Optional[Sequence] = None):
+        triples = list(edges)
+        if triples and set(map(len, triples)) != {3}:
+            raise ValidationError("edges must be (i, j, w) triples")
+        i, j, w = zip(*triples) if triples else ((), (), ())
+        self._assign(directed, n, _int_array(i), _int_array(j),
+                     list(map(float, w)), self_weights, labels)
+
+    @classmethod
+    def _from_arrays(cls, directed: bool, n: int, src: np.ndarray,
+                     dst: np.ndarray, w, self_weights=None,
+                     labels=None) -> "SocialNetwork":
+        """Network from edge columns, validated as by the constructor."""
+        g = cls.__new__(cls)
+        g._assign(directed, n, src, dst, w, self_weights, labels)
+        return g
+
+    def _assign(self, directed, n, src, dst, w, self_weights, labels) -> None:
+        """The one validation path: node count, then the first edge (in
+        input order) out of range or a self-loop, then the weights, the
+        duplicate merge and the totals."""
         if n < 0:
             raise ValidationError("node count must be non-negative")
         if n > MAX_NODES:
             raise ValidationError(
                 f"node count {n} exceeds MAX_NODES={MAX_NODES}")
-        src, dst, wts = [], [], []
-        for i, j, w in edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
+        n = int(n)
+        outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        bad = np.flatnonzero(outside | (src == dst))
+        if bad.size:
+            k = bad[0]
+            i, j = int(src[k]), int(dst[k])
+            if outside[k]:
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={n}")
-            if i == j:
-                raise ValidationError(
-                    f"edge ({i}, {i}) is a self-loop; pass self_weights instead")
-            if not directed and i > j:
-                i, j = j, i
-            src.append(i)
-            dst.append(j)
-            wts.append(float(w))
-        esrc = np.asarray(src, dtype=np.int64)
-        edst = np.asarray(dst, dtype=np.int64)
-        ew = np.asarray(wts, dtype=np.float64)
+            raise ValidationError(
+                f"edge ({i}, {i}) is a self-loop; pass self_weights instead")
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        ew = np.asarray(w, dtype=np.float64)
         _check_weights_finite(ew, "edge weights")
-        # Merge duplicates by summation, then drop zero-weight edges.
-        if esrc.size:
-            keys = esrc * n + edst
-            order = np.argsort(keys, kind="stable")
-            keys, esrc, edst, ew = keys[order], esrc[order], edst[order], ew[order]
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            merged = np.zeros(uniq.size)
-            with np.errstate(over="ignore"):  # rejected below, as W = inf
-                np.add.at(merged, inverse, ew)
-            esrc = uniq // n
-            edst = uniq % n
-            ew = merged
-            keep = ew > 0.0
-            esrc, edst, ew = esrc[keep], edst[keep], ew[keep]
+        if not directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        # Merge duplicates by summation (in input order), then drop
+        # zero-weight edges.
+        uniq, inverse = np.unique(src * n + dst, return_inverse=True)
+        merged = np.zeros(uniq.size)
+        with np.errstate(over="ignore"):  # rejected below, as W = inf
+            np.add.at(merged, inverse, ew)
+        keep = merged > 0.0
+        uniq, ew = uniq[keep], merged[keep]
+        esrc, edst = np.divmod(uniq, n)
         sw = np.zeros(n)
         if self_weights is not None:
-            sw = np.asarray(self_weights, dtype=np.float64).copy()
+            sw = np.array(self_weights, dtype=np.float64)
             if sw.shape != (n,):
                 raise ValidationError("self_weights must have one entry per buyer")
             _check_weights_finite(sw, "self-weights")
@@ -127,7 +142,7 @@ class SocialNetwork:
         for arr in (esrc, edst, ew, sw):
             arr.flags.writeable = False
         object.__setattr__(self, "directed", bool(directed))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_src", esrc)
         object.__setattr__(self, "edge_dst", edst)
         object.__setattr__(self, "edge_weight", ew)
@@ -188,10 +203,10 @@ class SocialNetwork:
         """Network with every weight multiplied by ``c > 0``."""
         if not c > 0:
             raise ValidationError("scale factor must be positive")
-        return SocialNetwork(self.directed, self.n,
-                             zip(self.edge_src, self.edge_dst, self.edge_weight * c),
-                             self_weights=self.self_weights * c,
-                             labels=self.labels)
+        return SocialNetwork._from_arrays(
+            self.directed, self.n, self.edge_src, self.edge_dst,
+            self.edge_weight * c, self_weights=self.self_weights * c,
+            labels=self.labels)
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
@@ -218,24 +233,68 @@ class SocialNetwork:
         return {
             "directedness": "directed" if self.directed else "undirected",
             "n": self.n,
-            "edges": [[int(i), int(j), float(w)] for i, j, w in
-                      zip(self.edge_src, self.edge_dst, self.edge_weight)],
-            "self_weights": [float(x) for x in self.self_weights],
+            "edges": list(map(list, zip(self.edge_src.tolist(),
+                                        self.edge_dst.tolist(),
+                                        self.edge_weight.tolist()))),
+            "self_weights": self.self_weights.tolist(),
         }
 
 
+def _int_array(values: Sequence) -> np.ndarray:
+    """``int(v)`` of each value as an int64 array; as an object array of
+    Python ints when one does not fit in 64 bits (it is then out of range
+    of every node count and label check, and exact in their messages)."""
+    try:
+        return np.fromiter(map(int, values), dtype=np.int64, count=len(values))
+    except OverflowError:
+        return np.array(list(map(int, values)), dtype=object)
+
+
 def network_from_json(doc: dict) -> SocialNetwork:
+    """Network from a :meth:`SocialNetwork.to_json` document; any malformed
+    document raises :class:`ValidationError`."""
+    if not isinstance(doc, dict):
+        raise ValidationError("network document must be a JSON object")
     directedness = doc.get("directedness")
     if directedness not in ("directed", "undirected"):
         raise ValidationError("directedness must be 'directed' or 'undirected'")
-    return SocialNetwork(directedness == "directed", int(doc["n"]),
-                         [tuple(e) for e in doc.get("edges", [])],
-                         self_weights=doc.get("self_weights"))
+    n = doc.get("n")
+    if type(n) is not int:
+        raise ValidationError(f"n must be an integer, got {n!r}")
+    edges = doc.get("edges", [])
+    if not (isinstance(edges, list) and set(map(type, edges)) <= {list, tuple}
+            and set(map(len, edges)) <= {3}):
+        raise ValidationError("edges must be a list of [i, j, w] triples")
+    i, j, w = zip(*edges) if edges else ((), (), ())
+    if not (set(map(type, i + j)) <= {int} and set(map(type, w)) <= {int, float}):
+        raise ValidationError(
+            "edges must hold integer endpoints and numeric weights")
+    sw = doc.get("self_weights")
+    if sw is not None and not (isinstance(sw, list)
+                               and set(map(type, sw)) <= {int, float}):
+        raise ValidationError("self_weights must be a list of numbers")
+    try:
+        return SocialNetwork._from_arrays(
+            directedness == "directed", n, _int_array(i), _int_array(j), w,
+            self_weights=sw)
+    except OverflowError:  # an integer weight beyond the float range
+        raise ValidationError("weights must be finite (no NaN or infinity)") from None
 
 
 # ---------------------------------------------------------------------------
 # Edge-list text format
 # ---------------------------------------------------------------------------
+
+_COMMENT = re.compile("#.*")
+
+
+def _parses(i: str, j: str, w: str) -> bool:
+    try:
+        int(i), int(j), float(w)
+    except ValueError:
+        return False
+    return True
+
 
 def load_network(text: str) -> SocialNetwork:
     """Parse an edge-list document into a validated :class:`SocialNetwork`.
@@ -246,96 +305,117 @@ def load_network(text: str) -> SocialNetwork:
     Arbitrary non-negative integer node labels are remapped to dense 0-based
     indices (kept in ``labels``).  Duplicate edges are merged by summation
     with a warning; zero-weight edges are dropped.
+
+    The first fault is reported: the header's, else the first line that is
+    not ``i j w`` or has a negative label or a non-finite or negative
+    weight, else too many distinct labels, else the first directed
+    self-loop.  Python only splits the text; the columns are checked and
+    remapped as arrays.
     """
-    directed: Optional[bool] = None
-    n = 0
-    raw: list[tuple[int, int, int, float]] = []  # (lineno, i, j, w)
-    for lineno, line in enumerate(io.StringIO(text), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens = body.split()
-        if directed is None:
-            if len(tokens) != 2 or tokens[0] not in ("directed", "undirected"):
-                raise ParseError("expected header 'directed <n>' or 'undirected <n>'",
-                                 lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"invalid node count {tokens[1]!r}", lineno) from None
-            if n < 0:
-                raise ParseError("node count must be non-negative", lineno)
-            if n > MAX_NODES:
-                raise ParseError(f"node count {n} exceeds MAX_NODES={MAX_NODES}",
-                                 lineno)
-            directed = tokens[0] == "directed"
-            continue
-        if len(tokens) != 3:
-            raise ParseError(f"expected 'i j w', got {body!r}", lineno)
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-            w = float(tokens[2])
-        except ValueError:
-            raise ParseError(f"expected 'i j w', got {body!r}", lineno) from None
-        if i < 0 or j < 0:
-            raise ParseError("node labels must be non-negative", lineno)
-        if not np.isfinite(w):
-            raise ParseError(f"weight must be finite, got {tokens[2]}", lineno)
-        if w < 0:
-            raise ParseError(f"weight must be non-negative, got {w}", lineno)
-        raw.append((lineno, i, j, w))
-    if directed is None:
+    lines = (_COMMENT.sub("", text) if "#" in text else text).split("\n")
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp,
+                         count=len(lines))
+    filled = np.flatnonzero(counts)
+    if not filled.size:
         raise ParseError("empty document: missing header line")
+    head_row = int(filled[0])
+    head = lines[head_row].split()
+    if len(head) != 2 or head[0] not in ("directed", "undirected"):
+        raise ParseError("expected header 'directed <n>' or 'undirected <n>'",
+                         head_row + 1)
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise ParseError(f"invalid node count {head[1]!r}", head_row + 1) from None
+    if n < 0:
+        raise ParseError("node count must be non-negative", head_row + 1)
+    if n > MAX_NODES:
+        raise ParseError(f"node count {n} exceeds MAX_NODES={MAX_NODES}",
+                         head_row + 1)
+    directed = head[0] == "directed"
+
+    # Data lines up to the first one without three tokens, as columns.
+    rows = filled[1:]
+    wrong = np.flatnonzero(counts[rows] != 3)
+    stop = int(wrong[0]) if wrong.size else rows.size
+    end_row = int(rows[stop]) if stop < rows.size else len(lines)
+    tokens = "\n".join(lines[head_row + 1:end_row]).split()
+    del lines  # an error message re-reads its line from the text
+    a, b, c = tokens[0::3], tokens[1::3], tokens[2::3]
+    del tokens
+    try:
+        li, lj = _int_array(a), _int_array(b)
+        w = np.fromiter(map(float, c), dtype=np.float64, count=len(c))
+    except ValueError:  # stop at the first line that does not parse
+        stop = next(k for k, ok in enumerate(map(_parses, a, b, c)) if not ok)
+        li, lj = _int_array(a[:stop]), _int_array(b[:stop])
+        w = np.fromiter(map(float, c[:stop]), dtype=np.float64, count=stop)
+    lineno = rows[:stop] + 1
+    negative = (li < 0) | (lj < 0)
+    finite = np.isfinite(w)
+    bad = np.flatnonzero(negative | ~finite | (w < 0))
+    if bad.size:
+        k = bad[0]
+        if negative[k]:
+            raise ParseError("node labels must be non-negative", lineno[k])
+        if not finite[k]:
+            raise ParseError(f"weight must be finite, got {c[k]}", lineno[k])
+        raise ParseError(f"weight must be non-negative, got {float(w[k])}",
+                         lineno[k])
+    if stop < rows.size:
+        row = int(rows[stop])
+        body = _COMMENT.sub("", text.split("\n")[row]).strip()
+        raise ParseError(f"expected 'i j w', got {body!r}", row + 1)
 
     # Remap arbitrary labels to dense 0-based indices.
-    used = sorted({i for _, i, _, _ in raw} | {j for _, _, j, _ in raw})
-    if len(used) > n:
-        raise ParseError(f"{len(used)} distinct node labels exceed declared n={n}")
-    if used and used[-1] >= n:
-        remap = {lab: k for k, lab in enumerate(used)}
-        labels: list = list(used) + [None] * (n - len(used))
-    else:
-        remap = {lab: lab for lab in used}
-        labels = list(range(n))
+    m = w.size
+    src, dst, labels = li, lj, None
+    if m and max(li.max(), lj.max()) >= n:
+        used, inverse = np.unique(np.concatenate([li, lj]), return_inverse=True)
+        if used.size > n:
+            raise ParseError(f"{used.size} distinct node labels exceed declared n={n}")
+        src, dst = inverse[:m], inverse[m:]
+        labels = used.tolist() + [None] * (n - used.size)
 
-    seen: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int, float]] = []
+    # Duplicates warn in line order, up to the first directed self-loop.
+    loops = src == dst
+    first_loop = int(np.argmax(loops)) if directed and loops.any() else m
+    keys = (src * n + dst if directed
+            else np.minimum(src, dst) * n + np.maximum(src, dst))[:first_loop]
+    repeat = np.ones(first_loop, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    for k in np.flatnonzero(repeat):
+        if loops[k]:
+            warnings.warn(f"duplicate self-weight line for node {li[k]}; summing",
+                          stacklevel=2)
+        else:
+            warnings.warn(f"duplicate edge ({li[k]}, {lj[k]}) at line "
+                          f"{lineno[k]}; summing weights", stacklevel=2)
+    if first_loop < m:
+        k = first_loop
+        raise ParseError(
+            f"self-loop ({li[k]}, {lj[k]}) not allowed in directed input; "
+            "load the influence as an explicit extra node or apply "
+            "eliminate_selfloops to a programmatically built network",
+            lineno[k])
     self_w = np.zeros(n)
-    self_seen = np.zeros(n, dtype=bool)
-    for lineno, li, lj, w in raw:
-        i, j = remap[li], remap[lj]
-        if i == j:
-            if directed:
-                raise ParseError(
-                    f"self-loop ({li}, {lj}) not allowed in directed input; "
-                    "load the influence as an explicit extra node or apply "
-                    "eliminate_selfloops to a programmatically built network",
-                    lineno)
-            if self_seen[i]:
-                warnings.warn(f"duplicate self-weight line for node {li}; summing",
-                              stacklevel=2)
-            self_seen[i] = True
-            self_w[i] += w
-            continue
-        key = (i, j) if directed else (min(i, j), max(i, j))
-        if key in seen:
-            warnings.warn(
-                f"duplicate edge ({li}, {lj}) at line {lineno}; summing weights",
-                stacklevel=2)
-        seen[key] = lineno
-        edges.append((i, j, w))
-    return SocialNetwork(directed, n, edges, self_weights=self_w, labels=labels)
+    with np.errstate(over="ignore"):  # rejected as non-finite
+        np.add.at(self_w, src[loops], w[loops])
+    edge = ~loops
+    return SocialNetwork._from_arrays(directed, n, src[edge], dst[edge],
+                                      w[edge], self_weights=self_w,
+                                      labels=labels)
 
 
 def save_network(g: SocialNetwork) -> str:
     """Canonical edge-list text for ``g``; inverse of :func:`load_network`."""
     out = ["{} {}".format("directed" if g.directed else "undirected", g.n)]
-    for i in range(g.n):
-        if g.self_weights[i] > 0:
-            out.append(f"{i} {i} {float(g.self_weights[i])!r}")
-    order = np.lexsort((g.edge_dst, g.edge_src))
-    for k in order:
-        out.append(f"{g.edge_src[k]} {g.edge_dst[k]} {float(g.edge_weight[k])!r}")
+    loops = np.flatnonzero(g.self_weights > 0)
+    out += map("{0} {0} {1!r}".format, loops.tolist(),
+               g.self_weights[loops].tolist())
+    # the stored edges are already in (src, dst) order
+    out += map("{} {} {!r}".format, g.edge_src.tolist(), g.edge_dst.tolist(),
+               g.edge_weight.tolist())
     return "\n".join(out) + "\n"
 
 
@@ -358,14 +438,12 @@ def eliminate_selfloops(g: SocialNetwork) -> SocialNetwork:
     loops = np.nonzero(g.self_weights > 0)[0]
     if loops.size == 0:
         return g
-    edges = list(zip(g.edge_src, g.edge_dst, g.edge_weight))
-    labels = list(g.labels)
-    n = g.n
-    for i in loops:
-        edges.append((n, int(i), float(g.self_weights[i])))
-        labels.append(None)
-        n += 1
-    return SocialNetwork(True, n, edges, labels=labels)
+    return SocialNetwork._from_arrays(
+        True, g.n + loops.size,
+        np.concatenate([g.edge_src, g.n + np.arange(loops.size)]),
+        np.concatenate([g.edge_dst, loops]),
+        np.concatenate([g.edge_weight, g.self_weights[loops]]),
+        labels=g.labels + (None,) * loops.size)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +485,17 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
     if kind == "cycle":
         if n < 3:
             raise ValidationError("cycle requires n >= 3")
-        edges = [(i, (i + 1) % n, weight) for i in range(n)]
-        return SocialNetwork(directed, n, edges)
+        src = np.arange(n)
+        return SocialNetwork._from_arrays(directed, n, src, (src + 1) % n,
+                                          np.full(n, weight, dtype=np.float64))
     if kind == "path":
-        edges = [(i, i + 1, weight) for i in range(n - 1)]
-        return SocialNetwork(directed, n, edges)
+        src = np.arange(n - 1)
+        return SocialNetwork._from_arrays(directed, n, src, src + 1,
+                                          np.full(n - 1, weight, dtype=np.float64))
     if kind == "complete_dag":
-        edges = [(i, j, weight) for i in range(n) for j in range(i + 1, n)]
-        return SocialNetwork(True, n, edges)
+        src, dst = np.triu_indices(n, 1)
+        return SocialNetwork._from_arrays(True, n, src, dst,
+                                          np.full(src.size, weight, dtype=np.float64))
 
     randomized = density < 1.0 or weight_range is not None \
         or self_weight_range is not None
@@ -441,7 +522,7 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
         src, dst = _sample_pairs((np.arange(a, n) for _ in range(a)),
                                  density, rng)
         w = draw_weights(src.size)
-        return SocialNetwork(False, n, zip(src, dst, w))
+        return SocialNetwork._from_arrays(False, n, src, dst, w)
 
     # kind == "random"
     if rng is None:
@@ -460,7 +541,8 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
             raise ValidationError("self-weights apply to undirected networks only")
         lo, hi = self_weight_range
         self_w = rng.uniform(lo, hi, size=n)
-    return SocialNetwork(directed, n, zip(src, dst, w), self_weights=self_w)
+    return SocialNetwork._from_arrays(directed, n, src, dst, w,
+                                      self_weights=self_w)
 
 
 def _sample_pairs(candidates: Iterable[np.ndarray], density: float, rng):

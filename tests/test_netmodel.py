@@ -1,6 +1,10 @@
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from netrev import (
     save_network,
 )
 from netrev.netmodel import MAX_NODES
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def test_duplicate_edges_merge_and_zero_weights_drop():
@@ -63,6 +69,10 @@ def test_negative_weight_rejected():
 def test_out_of_range_endpoint_rejected():
     with pytest.raises(ValidationError):
         SocialNetwork(False, 2, [(0, 2, 1.0)])
+    # beyond 64 bits, still reported exactly
+    with pytest.raises(ValidationError,
+                       match=r"edge \(0, 100000000000000000000\) out of range"):
+        SocialNetwork(False, 2, [(0, 10 ** 20, 1.0)])
 
 
 @pytest.mark.parametrize("text", [
@@ -108,6 +118,10 @@ undirected 3
     b = g.labels.index(20)
     assert g.weight(a, b) == pytest.approx(0.5)
     assert g.self_weights[a] == pytest.approx(0.25)
+    # a label beyond 64 bits is kept exactly
+    g = load_network("undirected 3\n0 100000000000000000000 0.5\n")
+    assert g.labels == (0, 10 ** 20, None)
+    assert g.weight(0, 1) == 0.5
 
 
 def test_load_network_rejects_bad_header():
@@ -129,6 +143,49 @@ def test_json_round_trip(random_net):
 def test_json_without_a_known_directedness_is_rejected(doc):
     message = "directedness must be 'directed' or 'undirected'"
     with pytest.raises(ValidationError, match=message):
+        network_from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [["directed", 3]],
+    {"directedness": "directed"},
+    {"directedness": "directed", "n": None},
+    {"directedness": "directed", "n": "3"},
+    {"directedness": "directed", "n": 2.7},
+    {"directedness": "directed", "n": 2.0},
+    {"directedness": "directed", "n": True},
+    {"directedness": "directed", "n": -1},
+    {"directedness": "directed", "n": 10 ** 20},
+    {"directedness": "directed", "n": 3, "edges": {"0": [0, 1, 0.5]}},
+    {"directedness": "directed", "n": 3, "edges": [0, 1, 0.5]},
+    {"directedness": "directed", "n": 3, "edges": ["0 1 0.5"]},
+    {"directedness": "directed", "n": 3, "edges": [[0]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 1]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 1, 0.5, 2]]},
+    {"directedness": "directed", "n": 3, "edges": [["0", 1, 0.5]]},
+    {"directedness": "directed", "n": 3, "edges": [[0.0, 1, 0.5]]},
+    {"directedness": "directed", "n": 3, "edges": [[True, 1, 0.5]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 1, "0.5"]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 1, None]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 1, False]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 3, 0.5]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 10 ** 20, 0.5]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 1, 10 ** 400]]},
+    {"directedness": "directed", "n": 3, "edges": [[0, 1, math.inf]]},
+    {"directedness": "undirected", "n": 2, "self_weights": [0.5]},
+    {"directedness": "undirected", "n": 2, "self_weights": [0.5, 0.5, 0.5]},
+    {"directedness": "undirected", "n": 2, "self_weights": 0.5},
+    {"directedness": "undirected", "n": 2, "self_weights": "ab"},
+    {"directedness": "undirected", "n": 2, "self_weights": ["0.5", "0.5"]},
+    {"directedness": "undirected", "n": 2, "self_weights": [[0.5], [0.5]]},
+    {"directedness": "undirected", "n": 2, "self_weights": [True, 0.5]},
+    {"directedness": "undirected", "n": 2, "self_weights": {"0": 0.5}},
+    {"directedness": "undirected", "n": 1, "self_weights": [10 ** 400]},
+])
+def test_malformed_json_network_is_a_validation_error(doc):
+    # never a bare KeyError, TypeError, ValueError or OverflowError, and
+    # no silent truncation of a float n
+    with pytest.raises(ValidationError):
         network_from_json(doc)
 
 
@@ -285,3 +342,121 @@ def test_save_load_round_trip_random(seed, directed):
                  seed=seed + 1)
     h = load_network(save_network(g))
     assert h == g
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("graph 3\n0 x\n", 1, "expected header"),
+    # a line that does not parse, before one with the wrong token count
+    ("undirected 3\n0 x 1\n0 1\n", 2, "expected 'i j w', got '0 x 1'"),
+    ("undirected 3\n0 1\n0 x 1\n", 2, "expected 'i j w', got '0 1'"),
+    ("undirected 3\n0 1 0.5 # x y\n0\t1  x # c\n", 3,
+     "expected 'i j w', got '0\\t1  x'"),
+    # one line's checks run in order: parse, labels, weight
+    ("undirected 3\n-1 0 x\n", 2, "expected 'i j w', got '-1 0 x'"),
+    ("undirected 3\n-1 0 inf\n", 2, "node labels must be non-negative"),
+    # a negative label before a bad weight, and the other way round
+    ("undirected 3\n# c\n-1 0 0.5\n0 1 nan\n", 3,
+     "node labels must be non-negative"),
+    ("undirected 3\n0 1 -0.5\n-1 0 0.5\n", 2,
+     "weight must be non-negative, got -0.5"),
+    ("undirected 3\n0 1 1e400\n0 1\n", 2, "weight must be finite, got 1e400"),
+    # a directed self-loop is looked for only once every line has passed
+    ("directed 3\n0 1 x\n1 1 0.5\n", 2, "expected 'i j w', got '0 1 x'"),
+    ("directed 3\n1 1 0.5\n0 1 -1\n", 3, "weight must be non-negative, got -1.0"),
+    ("directed 3\n1 1 0.5\n0 1 1 1\n", 3, "expected 'i j w', got '0 1 1 1'"),
+    ("directed 2\n0 0 1\n1 2 1\n", None,
+     "3 distinct node labels exceed declared n=2"),
+    ("directed 3\n0 1 1\n2 2 1\n1 1 1\n", 3, "self-loop (2, 2) not allowed"),
+])
+def test_first_fault_of_a_document_is_reported(text, line, message):
+    with pytest.raises(ParseError) as info:
+        load_network(text)
+    assert info.value.line == line
+    assert message in str(info.value)
+
+
+def _load_recording_warnings(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return load_network(text), caught
+        except ParseError as exc:
+            return exc, caught
+
+
+def test_duplicate_warnings_keep_their_text_and_line_order():
+    text = ("undirected 4\n10 20 0.5\n30 30 0.1\n20 10 0.25\n# note\n"
+            "30 30 0.2\n10 20 1\n")
+    g, caught = _load_recording_warnings(text)
+    assert [str(w.message) for w in caught] == [
+        "duplicate edge (20, 10) at line 4; summing weights",
+        "duplicate self-weight line for node 30; summing",
+        "duplicate edge (10, 20) at line 7; summing weights"]
+    assert {w.filename for w in caught} == {__file__}  # the caller's line
+    a, b, c = (g.labels.index(x) for x in (10, 20, 30))
+    assert g.weight(a, b) == 0.5 + 0.25 + 1.0
+    assert g.self_weights[c] == 0.1 + 0.2
+    # a directed document warns up to its first self-loop, then fails there
+    exc, caught = _load_recording_warnings(
+        "directed 3\n0 1 1\n0 1 2\n1 0 1\n2 2 1\n1 0 1\n")
+    assert isinstance(exc, ParseError) and exc.line == 5
+    assert [str(w.message) for w in caught] == [
+        "duplicate edge (0, 1) at line 3; summing weights"]
+
+
+# sha256 of save_network text and of json.dumps(to_json()): every corpus/
+# file, and random n=2000 networks at the benchmark's large-sparse size
+SERIALIZED_PINS = {
+    'bipartite33.txt': ('22a7166aa0add3e4c2f04a77b951ccaf7164673c3a9fd98b0eb97f4f182c6c55', '74837b80b7bebe7e8e73b0c1294e459f1e3cdb3fd67aea0b089ed6b5f14312a5'),
+    'cycle4.txt': ('ad7b783145e6b72cbd32ccdbc444f4b64710280d546c52744789c2e438d416c9', 'a7e054c6fd3258ffd39e5925da7089eb30a0c8da8182e2b707c560166e80fbea'),
+    'cycle5.txt': ('c41b8f66c30c9159dda71ff31db23581e69e8e35edfe8483a787c854cd744cb7', '66353166f8e5622e7819fedf2bc2ac54520180c01b047bb21e1370ad68ac51c6'),
+    'cycle6.txt': ('b279a78bd3593f2bb0e16a9138c59505bf81df4f1afb536415f4210e1fd50b4d', '83590dde394a8a606a925d5c55560cd159decb693bb071d78caae7b653e065ee'),
+    'dag4.txt': ('6c7f0f6e902c9dca7024008ac7a3bc6e26bea472f5f246c97578463d1cda3d0e', '39fa446426934d45207308d69a868aa9cc8029a1e0913ce25ec676cc313edfed'),
+    'dag6.txt': ('d98b23fe4e17e821665e5b348a48f630665dc011bf22d18df9009b8de8bd4a80', '9f728caa90eb0e79a4ea272f6876c664c483f1017ebcfab31d8c750e557694b4'),
+    'dagrand10.txt': ('6d8868af94eafe398e80f209af73c498585a0532fcfe1d0b5a97da9968c5cd9b', '77c256eb06ba50fad001777386173d5b1bfa83b5762c5633a5ba8f531f71ef00'),
+    'dbipartite33.txt': ('9a6591a1dc83e10e1a5f430af69127fa16ef23dc3c0e044bfaf1545508efb9a7', 'd71eeec6aba903a3c2a338c210016412282ee1bb39bf3d30136474136e7239f7'),
+    'path6.txt': ('2e89fefcb49689a6cadb3070a857ad44cd3fb2d090bc82718e2c3061ebad6842', '33b333f654ff0a7f849023138757558d1f470ff8bed675ebdd0bd0bce02dd8e7'),
+    'random12.txt': ('c04eac55fef092f18aca9744cae993c5057def855b3cb5ba56acb3babae2601d', '955ab4aa05b35a13db642aff7147768a3dba9553d375e5754267f38c785f2254'),
+    'randtree12.txt': ('3f8635148aa0499fe8ee7d3a734c118135f04e663768ee55101624a8ce210e25', '7c8c902e34ac26766536b84e373b2b8c617d952dd81f89ae61abfde0d22935cc'),
+    'random2000u': ('a84375f5219b4a5a2ea3aa7aab7a20138d3a9cd5a7345ccb469c0c6185cc74b6', '3f044611803ae8c8a449d9cc53580e82c96651c0c0977e18148b653440f03e73'),
+    'random2000d': ('14122c682514af106e741ca15a9e0d8f68be8358b3a914e3654607112c883d9b', '345d5efdc2bee96472417fb4916eca96596d1dcdc64c5d2a04f21ff70936d938'),
+}
+
+
+def test_serialized_bytes_are_pinned():
+    nets = {path.name: load_network(path.read_text())
+            for path in sorted(CORPUS.glob("*.txt"))}
+    for directed, seed in ((False, 1), (True, 2)):
+        nets[f"random2000{'d' if directed else 'u'}"] = generate(
+            "random", 2000, directed=directed, density=4 / 1999,
+            weight_range=(0.1, 1.0),
+            self_weight_range=None if directed else (0.1, 0.5), seed=seed)
+    got = {}
+    for name, g in nets.items():
+        text = save_network(g)
+        doc = json.dumps(g.to_json())
+        got[name] = (hashlib.sha256(text.encode()).hexdigest(),
+                     hashlib.sha256(doc.encode()).hexdigest())
+        h = load_network(text)
+        assert h == g and h.labels == tuple(range(g.n)), name
+        assert network_from_json(json.loads(doc)) == g, name
+    assert got == SERIALIZED_PINS
+
+
+def test_text_io_memory_grows_with_the_edges():
+    # the tokenized columns of a long path are load_network's largest
+    # temporaries; a few hundred bytes per line, nothing of size n^2
+    n = 10 ** 5
+    g = generate("path", n)
+    tracemalloc.start()
+    try:
+        text = save_network(g)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        h = load_network(text)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == g
+    assert save_peak < 256 * n
+    assert load_peak < 512 * n
