@@ -44,6 +44,9 @@ run certify --kind rounding_directed
 run certify --kind random_ie --directed
 run certify --kind class_ie --K 3 --q 0.2,0.3,0.5 --directed
 run certify --kind sdp_self --lam 1
+run certify --kind sdp_directed --gamma 1.5
+run certify --kind sdp_self --gamma nan
+run sdp-ie --input $R --seed 4 --trials 40 --gamma 1.5
 run simulate --input $C --strategy ie.json --trials 20000 --seed 5
 run simulate --input $R --strategy rie.json --trials 20000 --seed 5
 run simulate --input $C --strategy marketing.json --trials 20000 --seed 5

@@ -9,8 +9,10 @@ and the box it is scanned over:
 
 ``sdp_directed``   worst per-edge revenue ratio of rotate-and-round versus
                    the directed relaxation objective (the edge terms of
-                   ``sdprelax._edge_terms``, angles mapped by ``rotate`` and
-                   ``rotated_pair_angle``), min over feasible angle
+                   ``sdprelax._edge_terms``, angles mapped by the unchecked
+                   cores ``_rotate`` and ``_rotated_pair_angles`` of
+                   ``rotate`` and ``rotated_pair_angle``; gamma is checked
+                   once, before the scan), min over feasible angle
                    triples: (theta_i, theta_j, t) in [0, pi]^2 x [0, 1],
                    with theta_ij at fraction t of its ``_cos_band`` band.
                    Each angle term is evaluated per axis or per (theta_i,
@@ -55,7 +57,8 @@ from .strategies import (DIRECTED_ROUNDING, RoundingSchedule,
                          _tuned_inclusion_prob, class_ratio, class_ratio_terms)
 from .sdprelax import (DIRECTED_SDP_GAMMA, DIRECTED_SDP_PRICING,
                        UNDIRECTED_SDP_GAMMA, UNDIRECTED_SDP_PRICING,
-                       _SELF_TERMS, _edge_terms, _rotated_pair_angles, rotate)
+                       _SELF_TERMS, _check_gamma, _edge_terms, _rotate,
+                       _rotated_pair_angles)
 
 #: Finest accepted scan step.  The polish, not the grid, sets the precision,
 #: and at this step the sdp pair scan already evaluates 2.4e8 angle triples.
@@ -168,13 +171,13 @@ def _sdp_edge_ratio(kind: str, p: float, gamma: float, x, y, z):
     """
     d0, dy, dz, dx = _edge_terms(p, kind == "sdp_directed")
     cx = np.cos(x)
-    num = -(dx * _rotated_pair_angles(cx, y, z, gamma)
-            + dy * rotate(y, gamma) + dz * rotate(z, gamma))
+    fy, fz = _rotate(y, gamma), _rotate(z, gamma)
+    num = -(dx * _rotated_pair_angles(cx, y, z, fy, fz) + dy * fy + dz * fz)
     return _ratio(num, d0 + dy * np.cos(y) + dz * np.cos(z) + dx * cx)
 
 
 def _certify_sdp_pair(kind: str, step: float, p, gamma) -> CertificateReport:
-    p, gamma = _check_exploit_prob(p), float(gamma)
+    p, gamma = _check_exploit_prob(p), _check_gamma(gamma)
     angles = _axis(0.0, math.pi, step)
     val, (y, z, t) = _box_min(
         lambda y, z, t: _sdp_edge_ratio(kind, p, gamma,
@@ -189,9 +192,9 @@ def _certify_sdp_pair(kind: str, step: float, p, gamma) -> CertificateReport:
 
 
 def _certify_sdp_self(step: float, gamma) -> CertificateReport:
-    gamma, (d0, d1) = float(gamma), _SELF_TERMS
+    gamma, (d0, d1) = _check_gamma(gamma), _SELF_TERMS
     val, (theta,) = _box_min(
-        lambda t: _ratio(-d1 * rotate(t, gamma), d0 + d1 * np.cos(t)),
+        lambda t: _ratio(-d1 * _rotate(t, gamma), d0 + d1 * np.cos(t)),
         (_axis(0.0, math.pi, step),))
     return CertificateReport(kind="sdp_self", params={"gamma": gamma},
                              value=_TWO_OVER_PI * val,
@@ -228,12 +231,18 @@ def _rounding_edge_ratio(sched: RoundingSchedule, x, y, directed: bool):
 
 def _certify_rounding_undirected(step: float, schedule) -> CertificateReport:
     sched = _resolve_schedule(schedule)
+    prices, xs, ss = _axis(0.5, _CAP, step), _axis(0.5, 1.0, step), \
+        _axis(0.0, _CAP, step)
+    # the scans and polishes run the schedule unchecked: check it once on
+    # the prices they scan, in the order they scan them
+    for p in (prices, xs[:, None], 0.5 + ss * (xs[:, None] - 0.5)):
+        sched.influence_probability(p)
     left_val, (left_x,) = _box_min(partial(_rounding_self_ratio, sched),
-                                   (_axis(0.5, _CAP, step),))
+                                   (prices,))
     right_val, (x, s) = _box_min(
         lambda x, s: _rounding_edge_ratio(sched, x, 0.5 + s * (x - 0.5),
                                           directed=False),
-        (_axis(0.5, 1.0, step), _axis(0.0, _CAP, step)))
+        (xs, ss))
     left_x, x, y = float(left_x), float(x), float(0.5 + s * (x - 0.5))
     return CertificateReport(
         kind="rounding_undirected",

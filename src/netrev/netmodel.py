@@ -40,6 +40,16 @@ class UnsupportedOperationError(ValidationError):
     """Raised when an operation is undefined for the given directedness."""
 
 
+def _node_count(n) -> int:
+    """``n`` as an int: an integer, not a bool and not a float however
+    integral, of at most MAX_NODES.  The caller checks the lower bound."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"node count must be an integer, got {n!r}")
+    if n > MAX_NODES:
+        raise ValidationError(f"node count {n} exceeds MAX_NODES={MAX_NODES}")
+    return int(n)
+
+
 def _check_weights_finite(w: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(w)):
         raise ValidationError(f"{what} must be finite (no NaN or infinity)")
@@ -98,12 +108,9 @@ class SocialNetwork:
         """The one validation path: node count, then the first edge (in
         input order) out of range or a self-loop, then the weights, the
         duplicate merge and the totals."""
+        n = _node_count(n)
         if n < 0:
             raise ValidationError("node count must be non-negative")
-        if n > MAX_NODES:
-            raise ValidationError(
-                f"node count {n} exceeds MAX_NODES={MAX_NODES}")
-        n = int(n)
         outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
         bad = np.flatnonzero(outside | (src == dst))
         if bad.size:
@@ -468,10 +475,9 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
     ``density``.  Random kinds draw weights uniformly from ``weight_range``
     and require a ``seed``; fixed kinds use the constant ``weight``.
     """
+    n = _node_count(n)
     if n < 1:
         raise ValidationError("generate requires n >= 1")
-    if n > MAX_NODES:
-        raise ValidationError(f"node count {n} exceeds MAX_NODES={MAX_NODES}")
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
     if not 0.0 <= density <= 1.0:

@@ -493,7 +493,7 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     """Run the sequential-offer process ``trials`` times and estimate the
     expected revenue.
 
-    Buyers are approached in the order of ``strategy.offers`` (the IE
+    Buyers are approached in the order of ``strategy.offer_sampler`` (the IE
     families redraw it every trial); each buyer i sees the total weight M
     of itself plus previously accepting buyers, is offered price
     (1 - p_i) * M, and accepts with probability p_i: when its valuation
@@ -536,11 +536,12 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
             streams[stream] = _stream(seed, stream)
         return _next_uniforms(streams[stream], m, n)
 
+    offers = strategy.offer_sampler(n, ordered=not by_discount)
     done, mean, m2 = 0, 0.0, 0.0
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        prices, keys = strategy.offers(n, draw, ordered=not by_discount)
+        prices, keys = offers(draw)
         discount = 1.0 - prices
         accepted = draw("acceptance") >= discount
         gain = accepted * discount

@@ -119,14 +119,20 @@ class _Strategy:
                     list(v) if isinstance(v, tuple) else v)
                 for k, v in doc.items()}
 
-    def offers(self, n: int, draw, ordered: bool = True):
-        """A chunk's pricing probabilities and approach keys, buyer-major and
-        broadcasting to (n, m), from its (n, m) uniforms ``draw(stream)``:
-        buyer i precedes j in trial t when keys[i, t] < keys[j, t].  With
-        ``ordered`` False the keys are None and "ordering" is not drawn."""
-        prices, classes = self.assignment(n, draw)
-        keys = classes + draw("ordering") if ordered else None
-        return prices.take(classes), keys
+    def offer_sampler(self, n: int, ordered: bool = True):
+        """Function of a chunk's (n, m) uniforms ``draw(stream)`` that gives
+        its pricing probabilities and approach keys, buyer-major and
+        broadcasting to (n, m): buyer i precedes j in trial t when
+        keys[i, t] < keys[j, t].  With ``ordered`` False the keys are None
+        and "ordering" is not drawn.  The strategy's fixed tables for ``n``
+        buyers are built here, once, not per chunk."""
+        prices, draw_classes = self.class_sampler(n)
+
+        def offers(draw):
+            classes = draw_classes(draw)
+            keys = classes + draw("ordering") if ordered else None
+            return prices.take(classes), keys
+        return offers
 
 
 @dataclass(frozen=True)
@@ -169,10 +175,11 @@ class MarketingStrategy(_Strategy):
         if self.n != n:
             raise ValidationError(f"strategy covers {self.n} buyers, network has {n}")
 
-    def offers(self, n: int, draw, ordered: bool = True):
+    def offer_sampler(self, n: int, ordered: bool = True):
         """The fixed prices and approach positions; nothing is drawn."""
         self._check_size(n)
-        return np.asarray(self.prices)[:, None], self.positions()[:, None]
+        offers = np.asarray(self.prices)[:, None], self.positions()[:, None]
+        return lambda draw: offers
 
     def expected_revenue(self, g: SocialNetwork) -> float:
         """Exact expected revenue on ``g``: one row of
@@ -198,10 +205,11 @@ class IEStrategy(_Strategy):
                            frozenset(int(i) for i in self.influence_set))
         object.__setattr__(self, "p", _check_exploit_prob(self.p))
 
-    def assignment(self, n: int, draw):
+    def class_sampler(self, n: int):
         """Class prices ``(1, p)`` and the fixed classes: members free."""
         member = _influence_mask(self.influence_set, n)[:, None]
-        return np.array([1.0, self.p]), (~member).astype(np.intp)
+        classes = (~member).astype(np.intp)
+        return np.array([1.0, self.p]), lambda draw: classes
 
     def expected_revenue(self, g: SocialNetwork) -> float:
         """Exact expected revenue on ``g``; see :func:`ie_revenue`."""
@@ -209,31 +217,37 @@ class IEStrategy(_Strategy):
         return _ie_cubic(self.p, *ie_revenue_coefficients(g, self.influence_set))
 
 
-def _draw_classes(q, u) -> np.ndarray:
-    """First class k with u < q_0 + ... + q_k (the last past round-off):
-    the count of the first K - 1 cut points q_0 + ... + q_j at or below u,
-    in the smallest unsigned type that holds K - 1."""
+def _class_drawer(q):
+    """Function of uniforms u giving the first class k with u < q_0 + ... +
+    q_k (the last past round-off): the count of the first K - 1 cut points
+    q_0 + ... + q_j at or below u, in the smallest unsigned type that holds
+    K - 1.  The cut points are summed once, here."""
     cuts = np.cumsum(q)[:-1]
-    classes = np.zeros(np.shape(u), dtype=np.min_scalar_type(cuts.size))
-    for cut in cuts:
-        classes += u >= cut
-    return classes
+    dtype = np.min_scalar_type(cuts.size)
+
+    def draw_classes(u):
+        classes = np.zeros(np.shape(u), dtype=dtype)
+        for cut in cuts:
+            classes += u >= cut
+        return classes
+    return draw_classes
 
 
 class _ClassIEStrategy(_Strategy):
     """IE with buyers drawn i.i.d. into the pricing classes of ``classes()``
     (probabilities, non-increasing prices), approached class by class."""
 
-    def assignment(self, n: int, draw):
+    def class_sampler(self, n: int):
         """Class prices and classes drawn from the "assignment" stream."""
         q, prices = self.classes()
-        return prices, _draw_classes(q, draw("assignment"))
+        draw_classes = _class_drawer(q)
+        return prices, lambda draw: draw_classes(draw("assignment"))
 
     def sample_classes(self, n: int, seed) -> np.ndarray:
         """Classes of ``n`` buyers drawn with ``np.random.default_rng(seed)``."""
         q, _ = self.classes()
         u = np.random.default_rng(seed).random(n)
-        return _draw_classes(q, u).astype(np.intp)
+        return _class_drawer(q)(u).astype(np.intp)
 
     def expected_revenue(self, g: SocialNetwork) -> float:
         """Exact expected revenue on ``g``, averaged over classes and order:

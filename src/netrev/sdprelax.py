@@ -560,35 +560,44 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
 # Rotation
 # ---------------------------------------------------------------------------
 
+def _check_gamma(gamma) -> float:
+    gamma = float(gamma)
+    if not 0.0 <= gamma <= 1.0:
+        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
+    return gamma
+
+
+def _rotate(t, gamma: float):
+    """f_gamma(t), unchecked: ``t`` in [0, pi] and ``gamma`` a float in
+    [0, 1], as :func:`rotate` checks them."""
+    return (1.0 - gamma) * t + gamma * math.pi * (1.0 - np.cos(t)) / 2.0
+
+
 def rotate(theta, gamma: float):
     """Angle remap f_gamma(t) = (1-gamma) t + gamma pi (1 - cos t)/2.
 
     Fixes 0 and pi, is monotone on [0, pi] for gamma in [0, 1], and pulls
     intermediate angles toward the poles as gamma grows.
     """
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
+    gamma = _check_gamma(gamma)
     t = np.asarray(theta, dtype=np.float64)
     if np.any(t < -1e-9) or np.any(t > math.pi + 1e-9):
         raise ValidationError("theta must lie in [0, pi]")
-    t = np.clip(t, 0.0, math.pi)
-    out = (1.0 - gamma) * t + gamma * math.pi * (1.0 - np.cos(t)) / 2.0
+    out = _rotate(np.clip(t, 0.0, math.pi), gamma)
     return float(out) if np.isscalar(theta) else out
 
 
-def _rotated_pair_angles(cx, y, z, gamma: float):
-    """Vectorized pair angle after rotating both vectors.
+def _rotated_pair_angles(cx, y, z, fy, fz):
+    """Vectorized pair angle after rotating both vectors, unchecked.
 
     ``cx`` is the cosine of the angle between v_i and v_j, ``y``/``z``
-    their angles to v_0, broadcast; each term is computed at the shape of
+    their angles to v_0 and ``fy``/``fz`` those angles rotated
+    (:func:`_rotate`), broadcast; each term is computed at the shape of
     the inputs it depends on.  Degenerate endpoints (v = +-v_0) bypass the
     spherical-law term; the inner cosine is clamped against drift.
     """
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    fy = rotate(y, gamma)
-    fz = rotate(z, gamma)
     safe = np.maximum(np.sin(y) * np.sin(z), 1e-300)
     t = (cx - np.cos(y) * np.cos(z)) / safe
     inner = np.cos(fy) * np.cos(fz) + np.clip(t, -1.0, 1.0) * np.sin(fy) * np.sin(fz)
@@ -623,7 +632,9 @@ def rotated_pair_angle(theta_ij: float, theta_i: float, theta_j: float,
         raise UnrealizableTripleError(
             f"angles ({x}, {y}, {z}) violate |cos x - cos y cos z| "
             "<= sin y sin z and cannot come from unit vectors")
-    return float(_rotated_pair_angles(np.cos(x), y, z, gamma))
+    gamma = _check_gamma(gamma)
+    return float(_rotated_pair_angles(np.cos(x), y, z, _rotate(y, gamma),
+                                      _rotate(z, gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +648,7 @@ def _rotated_vectors(V: np.ndarray, gamma: float) -> np.ndarray:
     buyers = V[1:]
     cos_t = np.clip(buyers @ v0, -1.0, 1.0)
     theta = np.arccos(cos_t)
-    ft = rotate(theta, gamma)
+    ft = _rotate(theta, float(gamma))
     sin_t = np.sin(theta)
     ortho = buyers - cos_t[:, None] * v0[None, :]
     safe = np.maximum(sin_t, 1e-12)[:, None]
@@ -663,6 +674,7 @@ def _hyperplane_members(V: np.ndarray, gamma: float, seed, trials: int) -> np.nd
 
 def round_hyperplane(sol: SdpSolution, gamma: float, seed=0) -> frozenset:
     """One random-hyperplane draw: the sampled influence set."""
+    _check_gamma(gamma)
     members = _hyperplane_members(sol.vectors, gamma, seed, 1)[0]
     return frozenset(int(i) for i in np.nonzero(members)[0])
 
@@ -719,6 +731,7 @@ def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
         gamma = DIRECTED_SDP_GAMMA if g.directed else UNDIRECTED_SDP_GAMMA
     prob = build_sdp(g, p)
     p = prob.p
+    _check_gamma(gamma)
     sol = solve_sdp(prob, rank=rank, seed=seed)
     members = _hyperplane_members(sol.vectors, gamma, seed, trials) \
         if g.n else np.zeros((trials, 0), dtype=bool)

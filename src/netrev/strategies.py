@@ -181,9 +181,17 @@ class RoundingSchedule:
     p_hat: float
     alpha: Callable[[np.ndarray], np.ndarray]
 
+    def _influence(self, p) -> np.ndarray:
+        """alpha(p) (p - 1/2), unchecked and unclipped: ``p`` prices on
+        which :meth:`influence_probability` accepts the schedule."""
+        p = np.asarray(p, dtype=np.float64)
+        return self.alpha(p) * (p - 0.5)
+
     def influence_probability(self, p) -> np.ndarray:
+        """I(p) for pricing probabilities ``p`` in [1/2, 1]; raises where the
+        schedule leaves [0, 1] by more than round-off."""
         p = _check_price_prob(p, "p")
-        I = self.alpha(p) * (p - 0.5)
+        I = self._influence(p)
         if np.any(I < -1e-9) or np.any(I > 1.0 + 1e-9):
             raise ValidationError(
                 f"schedule {self.name} leaves [0, 1]: I={I}")
@@ -191,18 +199,20 @@ class RoundingSchedule:
 
     def self_term(self, p) -> np.ndarray:
         """Expected rounded revenue per unit self-weight of a buyer priced
-        at ``p``: p_hat unless it joins the influence set."""
+        at ``p``: p_hat unless it joins the influence set.  Unchecked, as
+        :meth:`_influence`."""
         ph = self.p_hat
-        return ph * (1.0 - ph) * (1.0 - self.influence_probability(p))
+        return ph * (1.0 - ph) * (1.0 - np.clip(self._influence(p), 0.0, 1.0))
 
     def edge_term(self, p_src, p_dst, directed: bool) -> np.ndarray:
         """Expected rounded revenue per unit weight of an edge from a buyer
         priced at ``p_src`` to one at ``p_dst``: a free buyer earns
         p_hat (1 - p_hat) from a priced neighbor, a priced pair p_hat times
-        that, in one direction (directed) or in either order (undirected)."""
+        that, in one direction (directed) or in either order (undirected).
+        Unchecked, as :meth:`_influence`."""
         ph = self.p_hat
-        Is = self.influence_probability(p_src)
-        Id = self.influence_probability(p_dst)
+        Is = np.clip(self._influence(p_src), 0.0, 1.0)
+        Id = np.clip(self._influence(p_dst), 0.0, 1.0)
         Es, Ed = 1.0 - Is, 1.0 - Id
         if directed:
             per_edge = Is * Ed + 0.5 * ph * Es * Ed
@@ -248,6 +258,7 @@ def rounding_expected_revenue(g: SocialNetwork, prices: Sequence[float],
     p = _check_price_prob(list(prices), "prices")
     if p.shape != (g.n,):
         raise ValidationError(f"prices must have length n={g.n}")
+    schedule.influence_probability(p)  # self_term and edge_term do not check
     total = float(np.sum(schedule.self_term(p) * g.self_weights))
     s, d, w = g.edge_src, g.edge_dst, g.edge_weight
     if w.size:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from netrev import (
     UNDIRECTED_ROUNDING,
     UNDIRECTED_ROUNDING_FLAT,
     MarketingStrategy,
+    RoundingSchedule,
     SocialNetwork,
     ValidationError,
     class_ratio,
@@ -20,6 +22,7 @@ from netrev import (
     rounding_expected_revenue,
     strategy_revenue,
 )
+from netrev import certificates
 from netrev.certificates import (_KINDS, _random_ie_ratio,
                                  _rounding_edge_ratio, _rounding_self_ratio)
 
@@ -250,10 +253,33 @@ def test_cos_band_is_a_valid_subinterval_of_the_geometric_band(a, b):
     ("sdp_directed", {"grid_step": 1e-9}),
     ("rounding_undirected", {"grid_step": 1e-7}),
     ("random_ie", {"grid_step": 1e-3 - 1e-9}),
-])
+] + [(kind, {"gamma": gamma})
+     for kind in ("sdp_directed", "sdp_undirected", "sdp_self")
+     for gamma in (1.5, -0.1, math.nan)])
 def test_certificate_rejects_invalid_inputs(kind, params):
     with pytest.raises(ValidationError):
         ratio_certificate(kind, **params)
+
+
+@pytest.mark.parametrize("kind", ["sdp_directed", "sdp_undirected",
+                                  "sdp_self"])
+@pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
+def test_bad_gamma_is_rejected_before_the_scan(monkeypatch, kind, gamma):
+    # the scan and the polish rotate unchecked, so gamma is checked first
+    def no_scan(*args):
+        raise AssertionError("scanned with an invalid gamma")
+
+    monkeypatch.setattr(certificates, "_box_min", no_scan)
+    message = re.escape(f"gamma must lie in [0, 1], got {gamma}")
+    with pytest.raises(ValidationError, match=message):
+        ratio_certificate(kind, gamma=gamma)
+
+
+def test_custom_schedule_leaving_the_unit_interval_is_rejected():
+    steep = RoundingSchedule("steep", 0.586,
+                             lambda p: np.full(np.shape(p), 3.0))
+    with pytest.raises(ValidationError, match="schedule steep leaves"):
+        ratio_certificate("rounding_undirected", schedule=steep)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,18 @@ def test_certify_rejects_invalid_values(capsys, argv):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["certify", "--kind", "sdp_self", "--gamma", "1.5"], "1.5"),
+    (["certify", "--kind", "sdp_directed", "--gamma", "nan"], "nan"),
+    (["sdp-ie", "--input", "NET", "--gamma", "-0.1"], "-0.1"),
+])
+def test_bad_gamma_exits_2_with_its_message(cycle4_file, capsys, argv, value):
+    rc = main([cycle4_file if a == "NET" else a for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: gamma must lie in [0, 1], got {value}\n"
+
+
 def test_simulate_agrees_with_closed_form(cycle4_file, ie_strategy_file,
                                           capsys):
     doc = run_json(["simulate", "--input", cycle4_file,

@@ -96,6 +96,25 @@ def test_node_count_above_cap_rejected_before_allocation(n):
         load_network(f"# header\nundirected {n}\n")
 
 
+@pytest.mark.parametrize("n", [2.7, 4.0, True, False, "3", None])
+def test_node_count_must_be_an_integer(n):
+    # a float n is not truncated and a bool is not a count
+    for edges in ([], [(0, 1, 1.0)]):
+        with pytest.raises(ValidationError,
+                           match="node count must be an integer"):
+            SocialNetwork(False, n, edges)
+    for kind in ("path", "cycle"):
+        with pytest.raises(ValidationError,
+                           match="node count must be an integer"):
+            generate(kind, n)
+
+
+def test_numpy_integer_node_count_is_accepted():
+    g = SocialNetwork(False, np.int64(3), [(0, 1, 1.0)])
+    assert g.n == 3 and type(g.n) is int
+    assert generate("cycle", np.int32(4)).n == 4
+
+
 def test_save_load_round_trip(cycle4):
     h = load_network(save_network(cycle4))
     assert h.directed == cycle4.directed

@@ -621,6 +621,25 @@ def test_simulate_does_not_depend_on_chunk_size(random_net, monkeypatch,
         assert rep.std_error == pytest.approx(ref.std_error, rel=1e-12)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_simulate_tables_do_not_leak_between_calls(random_net, monkeypatch,
+                                                   directed):
+    # simulate builds a strategy's class tables once per call: a strategy
+    # simulated at n=12 and then at n=5 must give what a fresh one gives
+    nets = [random_net(seed, n=n, directed=directed, density=0.8,
+                       self_weights=not directed)
+            for seed, n in ((78, 12), (79, 5))]
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 48)  # chunks of 16 trials
+    fresh = (lambda: IEStrategy(frozenset({1, 3}), 0.6),
+             lambda: RandomIEStrategy(0.3, 0.6),
+             lambda: GeneralizedIEStrategy(3, (0.2, 0.3, 0.5), seed=1))
+    for make in fresh:
+        reused = make()
+        for g in nets:
+            assert simulate(g, reused, 100, seed=5).to_json() \
+                == simulate(g, make(), 100, seed=5).to_json()
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 12])
 def test_successive_stream_draws_follow_the_trial_addressing(n):
     # each chunk of one generator starts where _stream_uniforms addresses

@@ -369,7 +369,7 @@ def test_draw_classes_counts_the_cut_points_searchsorted_finds(w, u, seed):
         cuts = np.cumsum(q)
         v = np.concatenate([u, cuts, np.nextafter(cuts, 0.0),
                             np.nextafter(cuts, 2.0), [1.0 - 2.0 ** -53]])
-        got = revenue._draw_classes(q, v)
+        got = revenue._class_drawer(q)(v)
         assert got.dtype.kind == "u"
         np.testing.assert_array_equal(got, _searchsorted_classes(q, v))
         if q.size == 2:
@@ -386,7 +386,7 @@ def test_draw_classes_past_a_sum_that_ends_below_one():
     q = np.full(10, 0.1)
     assert np.cumsum(q)[-1] < 1.0
     u = np.array([np.cumsum(q)[-1], 1.0 - 2.0 ** -53])
-    np.testing.assert_array_equal(revenue._draw_classes(q, u), [9, 9])
+    np.testing.assert_array_equal(revenue._class_drawer(q)(u), [9, 9])
 
 
 def test_generalized_strategy_validation():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -448,6 +449,32 @@ def test_rotate_validation():
         rotate(3.5, 0.5)
 
 
+@pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
+def test_bad_gamma_is_rejected_by_every_rotating_entry(monkeypatch, cycle4,
+                                                       gamma):
+    message = re.escape(f"gamma must lie in [0, 1], got {gamma}")
+    with pytest.raises(ValidationError, match=message):
+        rotated_pair_angle(1.0, 0.5, 0.6, gamma)
+    v0 = np.array([1.0, 0.0])
+    with pytest.raises(ValidationError, match=message):
+        round_hyperplane(_solution_with_vectors([v0, v0]), gamma)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with an invalid gamma")
+
+    # rounding rotates unchecked, so sdp_ie checks gamma before solving
+    monkeypatch.setattr(sdprelax, "solve_sdp", no_solve)
+    with pytest.raises(ValidationError, match=message):
+        sdp_ie(cycle4, gamma=gamma)
+
+
+def test_rotated_pair_angle_reports_a_bad_angle_before_a_bad_gamma():
+    with pytest.raises(ValidationError, match="theta_ij must lie in"):
+        rotated_pair_angle(5.0, 0.5, 0.6, 1.5)
+    with pytest.raises(UnrealizableTripleError):
+        rotated_pair_angle(3.0, 0.4, 0.4, 1.5)
+
+
 def test_rotated_pair_angle_matches_explicit_vectors():
     """The spherical-law update must agree with literally rotating vectors."""
     rng = np.random.default_rng(0)
@@ -490,9 +517,11 @@ def test_rotated_pair_angles_broadcasts_each_term_at_its_own_shape():
     t = np.linspace(0.0, 1.0, 5)[None, None, :]
     x = np.broadcast_to(_band_angle(y, z, t), (7, 4, 5))
     for cx in (np.linspace(-1.0, 1.0, 5)[None, None, :], np.cos(x)):
-        got = sdprelax._rotated_pair_angles(cx, y, z, gamma)
+        got = sdprelax._rotated_pair_angles(cx, y, z, rotate(y, gamma),
+                                            rotate(z, gamma))
+        bx, by, bz = np.broadcast_arrays(cx, y, z)
         full = sdprelax._rotated_pair_angles(
-            *np.broadcast_arrays(cx, y, z), gamma)
+            bx, by, bz, rotate(by, gamma), rotate(bz, gamma))
         assert got.shape == (7, 4, 5)
         np.testing.assert_array_equal(got, full)
     Y, Z = np.broadcast_arrays(y, z, x)[:2]

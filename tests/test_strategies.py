@@ -17,6 +17,7 @@ from netrev import (
     TUNED_EXPLOIT_PROB,
     UNDIRECTED_ROUNDING,
     UNDIRECTED_ROUNDING_FLAT,
+    RoundingSchedule,
     SocialNetwork,
     ValidationError,
     class_moments,
@@ -147,6 +148,23 @@ def test_rounding_expected_revenue_matches_enumeration(random_net):
         A = frozenset(i for i, b in enumerate(bits) if b)
         total += w * ie_revenue(g, A, UNDIRECTED_ROUNDING.p_hat)
     assert rounding_expected_revenue(g, prices) == pytest.approx(total)
+
+
+def test_schedule_leaving_the_unit_interval_is_rejected(random_net):
+    # self_term and edge_term do not check the schedule; the entry points do
+    g = random_net(9, n=8, self_weights=True)
+    prices = np.full(8, 0.9)
+    steep = RoundingSchedule("steep", 0.586,
+                             lambda p: np.full(np.shape(p), 3.0))
+    negative = RoundingSchedule("negative", 0.586,
+                                lambda p: np.full(np.shape(p), -1.0))
+    for schedule in (steep, negative):
+        with pytest.raises(ValidationError,
+                           match=f"schedule {schedule.name} leaves"):
+            rounding_expected_revenue(g, prices, schedule)
+        with pytest.raises(ValidationError,
+                           match=f"schedule {schedule.name} leaves"):
+            round_to_ie(g, prices, schedule=schedule)
 
 
 def test_round_to_ie_is_seeded_and_consistent(random_net):
