@@ -80,4 +80,9 @@ printf 'directed 3\n1 1 0.5\n0 1 -1\n0 x 1\n0 1\n' > faults.txt
 run ie --input faults.txt --mode baseline
 printf 'undirected 3\n0 1 0.5\n2 2 0.1\n1 0 0.25\n2 2 0.2\n0 1 1\n' > dup.txt
 run ie --input dup.txt --mode baseline
+run gen --kind complete_dag --n 8 --output dag8.txt
+run gen --kind random --n 8 --directed --density 0.5 --seed 4 --output r8.txt
+for net in dag8.txt r8.txt; do cp $net "$out/$net"; run oracle --input $net --mode best-strategy --seed 0; done
+printf 'directed 9\n0 1 1\n7 8 0.5\n' > d9.txt
+run oracle --input d9.txt --mode best-strategy
 cd /; rm -rf "$work"

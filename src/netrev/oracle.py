@@ -5,8 +5,9 @@ the buyer valuation model directly.
 The searches are the reference points the approximation algorithms are
 measured against.  ``best_ie_exhaustive`` (every influence set, each at
 its best p in closed form) and ``best_ordering_exhaustive`` (every
-approach order at fixed prices) are exact; ``best_strategy_search`` is a
-multistart heuristic, so its values are lower bounds.
+approach order at fixed prices) are exact; ``best_strategy_search``
+ascends over prices from many starts, each in its exact best order, so
+its values are lower bounds.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -25,12 +27,12 @@ from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
 from .revenue import (_BLOCK_CELLS, IEStrategy, MarketingStrategy,
                       _check_exploit_prob, _check_price_prob, _ie_cubic,
                       _ie_weights, _marketing_revenue_rows, _require_normalized,
-                      best_ordering_for_prices, ie_revenue, strategy_family)
+                      ie_revenue, strategy_family)
 
 _TINY = 1e-12
 
 _ENUMERATION_LIMIT = 22
-_PERMUTATION_LIMIT = 8
+_DIRECTED_LIMIT = 8
 _ORDERING_LIMIT = 18
 _UNDIRECTED_LIMIT = 50
 
@@ -187,25 +189,28 @@ def _buyer_terms(buyer, P, margin, pos, i):
     return sw + in_w @ earlier, out_w @ later
 
 
-def _ascend(buyers, P, pos=None, free=None):
+def _ascend(buyers, P, positions, free):
     """Batched coordinate ascent, in place, over the columns of prices P
     (n, columns), with ``buyers`` from :func:`_buyer_pairs`.
 
-    Each update sets row i of every column to its maximizer
-    clip(1/2 + B_i / (2 A_i), 1/2, 1), or to 1 where A_i vanishes; buyers
-    go in index order, and only those in the mask ``free`` (default all)
-    move.  Sweeps stop once none moves a price by 1e-12, or after
-    ``_SWEEPS``.  With ``pos`` None each column is approached in its price
-    order, re-sorted before every sweep, after ``_WARM_UP_STEPS``
-    projected-gradient steps: step t moves each column's steepest free
-    price by 0.12 / sqrt(t).  A column whose sweep moved no price is at a
-    fixed point (re-sorted, its order is the same) and is not swept again.
+    ``positions`` maps prices to the approach positions of the best order
+    for them (:func:`_price_positions` on undirected networks,
+    :func:`_best_positions` on directed ones), and each column is
+    re-ordered by it before every step and every sweep.  Each update sets
+    row i of every column to its maximizer clip(1/2 + B_i / (2 A_i), 1/2,
+    1), or to 1 where A_i vanishes; buyers go in index order, and only
+    those in the mask ``free`` move.  ``_WARM_UP_STEPS``
+    projected-gradient steps come first: step t moves each column's
+    steepest free price by 0.12 / sqrt(t).  Sweeps stop once none moves a
+    price by 1e-12, or after ``_SWEEPS``.  A column whose sweep moved no
+    price is at a fixed point (re-ordered, its order is the same) and is
+    not swept again.
     """
-    cols = range(P.shape[0]) if free is None else np.flatnonzero(free)
+    cols = np.flatnonzero(free)
     tiny = _TINY * max([1.0] + [float(np.max(in_w, initial=sw))
                                 for sw, _, in_w, _, _ in buyers])
-    for step in range(_WARM_UP_STEPS if pos is None else 0):
-        at = _price_positions(P)
+    for step in range(_WARM_UP_STEPS):
+        at = positions(P)
         margin = P * (1.0 - P)
         grad = np.zeros_like(P)
         for i in cols:
@@ -218,7 +223,7 @@ def _ascend(buyers, P, pos=None, free=None):
     live = np.arange(P.shape[1])
     for _ in range(_SWEEPS):
         Q = P[:, live]
-        at = _price_positions(Q) if pos is None else pos[:, live]
+        at = positions(Q)
         margin = Q * (1.0 - Q)
         delta = np.zeros(live.size)
         for i in cols:
@@ -234,7 +239,7 @@ def _ascend(buyers, P, pos=None, free=None):
             break
 
 
-def _undirected_starts(n, free_nodes, rng):
+def _starts(n, free_nodes, rng):
     f = len(free_nodes)
     for c in (0.5, 0.75, 1.0):
         yield np.full(n, c)
@@ -250,85 +255,96 @@ def _undirected_starts(n, free_nodes, rng):
         yield rng.uniform(0.5, 1.0, size=n)
 
 
-def _search_undirected(g: SocialNetwork, pins: dict, seed) -> OracleReport:
+def _search(g: SocialNetwork, pins: dict, seed) -> OracleReport:
     n = g.n
     free = np.ones(n, dtype=bool)
     free[list(pins)] = False
-    P = np.array(list(_undirected_starts(n, np.flatnonzero(free),
-                                         default_rng(seed)))).T.copy()
+    P = np.array(list(_starts(n, np.flatnonzero(free),
+                              default_rng(seed)))).T.copy()
     P[list(pins)] = np.array(list(pins.values()))[:, None]
-    _ascend(_buyer_pairs(g), P, free=free)
-    R = _marketing_revenue_rows(g, P.T, _price_positions(P).T)
+    positions = partial(_best_positions, g) if g.directed else _price_positions
+    _ascend(_buyer_pairs(g), P, positions, free)
+    pos = positions(P)
+    R = _marketing_revenue_rows(g, P.T, pos.T)
     k = int(np.argmax(R))
     return OracleReport(best_value=float(R[k]),
-                        best_witness=best_ordering_for_prices(g, P[:, k]),
+                        best_witness=MarketingStrategy(np.argsort(pos[:, k]),
+                                                       P[:, k]),
                         search_space_size=P.shape[1], method="multistart",
                         resolution=1.0 / 16.0)
-
-
-def _search_directed(g: SocialNetwork, seed) -> OracleReport:
-    n = g.n
-    buyers = _buyer_pairs(g)
-    m = math.factorial(n)  # orders[r] is the r-th in permutations order
-    orders = np.fromiter(itertools.chain.from_iterable(
-        itertools.permutations(range(n))), np.int64, m * n).reshape(m, n)
-    pos = np.argsort(orders, axis=1).astype(np.min_scalar_type(n))
-    starts = [np.full((n, m), c) for c in (0.75, 1.0, 0.5)]  # columns: orders
-    starts.append(default_rng(seed).uniform(0.5, 1.0, size=(m, n)).T.copy())
-    at = np.ascontiguousarray(pos.T)
-    best_val, best_row, best_P = -np.inf, 0, None
-    # One start at a time: stacked into one ascent, the four starts ran
-    # 5-20% slower at n = 8, at 1.45x the peak memory.
-    for P in starts:
-        _ascend(buyers, P, at)
-        R = _marketing_revenue_rows(g, P.T, pos)
-        k = int(np.argmax(R))
-        if R[k] > best_val:
-            best_val, best_row, best_P = float(R[k]), k, P[:, k].copy()
-    witness = MarketingStrategy(tuple(int(i) for i in orders[best_row]),
-                                tuple(float(x) for x in best_P))
-    return OracleReport(best_value=best_val, best_witness=witness,
-                        search_space_size=m * len(starts), method="multistart")
 
 
 def best_strategy_search(g: SocialNetwork, seed=0) -> OracleReport:
     """Heuristic search for the best full marketing strategy.
 
-    Undirected networks (n <= 50): the approach order is always the price
-    sort, so the search runs multistart ascent over the price vector alone.
-    Directed networks (n <= 8): every approach order is enumerated and the
-    prices are optimized per order.  Values are lower bounds on the true
-    optimum (method="multistart").  The first candidate of largest computed
-    revenue wins, by start and then permutation order, so among optima of
+    Multistart ascent over the price vector (:func:`_ascend`) from the
+    same starts on either kind of network, each start approached in the
+    best order for its current prices: the price sort on undirected
+    networks (n <= 50), the subset recursion (:func:`_best_positions`) on
+    directed ones (n <= 8, the starts growing as 2^n).  Values are lower bounds on the true optimum
+    (method="multistart"); ``search_space_size`` counts the starts.  The
+    first start of largest computed revenue wins, so among optima of
     equal value the last bits of the sums decide.
     """
     _require_normalized(g, "best_strategy_search")
-    if g.directed:
-        if g.n > _PERMUTATION_LIMIT:
-            raise ValidationError(
-                f"directed search enumerates n! orders; n={g.n} exceeds "
-                f"{_PERMUTATION_LIMIT}")
-        return _search_directed(g, seed)
-    if g.n > _UNDIRECTED_LIMIT:
-        raise ValidationError(
-            f"undirected search supports n <= {_UNDIRECTED_LIMIT}")
-    return _search_undirected(g, {}, seed)
+    kind, limit = (("directed", _DIRECTED_LIMIT) if g.directed else
+                   ("undirected", _UNDIRECTED_LIMIT))
+    if g.n > limit:
+        raise ValidationError(f"{kind} search supports n <= {limit}")
+    return _search(g, {}, seed)
+
+
+def _best_positions(g: SocialNetwork, P: np.ndarray) -> np.ndarray:
+    """Approach positions (n, columns) of the best order for each column of
+    prices P (n, columns), by the subset recursion of Held and Karp (1962).
+
+    At fixed prices, revenue is the constant sum m_i w[i, i] plus c_ji =
+    p_j w[j, i] m_i over the influence pairs (j, i) with j first, m_i =
+    p_i (1 - p_i): the best f(S) of a set S approached first is the max
+    over i in S of f(S - {i}) + sum_{j in S} c_ji.  Sets (bit i for buyer
+    i) go one popcount layer at a time, in blocks of about
+    ``_BLOCK_CELLS`` (set, column, buyer) cells.  A block's sums are one
+    product of its membership, tiled once per column, with the
+    block-diagonal sparse c of all columns, so each column is summed as it
+    would be alone.  An int8 table keeps each set's last buyer, read back
+    from the full set.  Ties: among last buyers of equal computed value
+    the smallest index goes last, and so on backwards."""
+    n, cols = P.shape
+    src, dst, w = g.influence_pairs()
+    margin = P * (1.0 - P)
+    shift = n * np.arange(cols)  # column k holds rows and columns k n + i
+    c = csr_array(((P[src] * w[:, None] * margin[dst]).T.ravel(),
+                   ((src + shift[:, None]).ravel(),
+                    (dst + shift[:, None]).ravel())), shape=(n * cols,) * 2)
+    size = np.zeros(1 << n, np.int8)  # popcount of each set
+    for b in range(n):  # a set with top bit b: one more than without it
+        size[1 << b:2 << b] = size[:1 << b] + 1
+    f, last = np.zeros((1 << n, cols)), np.zeros((1 << n, cols), np.int8)
+    unit, rows = 1 << np.arange(n), max(1, _BLOCK_CELLS // max(n * cols, 1))
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(size == k)
+        for S in np.split(layer, range(rows, layer.size, rows)):
+            member = (S[:, None] & unit) != 0
+            cand = (np.tile(member, cols) @ c).reshape(S.size, cols, n)
+            cand += f[S[:, None] ^ unit].transpose(0, 2, 1)  # c_ii = 0
+            np.copyto(cand, -np.inf, where=~member[:, None])
+            i = np.argmax(cand, axis=2)
+            f[S], last[S] = np.take_along_axis(cand, i[..., None], 2)[..., 0], i
+    pos = np.empty((n, cols), np.min_scalar_type(n))
+    S, col = np.full(cols, (1 << n) - 1), np.arange(cols)
+    for t in range(n - 1, -1, -1):
+        i = last[S, col]
+        pos[i, col] = t
+        S ^= unit[i]
+    return pos
 
 
 def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
     """Exact best approach order for a fixed price vector (n <= 18).
 
-    At fixed prices, revenue is the constant sum m_i w[i, i] plus c_ji =
-    p_j w[j, i] m_i over the influence pairs (j, i) with j first, m_i =
-    p_i (1 - p_i): a linear ordering problem, solved over all n! orders by
-    the subset recursion of Held and Karp (1962) in O(2^n n^2) time: the
-    best f(S) of a set S approached first is the max over i in S of
-    f(S - {i}) + sum_{j in S} c_ji.  Sets (bit i for buyer i) go one
-    popcount layer at a time, in blocks of about ``_BLOCK_CELLS`` (set,
-    buyer) cells, each one product with the sparse c; an int8 table keeps
-    each set's last buyer, read back from the full set.  Ties: among last
-    buyers of equal computed value the smallest index goes last, and so
-    on backwards.  ``best_value`` is the witness's own revenue."""
+    At fixed prices, revenue is a linear ordering problem, solved over all
+    n! orders by the subset recursion of :func:`_best_positions` in
+    O(2^n n^2) time.  ``best_value`` is the witness's own revenue."""
     _require_normalized(g, "best_ordering_exhaustive")
     n = g.n
     if n > _ORDERING_LIMIT:
@@ -337,26 +353,8 @@ def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
     prices = _check_price_prob(prices, "prices")
     if prices.shape != (n,):
         raise ValidationError("prices must supply one probability per buyer")
-    src, dst, w = g.influence_pairs()
-    margin = prices * (1.0 - prices)
-    c = csr_array((prices[src] * w * margin[dst], (src, dst)), shape=(n, n))
-    size = np.zeros(1 << n, np.int8)  # popcount of each set
-    for b in range(n):  # a set with top bit b: one more than without it
-        size[1 << b:2 << b] = size[:1 << b] + 1
-    f, last = np.zeros(1 << n), np.zeros(1 << n, np.int8)
-    unit, rows = 1 << np.arange(n), max(1, _BLOCK_CELLS // max(n, 1))
-    for k in range(1, n + 1):
-        layer = np.flatnonzero(size == k)
-        for S in np.split(layer, range(rows, layer.size, rows)):
-            member = (S[:, None] & unit) != 0
-            cand = f[S[:, None] ^ unit] + member @ c  # i in S, c_ii = 0
-            cand[~member] = -np.inf
-            f[S], last[S] = np.max(cand, axis=1), np.argmax(cand, axis=1)
-    order, S = [], (1 << n) - 1
-    while S:
-        order.insert(0, int(last[S]))
-        S ^= 1 << order[0]
-    witness = MarketingStrategy(order, prices)
+    witness = MarketingStrategy(
+        np.argsort(_best_positions(g, prices[:, None])[:, 0]), prices)
     return OracleReport(best_value=witness.expected_revenue(g),
                         best_witness=witness,
                         search_space_size=math.factorial(n),
@@ -413,12 +411,12 @@ def gadget_revenue_table(kind: str, constraint=None, p: Optional[float] = None,
                 "p applies to the set gadgets; strategy gadgets price freely")
         g = gadget(kind)
         if constraint is not None:
-            return _search_undirected(g, _selection_pins(kind, constraint), seed)
+            return _search(g, _selection_pins(kind, constraint), seed)
         sel = GADGET_SELECTION_NODES[kind]
-        table = {"free": _search_undirected(g, {}, seed)}
+        table = {"free": _search(g, {}, seed)}
         for pattern in itertools.product((0.5, 1.0), repeat=len(sel)):
             key = ",".join(format(v, "g") for v in pattern)
-            table[key] = _search_undirected(g, dict(zip(sel, pattern)), seed)
+            table[key] = _search(g, dict(zip(sel, pattern)), seed)
         return table
     if kind in ("set_triangle", "set_edge"):
         p = 0.5 if p is None else _check_exploit_prob(p)

@@ -581,7 +581,7 @@ def rotate(theta, gamma: float):
     """
     gamma = _check_gamma(gamma)
     t = np.asarray(theta, dtype=np.float64)
-    if np.any(t < -1e-9) or np.any(t > math.pi + 1e-9):
+    if not np.all((t >= -1e-9) & (t <= math.pi + 1e-9)):  # NaN fails both
         raise ValidationError("theta must lie in [0, pi]")
     out = _rotate(np.clip(t, 0.0, math.pi), gamma)
     return float(out) if np.isscalar(theta) else out

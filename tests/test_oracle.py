@@ -209,6 +209,35 @@ def test_search_warm_up_decides_these_optima(monkeypatch, seed, warm, cold):
         cold, abs=1e-9)
 
 
+_DIRECTED_PROBES = {
+    1: 1.150540176466401, 3: 0.6589693922889841, 5: 1.2041232949408303,
+    7: 0.9117920131207441, 9: 0.9952831884143256, 11: 1.2030547667274165,
+    13: 1.1470067520552174, 15: 1.0085535090887683, 17: 0.8984189803905516,
+    19: 1.0940444912320082, 21: 0.9795181798259108, 23: 1.0763218247419457,
+    25: 1.1096840220454063, 27: 0.8721348824389087, 29: 0.8935766947885994,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_DIRECTED_PROBES))
+def test_directed_search_values_are_pinned(seed):
+    # optima that the search once found by trying every approach order
+    g = generate("random", 5, directed=True, density=0.7,
+                 weight_range=(0.1, 1.0), seed=100 + seed)
+    assert best_strategy_search(g, seed=seed).best_value == pytest.approx(
+        _DIRECTED_PROBES[seed], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("g, value", [
+    (generate("complete_dag", 8), 5.218393945426065),
+    (generate("random", 8, directed=True, density=0.5, seed=4),
+     3.3205883337652797),
+], ids=["complete_dag8", "random8"])
+def test_directed_search_values_are_pinned_at_n8(g, value):
+    rep = best_strategy_search(g, seed=0)
+    assert rep.best_value == pytest.approx(value, rel=1e-9, abs=0.0)
+    assert strategy_revenue(g, rep.best_witness) == rep.best_value
+
+
 def test_search_size_limits():
     with pytest.raises(ValidationError):
         best_strategy_search(generate("complete_dag", 9))
@@ -312,6 +341,29 @@ def test_best_ordering_exhaustive_matches_the_enumeration(directed, n):
                                                    abs=0.0)
             assert strategy_revenue(g, rep.best_witness) == rep.best_value
             assert rep.search_space_size == math.factorial(n)
+
+
+@pytest.mark.parametrize("one_set_per_block", [False, True])
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n", range(9))
+def test_best_positions_orders_each_column_as_alone(monkeypatch, n, directed,
+                                                    one_set_per_block):
+    # nine columns, a third of them tied prices on dyadic weights, each
+    # ordered as best_ordering_exhaustive orders it alone
+    rng = np.random.default_rng(10 * n + directed)
+    g = generate("random", n, directed=directed, density=0.7, weight=0.5,
+                 seed=n) if n else SocialNetwork(directed, 0, [])
+    P = np.column_stack([rng.uniform(0.5, 1.0, size=(n, 3)),
+                         0.5 + rng.integers(0, 3, size=(n, 3)) / 4.0,
+                         np.full((n, 3), 0.75)])
+    alone = [best_ordering_exhaustive(g, P[:, k]).best_witness.order
+             for k in range(9)]
+    if one_set_per_block:
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", 9 * n)
+    pos = oracle._best_positions(g, P)
+    assert pos.shape == (n, 9)
+    assert [tuple(int(i) for i in np.argsort(pos[:, k])) for k in range(9)] \
+        == alone
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -447,6 +447,9 @@ def test_rotate_validation():
         rotate(-0.5, 0.5)
     with pytest.raises(ValidationError):
         rotate(3.5, 0.5)
+    for theta in (math.nan, np.array([0.1, math.nan])):
+        with pytest.raises(ValidationError, match=r"theta must lie in \[0, pi\]"):
+            rotate(theta, 0.5)
 
 
 @pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
