@@ -85,4 +85,10 @@ run gen --kind random --n 8 --directed --density 0.5 --seed 4 --output r8.txt
 for net in dag8.txt r8.txt; do cp $net "$out/$net"; run oracle --input $net --mode best-strategy --seed 0; done
 printf 'directed 9\n0 1 1\n7 8 0.5\n' > d9.txt
 run oracle --input d9.txt --mode best-strategy
+run gen --kind cycle --n 8 --density 0.5 --seed 3
+run gen --kind bipartite --n 6 --self-weight-range 0.1 0.5 --seed 1
+run gen --kind path --n 5 --parts 2 3
+run gen --kind complete_dag --n 4 --self-weight-range 0.1 0.5 --seed 1
+run ie --input corpus/cycle5.txt --mode bipartite
+run sdp-ie --input $R --seed 4 --trials 20000
 cd /; rm -rf "$work"

@@ -23,16 +23,16 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CERTIFICATE_KINDS, ratio_certificate
-from .netmodel import (GADGET_KINDS, SocialNetwork, ValidationError, gadget,
-                       generate, load_network, save_network)
-from .oracle import (best_ie_exhaustive, best_ordering_exhaustive,
-                     best_strategy_search, gadget_revenue_table, simulate)
-from .revenue import (RandomIEStrategy, _revenue_ratio, revenue_bounds,
-                      strategy_family, strategy_from_json)
+from .netmodel import (GADGET_KINDS, GENERATOR_KINDS, SocialNetwork,
+                       ValidationError, gadget, generate, load_network,
+                       save_network)
+from .oracle import (_ENUMERATION_LIMIT, best_ie_exhaustive,
+                     best_ordering_exhaustive, best_strategy_search,
+                     gadget_revenue_table, simulate)
+from .revenue import (_revenue_ratio, revenue_bounds, strategy_family,
+                      strategy_from_json)
 from .sdprelax import sdp_ie
 from .strategies import generalized_ie, ie_baseline, ie_bipartite, ie_tuned
-
-_ORACLE_TABLE_LIMIT = 16
 
 
 def _default_seed() -> str:
@@ -228,18 +228,18 @@ def _table_row(path, seed: int, trials: int) -> dict:
     upper = revenue_bounds(g).upper
     row = {"instance": Path(path).name, "n": g.n, "directed": g.directed,
            "W": g.W, "N": g.N, "upper_bound": upper}
-    tuned = ie_tuned(g, seed=seed)
-    for key, strategy in (("baseline_ie", ie_baseline(g)),
-                          ("tuned_ie", RandomIEStrategy(tuned.q, tuned.p)),
-                          ("generalized_ie", generalized_ie(g, 6))):
-        row[key] = strategy.expected_revenue(g)
-        row[f"{key}_ratio"] = _revenue_ratio(row[key], upper)
+    for key, revenue in (("baseline_ie", ie_baseline(g).expected_revenue(g)),
+                         ("tuned_ie", ie_tuned(g, seed=seed).expected_revenue),
+                         ("generalized_ie",
+                          generalized_ie(g, 6).expected_revenue(g))):
+        row[key] = revenue
+        row[f"{key}_ratio"] = _revenue_ratio(revenue, upper)
     result = sdp_ie(g, trials=trials, seed=seed)
     row["sdp_ie"] = result.revenue
     row["sdp_ie_ratio"] = _revenue_ratio(result.revenue, upper)
     row["sdp_converged"] = result.solution.converged
     row.update(result.solver_diagnostics())
-    if g.n <= _ORACLE_TABLE_LIMIT:
+    if g.n <= _ENUMERATION_LIMIT:
         oracle = best_ie_exhaustive(g)
         row["oracle_best_ie"] = oracle.best_value
         row["oracle_best_ie_ratio"] = _revenue_ratio(oracle.best_value, upper)
@@ -296,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate a network file")
     sp.add_argument("--kind", required=True,
-                    choices=("cycle", "path", "complete_dag", "bipartite",
-                             "random") + GADGET_KINDS)
+                    choices=GENERATOR_KINDS + GADGET_KINDS)
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--weight", type=float, default=1.0)
     sp.add_argument("--directed", action="store_true")
@@ -349,10 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gadget-table",
                         help="conditional revenue optima of a gadget")
+    add_common(sp, needs_input=False)
     sp.add_argument("--kind", required=True, choices=GADGET_KINDS)
     sp.add_argument("--pricing-prob", type=float, default=None)
-    sp.add_argument("--seed", type=_seed, default=seed_default)
-    sp.add_argument("--output")
     sp.set_defaults(func=_cmd_gadget_table)
 
     sp = sub.add_parser("certify", help="certify a worst-case ratio bound")
@@ -377,11 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("table", help="approximation table over a corpus")
+    add_common(sp, needs_input=False)
     sp.add_argument("--corpus", required=True,
                     help="directory of *.txt network files")
-    sp.add_argument("--output")
     sp.add_argument("--csv", help="also export the rows as CSV")
-    sp.add_argument("--seed", type=_seed, default=seed_default)
     sp.add_argument("--trials", type=int, default=100,
                     help="rounding trials per sdp-ie run")
     sp.set_defaults(func=_cmd_table)

@@ -467,13 +467,19 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
              seed: Optional[int] = None) -> SocialNetwork:
     """Build a named network family instance.
 
-    ``cycle``/``path`` chain node ``i`` to ``i+1`` (cycles close the loop),
-    ``complete_dag`` puts a directed edge on every pair ``i < j``,
-    ``bipartite`` connects two sides (sizes ``parts``, default as even as
-    possible) with probability ``density``, and ``random`` samples each
-    ordered (directed) or unordered (undirected) pair with probability
-    ``density``.  Random kinds draw weights uniformly from ``weight_range``
-    and require a ``seed``; fixed kinds use the constant ``weight``.
+    Each kind lists its candidate pairs in lexicographic order: ``cycle``
+    and ``path`` chain node ``i`` to ``i+1`` (cycles close the loop),
+    ``complete_dag`` takes every pair ``i < j`` and is always directed,
+    ``bipartite`` (undirected) joins each node of one side to each of the
+    other (sizes ``parts``, default as even as possible), and ``random``
+    takes every ordered (directed) or unordered (undirected) pair.  Every
+    kind then follows one rule: each candidate is kept with probability
+    ``density`` (one uniform per candidate, in order), the kept pairs draw
+    weights uniformly from ``weight_range`` (else take the constant
+    ``weight``), and the buyers draw self-weights from
+    ``self_weight_range``.  Any random choice requires a ``seed``, and so
+    does the ``random`` kind.  ``parts`` is refused on every kind but
+    ``bipartite``, and ``self_weight_range`` on a directed network.
     """
     n = _node_count(n)
     if n < 1:
@@ -484,40 +490,29 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
         raise ValidationError("density must lie in [0, 1]")
     for name, bounds in (("weight_range", weight_range),
                          ("self_weight_range", self_weight_range)):
-        if bounds is not None and not (np.all(np.isfinite(bounds))
+        if bounds is not None and not (np.shape(bounds) == (2,)
+                                       and np.all(np.isfinite(bounds))
                                        and bounds[0] <= bounds[1]):
             raise ValidationError(
                 f"{name} must be finite with low <= high, got {tuple(bounds)}")
+    directed = directed or kind == "complete_dag"
+    if parts is not None and kind != "bipartite":
+        raise ValidationError(f"parts apply to the bipartite generator, not {kind}")
+    if self_weight_range is not None and directed:
+        raise ValidationError("self-weights apply to undirected networks only")
+
     if kind == "cycle":
         if n < 3:
             raise ValidationError("cycle requires n >= 3")
-        src = np.arange(n)
-        return SocialNetwork._from_arrays(directed, n, src, (src + 1) % n,
-                                          np.full(n, weight, dtype=np.float64))
-    if kind == "path":
-        src = np.arange(n - 1)
-        return SocialNetwork._from_arrays(directed, n, src, src + 1,
-                                          np.full(n - 1, weight, dtype=np.float64))
-    if kind == "complete_dag":
-        src, dst = np.triu_indices(n, 1)
-        return SocialNetwork._from_arrays(True, n, src, dst,
-                                          np.full(src.size, weight, dtype=np.float64))
-
-    randomized = density < 1.0 or weight_range is not None \
-        or self_weight_range is not None
-    rng = None
-    if randomized:
-        if seed is None:
-            raise ValidationError(f"{kind} with random choices requires a seed")
-        rng = np.random.default_rng(seed)
-
-    def draw_weights(count: int) -> np.ndarray:
-        if weight_range is not None:
-            lo, hi = weight_range
-            return rng.uniform(lo, hi, size=count)
-        return np.full(count, weight)
-
-    if kind == "bipartite":
+        if directed:
+            blocks = [(np.arange(n), np.r_[1:n, 0])]
+        else:  # the closing pair (0, n-1) sorts second
+            blocks = [(np.r_[0, 0:n - 1], np.r_[1, n - 1, 2:n])]
+    elif kind == "path":
+        blocks = [(np.arange(n - 1), np.arange(1, n))]
+    elif kind == "complete_dag":
+        blocks = [np.triu_indices(n, 1)]
+    elif kind == "bipartite":
         if directed:
             raise ValidationError("bipartite generator is undirected")
         if parts is None:
@@ -525,46 +520,46 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
         a, b = parts
         if a + b != n or a < 1 or b < 1:
             raise ValidationError(f"parts {parts} must be positive and sum to n={n}")
-        src, dst = _sample_pairs((np.arange(a, n) for _ in range(a)),
-                                 density, rng)
-        w = draw_weights(src.size)
-        return SocialNetwork._from_arrays(False, n, src, dst, w)
-
-    # kind == "random"
-    if rng is None:
-        if seed is None:
-            raise ValidationError("random generator requires a seed")
-        rng = np.random.default_rng(seed)
-    if directed:
-        candidates = (np.delete(np.arange(n), i) for i in range(n))
+        blocks = ((i, np.arange(a, n)) for i in range(a))
+    elif directed:  # random: one block per source row
+        blocks = ((i, np.delete(np.arange(n), i)) for i in range(n))
     else:
-        candidates = (np.arange(i + 1, n) for i in range(n))
-    src, dst = _sample_pairs(candidates, density, rng)
-    w = draw_weights(src.size)
-    self_w = None
-    if self_weight_range is not None:
-        if directed:
-            raise ValidationError("self-weights apply to undirected networks only")
-        lo, hi = self_weight_range
-        self_w = rng.uniform(lo, hi, size=n)
+        blocks = ((i, np.arange(i + 1, n)) for i in range(n))
+
+    rng = None
+    randomized = density < 1.0 or weight_range is not None \
+        or self_weight_range is not None
+    if randomized or kind == "random":
+        if seed is None:
+            raise ValidationError(f"{kind} with random choices requires a seed"
+                                  if randomized else
+                                  "random generator requires a seed")
+        rng = np.random.default_rng(seed)
+    src, dst = _sample_pairs(blocks, density, rng)
+    w = (rng.uniform(*weight_range, size=src.size) if weight_range is not None
+         else np.full(src.size, weight, dtype=np.float64))
+    self_w = (rng.uniform(*self_weight_range, size=n)
+              if self_weight_range is not None else None)
     return SocialNetwork._from_arrays(directed, n, src, dst, w,
                                       self_weights=self_w)
 
 
-def _sample_pairs(candidates: Iterable[np.ndarray], density: float, rng):
-    """Pairs ``(i, j)`` over the candidate columns ``j`` of each row ``i``,
-    each kept with probability ``density``.
+def _sample_pairs(blocks: Iterable[tuple], density: float, rng):
+    """The candidate pairs of the ``(src, dst)`` blocks, each kept with
+    probability ``density``; ``src`` is an array, or one source row's
+    index.
 
-    Each row draws one uniform per candidate, rows in order: the same
-    uniforms as one draw over all pairs in lexicographic order, while only
-    one row of candidates is held at a time (at least one row is expected).
+    Each block draws one uniform per candidate, blocks in order: the same
+    uniforms as one draw over all candidates, while only one block is held
+    at a time (at least one block is expected).
     """
     src, dst = [], []
-    for i, cols in enumerate(candidates):
+    for s, d in blocks:
         if density < 1.0:
-            cols = cols[rng.random(cols.size) < density]
-        src.append(np.full(cols.size, i, dtype=np.int64))
-        dst.append(cols)
+            keep = rng.random(d.size) < density
+            s, d = (s[keep] if isinstance(s, np.ndarray) else s), d[keep]
+        src.append(np.full(d.size, s, dtype=np.int64))
+        dst.append(d)
     return np.concatenate(src), np.concatenate(dst)
 
 

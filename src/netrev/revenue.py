@@ -469,6 +469,12 @@ def _ie_weights(g: SocialNetwork):
     return g.self_weights + in_w, src, dst, w
 
 
+def _batch_rows(g: SocialNetwork) -> int:
+    """Candidate sets per block of :func:`ie_coefficients_batch`: about
+    ``_BATCH_CELLS`` buyer or edge cells."""
+    return max(1, _BATCH_CELLS // max(1, g.n, g.num_edges))
+
+
 def ie_coefficients_batch(g: SocialNetwork, members: np.ndarray):
     """:func:`ie_revenue_coefficients` of many influence sets at once.
 
@@ -484,7 +490,7 @@ def ie_coefficients_batch(g: SocialNetwork, members: np.ndarray):
     T, n = M.shape
     cap, src, dst, w = _ie_weights(g)
     C, D = np.empty(T), np.empty(T)
-    rows = max(1, _BATCH_CELLS // max(1, n, w.size))
+    rows = _batch_rows(g)
     for start in range(0, T, rows):
         block = M[start:start + rows].T
         if block.dtype != bool and not np.all((block == 0) | (block == 1)):

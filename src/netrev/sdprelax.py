@@ -35,8 +35,8 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 from .netmodel import SocialNetwork, ValidationError
-from .revenue import (IEStrategy, _check_exploit_prob, _require_normalized,
-                      ie_revenue_batch)
+from .revenue import (IEStrategy, _batch_rows, _check_exploit_prob,
+                      _require_normalized, ie_revenue_batch)
 
 #: Headline parameter pairs (exploit pricing probability, rotation strength).
 DIRECTED_SDP_PRICING = 2.0 / 3.0
@@ -660,22 +660,21 @@ def _rotated_vectors(V: np.ndarray, gamma: float) -> np.ndarray:
     return np.vstack([v0[None, :], rotated])
 
 
-def _hyperplane_members(V: np.ndarray, gamma: float, seed, trials: int) -> np.ndarray:
+def _hyperplane_members(Vrot: np.ndarray, rng, trials: int) -> np.ndarray:
     """(trials, n) membership matrix: buyer i joins A when its rotated
-    vector lands on v_0's side of a uniformly random hyperplane."""
-    Vrot = _rotated_vectors(V, gamma)
-    rng = np.random.default_rng(seed)
-    R = rng.standard_normal((trials, V.shape[1]))
+    vector ``Vrot[i + 1]`` lands on ``Vrot[0]``'s side of a uniformly
+    random hyperplane."""
+    R = rng.standard_normal((trials, Vrot.shape[1]))
     R /= np.maximum(np.linalg.norm(R, axis=1, keepdims=True), 1e-300)
-    S = R @ Vrot.T  # (trials, n+1)
-    side = S >= 0.0
+    side = R @ Vrot.T >= 0.0  # (trials, n+1)
     return side[:, 1:] == side[:, :1]
 
 
 def round_hyperplane(sol: SdpSolution, gamma: float, seed=0) -> frozenset:
     """One random-hyperplane draw: the sampled influence set."""
     _check_gamma(gamma)
-    members = _hyperplane_members(sol.vectors, gamma, seed, 1)[0]
+    members = _hyperplane_members(_rotated_vectors(sol.vectors, gamma),
+                                  np.random.default_rng(seed), 1)[0]
     return frozenset(int(i) for i in np.nonzero(members)[0])
 
 
@@ -720,7 +719,8 @@ def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
     (0.586, 0.209) undirected.  The expected single-trial revenue is at
     least 0.9064 (directed) resp. 0.9032 (undirected) times the relaxation
     objective at those parameters; taking the best of many trials only
-    helps.
+    helps.  The hyperplanes are drawn and scored in blocks, so memory does
+    not grow with ``trials``.
     """
     _require_normalized(g, "sdp_ie")
     if trials < 1:
@@ -733,11 +733,18 @@ def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
     p = prob.p
     _check_gamma(gamma)
     sol = solve_sdp(prob, rank=rank, seed=seed)
-    members = _hyperplane_members(sol.vectors, gamma, seed, trials) \
-        if g.n else np.zeros((trials, 0), dtype=bool)
-    revenues = ie_revenue_batch(g, members, p)
-    k = int(np.argmax(revenues))
-    strategy = IEStrategy(frozenset(int(i) for i in np.nonzero(members[k])[0]), p)
-    return SdpIEResult(strategy=strategy, revenue=float(revenues[k]), p=p,
+    Vrot = _rotated_vectors(sol.vectors, gamma)
+    rng = np.random.default_rng(seed)
+    rows = _batch_rows(g)  # the blocks of ie_revenue_batch, so bits match
+    best = None
+    for start in range(0, trials, rows):
+        members = _hyperplane_members(Vrot, rng, min(rows, trials - start))
+        revenues = ie_revenue_batch(g, members, p)
+        k = int(np.argmax(revenues))
+        if best is None or revenues[k] > best[0]:  # the first best is kept
+            best = float(revenues[k]), members[k]
+    revenue, members = best
+    strategy = IEStrategy(frozenset(int(i) for i in np.nonzero(members)[0]), p)
+    return SdpIEResult(strategy=strategy, revenue=revenue, p=p,
                        gamma=gamma, sdp_objective=sol.objective_value,
                        solution=sol, trials=trials, seed=seed)

@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .netmodel import SocialNetwork, ValidationError
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
@@ -114,43 +116,33 @@ def ie_bipartite(g: SocialNetwork,
         raise ValidationError(
             "bipartite IE requires zero self-weights (self-weight revenue "
             "cannot be collected across the cut)")
+    src, dst = g.edge_src, g.edge_dst
     if influence_set is None:
-        A = _two_color(g)
+        # Components of the bipartite double cover, where node i has a copy
+        # i + n and each edge joins either end to the other end's copy.  A
+        # component is bipartite iff no node shares a label with its copy;
+        # labels number the components in order of their smallest node, so
+        # the side with the lower labels holds that node.
+        n = g.n
+        cover = csr_array((np.ones(2 * src.size), (np.r_[src, src + n],
+                                                    np.r_[dst + n, dst])),
+                          shape=(2 * n, 2 * n))
+        labels = connected_components(cover, directed=False)[1]
+        odd = np.flatnonzero(labels[:n] == labels[n:])
+        if odd.size:
+            raise ValidationError(f"network is not bipartite: the component "
+                                  f"of node {odd[0]} has an odd cycle")
+        A = frozenset(np.flatnonzero(labels[:n] < labels[n:]).tolist())
     else:
         A = frozenset(int(i) for i in influence_set)
-        _influence_mask(A, g.n)  # rejects members outside [0, n)
-        for i, j, _w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-            if (i in A) == (j in A):
-                side = "influence set" if i in A else "priced side"
-                raise ValidationError(
-                    f"partition is not bipartite: edge ({i}, {j}) has both "
-                    f"endpoints on the {side}")
+        mask = _influence_mask(A, g.n)
+        same = np.flatnonzero(mask[src] == mask[dst])
+        if same.size:
+            i, j = src[same[0]], dst[same[0]]
+            side = "influence set" if mask[i] else "priced side"
+            raise ValidationError(f"partition is not bipartite: edge ({i}, {j}) "
+                                  f"has both endpoints on the {side}")
     return IEStrategy(A, 0.5)
-
-
-def _two_color(g: SocialNetwork) -> frozenset:
-    """BFS 2-coloring; raises with a violating edge on odd cycles."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in zip(g.edge_src, g.edge_dst):
-        adj[i].append(int(j))
-        adj[j].append(int(i))
-    color = np.full(g.n, -1, dtype=np.int64)
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise ValidationError(
-                        f"network is not bipartite: edge ({u}, {v}) joins "
-                        "two same-colored nodes")
-    return frozenset(int(i) for i in np.nonzero(color == 0)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import re
 import pytest
 
 import netrev.strategies
-from netrev import (IEStrategy, generalized_ie, generalized_ie_revenue,
-                    generate, ie_revenue, load_network, save_network)
+from netrev import (IEStrategy, RandomIEStrategy, generalized_ie,
+                    generalized_ie_revenue, generate, ie_revenue, ie_tuned,
+                    load_network, save_network)
 from netrev.cli import _TABLE_COLUMNS, main
 from netrev.sdprelax import _scipy_openblas
 
@@ -92,6 +93,30 @@ def test_gen_rejects_bad_weight_range(capsys, flag, bounds):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error:") and "range" in captured.err
+    assert captured.out == ""
+
+
+def test_gen_thins_a_cycle(capsys):
+    rc = main(["gen", "--kind", "cycle", "--n", "8", "--density", "0.5",
+               "--seed", "3"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out == save_network(generate("cycle", 8, density=0.5, seed=3))
+    assert 0 < load_network(out).num_edges < 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "path", "--n", "5", "--parts", "2", "3"],
+    ["--kind", "complete_dag", "--n", "4", "--self-weight-range", "0.1", "0.5",
+     "--seed", "1"],
+    ["--kind", "random", "--n", "4", "--directed", "--self-weight-range",
+     "0.1", "0.5", "--seed", "1"],
+])
+def test_gen_refuses_options_that_cannot_apply(capsys, argv):
+    rc = main(["gen"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "apply" in captured.err
     assert captured.out == ""
 
 
@@ -622,6 +647,26 @@ def test_table_over_mini_corpus(tmp_path, capsys):
         assert row["sdp_converged"] is True
     header = csv_path.read_text().splitlines()[0]
     assert header.split(",") == list(_TABLE_COLUMNS)
+
+
+def test_table_runs_the_oracle_up_to_its_enumeration_limit(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    nets = {"edge_free.txt": load_network("undirected 3\n0 0 0.3\n2 2 0.7\n")}
+    for n in (22, 23):
+        nets[f"random{n}.txt"] = generate("random", n, density=0.2, seed=n)
+    for name, g in nets.items():
+        (corpus / name).write_text(save_network(g))
+    out = tmp_path / "table.json"
+    assert main(["table", "--corpus", str(corpus), "--output", str(out),
+                 "--trials", "10", "--seed", "0"]) == 0
+    rows = {row["instance"]: row for row in json.loads(out.read_text())["rows"]}
+    assert "oracle_best_ie" in rows["random22.txt"]
+    assert "oracle_best_ie" not in rows["random23.txt"]
+    for name, g in nets.items():
+        tuned = ie_tuned(g)
+        assert rows[name]["tuned_ie"] == RandomIEStrategy(
+            tuned.q, tuned.p).expected_revenue(g)
 
 
 def test_table_rejects_missing_corpus(tmp_path, capsys):

@@ -260,6 +260,12 @@ def test_generate_validations():
             generate("random", 4, self_weight_range=bad, seed=1)
 
 
+@pytest.mark.parametrize("name", ["weight_range", "self_weight_range"])
+def test_generate_ranges_must_be_pairs(name):
+    with pytest.raises(ValidationError, match=name):
+        generate("random", 4, seed=1, **{name: (0.1, 0.2, 0.3)})
+
+
 def test_generate_bipartite_parts():
     g = generate("bipartite", 5, parts=(2, 3))
     assert g.num_edges == 6
@@ -283,7 +289,10 @@ def _tuple_generate(kind, n, directed, density, weight_range,
     if kind == "bipartite":
         a = (n + 1) // 2
         pairs = [(i, j) for i in range(a) for j in range(a, n)]
-    elif directed:
+    elif kind in ("cycle", "path"):
+        chain = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * (kind == "cycle")
+        pairs = sorted(p if directed else tuple(sorted(p)) for p in chain)
+    elif directed and kind == "random":
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     else:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -300,12 +309,15 @@ def _tuple_generate(kind, n, directed, density, weight_range,
 
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.999, 1.0])
 @pytest.mark.parametrize("kind,directed", [("random", False), ("random", True),
-                                           ("bipartite", False)])
+                                           ("bipartite", False),
+                                           ("cycle", False), ("cycle", True),
+                                           ("path", False), ("path", True),
+                                           ("complete_dag", True)])
 def test_generate_matches_tuple_generator(kind, directed, density):
     for n in (1, 2, 3, 8, 41, 120):
-        if kind == "bipartite" and n < 2:
+        if kind == "bipartite" and n < 2 or kind == "cycle" and n < 3:
             continue
-        sw = (0.2, 1.0) if kind == "random" and not directed else None
+        sw = (0.2, 1.0) if kind != "bipartite" and not directed else None
         got = generate(kind, n, directed=directed, density=density,
                        weight_range=(0.1, 1.0), self_weight_range=sw,
                        seed=n + 100)
@@ -313,6 +325,43 @@ def test_generate_matches_tuple_generator(kind, directed, density):
                                n + 100)
         assert got == want
         assert np.array_equal(got.edge_weight, want.edge_weight)
+
+
+def test_bipartite_self_weights_are_drawn_after_the_pairs():
+    plain = generate("bipartite", 6, seed=1)
+    g = generate("bipartite", 6, self_weight_range=(0.1, 0.5), seed=1)
+    for column in ("edge_src", "edge_dst", "edge_weight"):
+        assert np.array_equal(getattr(g, column), getattr(plain, column))
+    want = np.random.default_rng(1).uniform(0.1, 0.5, size=6)
+    assert np.array_equal(g.self_weights, want)
+
+
+@pytest.mark.parametrize("kind,options", [
+    ("cycle", {"parts": (2, 3)}),
+    ("path", {"parts": (2, 3)}),
+    ("complete_dag", {"parts": (2, 3)}),
+    ("random", {"parts": (2, 3), "seed": 1}),
+    ("complete_dag", {"self_weight_range": (0.1, 0.5), "seed": 1}),
+    ("cycle", {"directed": True, "self_weight_range": (0.1, 0.5), "seed": 1}),
+    ("path", {"directed": True, "self_weight_range": (0.1, 0.5), "seed": 1}),
+])
+def test_generate_refuses_options_that_cannot_apply(kind, options):
+    with pytest.raises(ValidationError, match="parts apply|self-weights apply"):
+        generate(kind, 5, **options)
+
+
+@pytest.mark.parametrize("kind,options,message", [
+    ("random", {}, "random generator requires a seed"),
+    ("random", {"density": 0.5}, "random with random choices requires a seed"),
+    ("cycle", {"density": 0.5}, "cycle with random choices requires a seed"),
+    ("path", {"weight_range": (0.1, 1.0)},
+     "path with random choices requires a seed"),
+    ("bipartite", {"self_weight_range": (0.1, 0.5)},
+     "bipartite with random choices requires a seed"),
+])
+def test_random_choices_require_a_seed(kind, options, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        generate(kind, 6, **options)
 
 
 def test_generate_memory_grows_with_edges_not_n_squared():

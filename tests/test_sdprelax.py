@@ -373,6 +373,19 @@ def test_solver_memory_grows_with_edges_not_n_squared():
     assert peak < 64 * 2 ** 20
 
 
+def test_sdp_ie_memory_does_not_grow_with_trials():
+    g = generate("random", 100, density=4 / 99, weight_range=(0.1, 1.0), seed=1)
+    peaks = []
+    for trials in (5000, 10 ** 5):
+        tracemalloc.start()
+        try:
+            sdp_ie(g, trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 def test_dual_bound_memory_grows_with_edges_not_n_squared():
     g = generate("path", 5000)
     prob = build_sdp(g, UNDIRECTED_SDP_PRICING)

@@ -98,6 +98,38 @@ def test_bipartite_ie_accepts_explicit_side(cycle4):
         ie_bipartite(cycle4, influence_set={0, 1})  # adjacent: not a side
 
 
+def _component_minimum(g):
+    """Smallest node of each node's component, by union-find."""
+    root = list(range(g.n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
+        a, b = find(i), find(j)
+        root[max(a, b)] = min(a, b)
+    return [find(i) for i in range(g.n)]
+
+
+def test_bipartite_ie_colors_relabelled_networks():
+    rng = np.random.default_rng(5)
+    for k in range(300):
+        n = int(rng.integers(2, 40))
+        a = int(rng.integers(1, n))
+        h = generate("bipartite", n, parts=(a, n - a),
+                     density=float(rng.uniform(0.05, 1.0)), seed=k)
+        perm = rng.permutation(n)
+        g = SocialNetwork(False, n, zip(perm[h.edge_src].tolist(),
+                                        perm[h.edge_dst].tolist(),
+                                        h.edge_weight.tolist()))
+        side = np.zeros(n, dtype=bool)
+        side[list(ie_bipartite(g).influence_set)] = True
+        assert np.all(side[g.edge_src] != side[g.edge_dst])
+        assert side[_component_minimum(g)].all()
+
+
 def test_bipartite_ie_rejects_odd_cycle():
     with pytest.raises(ValidationError):
         ie_bipartite(generate("cycle", 5))
