@@ -91,4 +91,5 @@ run gen --kind path --n 5 --parts 2 3
 run gen --kind complete_dag --n 4 --self-weight-range 0.1 0.5 --seed 1
 run ie --input corpus/cycle5.txt --mode bipartite
 run sdp-ie --input $R --seed 4 --trials 20000
+run oracle --input $C --mode best-ordering --prices 0.75,0.75,0.75,0.75
 cd /; rm -rf "$work"

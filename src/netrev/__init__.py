@@ -12,8 +12,7 @@ from .netmodel import (GADGET_KINDS, GADGET_SELECTION_NODES, ParseError,
                        load_network, network_from_json, save_network)
 from .revenue import (GeneralizedIEStrategy, IEStrategy, MarketingStrategy,
                       MyopicQuote, RandomIEStrategy, RevenueBounds,
-                      best_ordering_for_prices, class_moments,
-                      generalized_ie_revenue,
+                      class_moments, generalized_ie_revenue,
                       ie_coefficients_batch, ie_revenue, ie_revenue_batch,
                       ie_revenue_coefficients, myopic_price,
                       price_for_probability, pricing_classes,
@@ -53,7 +52,7 @@ __all__ = [
     "UNDIRECTED_ROUNDING", "UNDIRECTED_ROUNDING_FLAT", "UNDIRECTED_SDP_GAMMA",
     "UNDIRECTED_SDP_PRICING", "UnrealizableTripleError",
     "UnsupportedOperationError", "ValidationError", "best_ie_exhaustive",
-    "best_ordering_exhaustive", "best_ordering_for_prices",
+    "best_ordering_exhaustive",
     "best_strategy_search", "build_sdp", "class_moments", "class_ratio",
     "class_ratio_terms", "default_rounding_schedule", "eliminate_selfloops",
     "gadget", "gadget_revenue_table", "generalized_ie",

@@ -50,6 +50,18 @@ def _node_count(n) -> int:
     return int(n)
 
 
+def _check_seed(seed) -> Optional[int]:
+    """``seed`` as an int for numpy's generators, or None: a non-negative
+    integer, not a bool and not a float however integral."""
+    if seed is None:
+        return None
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ValidationError(
+            f"seed must be None or a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _check_weights_finite(w: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(w)):
         raise ValidationError(f"{what} must be finite (no NaN or infinity)")
@@ -484,6 +496,7 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
     n = _node_count(n)
     if n < 1:
         raise ValidationError("generate requires n >= 1")
+    seed = _check_seed(seed)
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
     if not 0.0 <= density <= 1.0:

@@ -4,8 +4,9 @@ the buyer valuation model directly.
 
 The searches are the reference points the approximation algorithms are
 measured against.  ``best_ie_exhaustive`` (every influence set, each at
-its best p in closed form) and ``best_ordering_exhaustive`` (every
-approach order at fixed prices) are exact; ``best_strategy_search``
+its best p in closed form) and ``best_ordering_exhaustive`` (the best
+approach order at fixed prices: the price sort on undirected networks, a
+subset recursion on directed ones) are exact; ``best_strategy_search``
 ascends over prices from many starts, each in its exact best order, so
 its values are lower bounds.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from numpy.random import Generator, Philox, SeedSequence, default_rng
 from scipy.sparse import csr_array
 
 from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
-                       gadget)
+                       _check_seed, gadget)
 from .revenue import (_BLOCK_CELLS, IEStrategy, MarketingStrategy,
                       _check_exploit_prob, _check_price_prob, _ie_cubic,
                       _ie_weights, _marketing_revenue_rows, _require_normalized,
@@ -161,22 +161,9 @@ _SWEEPS = 120
 _WARM_UP_STEPS = 20
 
 
-def _price_positions(P: np.ndarray) -> np.ndarray:
-    """Approach positions of each column's price sort, dearest first, ties
-    by index: the best order for those prices on an undirected network."""
-    order = np.argsort(-P, axis=0, kind="stable")
-    return np.argsort(order, axis=0).astype(np.min_scalar_type(P.shape[0]))
-
-
-def _buyer_pairs(g: SocialNetwork) -> list:
-    """Per buyer i: (w_ii, in-sources j, w_ji, out-targets k, w_ik)."""
-    src, dst, w = g.influence_pairs()
-    return [(g.self_weights[i], src[dst == i], w[dst == i],
-             dst[src == i], w[src == i]) for i in range(g.n)]
-
-
 def _buyer_terms(buyer, P, margin, pos, i):
-    """A_i and B_i of buyer i (pairs ``buyer``) in each column of prices P
+    """A_i and B_i of buyer i, whose pairs ``buyer`` are (w_ii, in-sources
+    j, w_ji, out-targets k, w_ik), in each column of prices P
     (n, columns), margins P (1 - P), approached in the order pos: in p_i
     alone the revenue is p_i (1 - p_i) A_i + p_i B_i, A_i being w_ii plus
     w_ji p_j over the j approached earlier, B_i w_ik p_k (1 - p_k) over the
@@ -189,14 +176,12 @@ def _buyer_terms(buyer, P, margin, pos, i):
     return sw + in_w @ earlier, out_w @ later
 
 
-def _ascend(buyers, P, positions, free):
+def _ascend(g: SocialNetwork, P, free):
     """Batched coordinate ascent, in place, over the columns of prices P
-    (n, columns), with ``buyers`` from :func:`_buyer_pairs`.
+    (n, columns) on ``g``.
 
-    ``positions`` maps prices to the approach positions of the best order
-    for them (:func:`_price_positions` on undirected networks,
-    :func:`_best_positions` on directed ones), and each column is
-    re-ordered by it before every step and every sweep.  Each update sets
+    Each column is re-ordered by :func:`_best_positions`, the best order
+    for its prices, before every step and every sweep.  Each update sets
     row i of every column to its maximizer clip(1/2 + B_i / (2 A_i), 1/2,
     1), or to 1 where A_i vanishes; buyers go in index order, and only
     those in the mask ``free`` move.  ``_WARM_UP_STEPS``
@@ -206,11 +191,14 @@ def _ascend(buyers, P, positions, free):
     price is at a fixed point (re-ordered, its order is the same) and is
     not swept again.
     """
+    src, dst, w = g.influence_pairs()
+    buyers = [(g.self_weights[i], src[dst == i], w[dst == i],
+               dst[src == i], w[src == i]) for i in range(g.n)]
     cols = np.flatnonzero(free)
     tiny = _TINY * max([1.0] + [float(np.max(in_w, initial=sw))
                                 for sw, _, in_w, _, _ in buyers])
     for step in range(_WARM_UP_STEPS):
-        at = positions(P)
+        at = _best_positions(g, P)
         margin = P * (1.0 - P)
         grad = np.zeros_like(P)
         for i in cols:
@@ -223,7 +211,7 @@ def _ascend(buyers, P, positions, free):
     live = np.arange(P.shape[1])
     for _ in range(_SWEEPS):
         Q = P[:, live]
-        at = positions(Q)
+        at = _best_positions(g, Q)
         margin = Q * (1.0 - Q)
         delta = np.zeros(live.size)
         for i in cols:
@@ -262,9 +250,8 @@ def _search(g: SocialNetwork, pins: dict, seed) -> OracleReport:
     P = np.array(list(_starts(n, np.flatnonzero(free),
                               default_rng(seed)))).T.copy()
     P[list(pins)] = np.array(list(pins.values()))[:, None]
-    positions = partial(_best_positions, g) if g.directed else _price_positions
-    _ascend(_buyer_pairs(g), P, positions, free)
-    pos = positions(P)
+    _ascend(g, P, free)
+    pos = _best_positions(g, P)
     R = _marketing_revenue_rows(g, P.T, pos.T)
     k = int(np.argmax(R))
     return OracleReport(best_value=float(R[k]),
@@ -279,14 +266,15 @@ def best_strategy_search(g: SocialNetwork, seed=0) -> OracleReport:
 
     Multistart ascent over the price vector (:func:`_ascend`) from the
     same starts on either kind of network, each start approached in the
-    best order for its current prices: the price sort on undirected
-    networks (n <= 50), the subset recursion (:func:`_best_positions`) on
-    directed ones (n <= 8, the starts growing as 2^n).  Values are lower bounds on the true optimum
-    (method="multistart"); ``search_space_size`` counts the starts.  The
-    first start of largest computed revenue wins, so among optima of
-    equal value the last bits of the sums decide.
+    best order for its current prices (:func:`_best_positions`): the price
+    sort on undirected networks (n <= 50), the subset recursion on directed
+    ones (n <= 8, the starts growing as 2^n).  Values are lower bounds on
+    the true optimum (method="multistart"); ``search_space_size`` counts
+    the starts.  The first start of largest computed revenue wins, so
+    among optima of equal value the last bits of the sums decide.
     """
     _require_normalized(g, "best_strategy_search")
+    seed = _check_seed(seed)
     kind, limit = (("directed", _DIRECTED_LIMIT) if g.directed else
                    ("undirected", _UNDIRECTED_LIMIT))
     if g.n > limit:
@@ -296,11 +284,16 @@ def best_strategy_search(g: SocialNetwork, seed=0) -> OracleReport:
 
 def _best_positions(g: SocialNetwork, P: np.ndarray) -> np.ndarray:
     """Approach positions (n, columns) of the best order for each column of
-    prices P (n, columns), by the subset recursion of Held and Karp (1962).
+    prices P (n, columns): the only code that knows the best-order rule.
 
-    At fixed prices, revenue is the constant sum m_i w[i, i] plus c_ji =
-    p_j w[j, i] m_i over the influence pairs (j, i) with j first, m_i =
-    p_i (1 - p_i): the best f(S) of a set S approached first is the max
+    On an undirected network it is the price sort: largest pricing
+    probability (the cheapest offer) first, ties by index.  Putting j just
+    before i instead of after changes revenue by p_i p_j w_ij (p_j - p_i),
+    so no sorted order gains by a swap.  On a directed network it is the
+    subset recursion of Held and Karp (1962).  At fixed prices, revenue is
+    the constant sum m_i w[i, i] plus c_ji = p_j w[j, i] m_i over the
+    influence pairs (j, i) with j first, m_i = p_i (1 - p_i): the best
+    f(S) of a set S approached first is the max
     over i in S of f(S - {i}) + sum_{j in S} c_ji.  Sets (bit i for buyer
     i) go one popcount layer at a time, in blocks of about
     ``_BLOCK_CELLS`` (set, column, buyer) cells.  A block's sums are one
@@ -310,6 +303,9 @@ def _best_positions(g: SocialNetwork, P: np.ndarray) -> np.ndarray:
     from the full set.  Ties: among last buyers of equal computed value
     the smallest index goes last, and so on backwards."""
     n, cols = P.shape
+    if not g.directed:
+        order = np.argsort(-P, axis=0, kind="stable")
+        return np.argsort(order, axis=0).astype(np.min_scalar_type(n))
     src, dst, w = g.influence_pairs()
     margin = P * (1.0 - P)
     shift = n * np.arange(cols)  # column k holds rows and columns k n + i
@@ -340,11 +336,13 @@ def _best_positions(g: SocialNetwork, P: np.ndarray) -> np.ndarray:
 
 
 def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
-    """Exact best approach order for a fixed price vector (n <= 18).
+    """Exact best approach order for a fixed price vector (n <= 18), on
+    either kind of network.
 
-    At fixed prices, revenue is a linear ordering problem, solved over all
-    n! orders by the subset recursion of :func:`_best_positions` in
-    O(2^n n^2) time.  ``best_value`` is the witness's own revenue."""
+    The order is :func:`_best_positions`': the price sort on undirected
+    networks, and on directed ones the best of all n! orders of a linear
+    ordering problem, by a subset recursion in O(2^n n^2) time.
+    ``best_value`` is the witness's own revenue."""
     _require_normalized(g, "best_ordering_exhaustive")
     n = g.n
     if n > _ORDERING_LIMIT:
@@ -405,6 +403,7 @@ def gadget_revenue_table(kind: str, constraint=None, p: Optional[float] = None,
     (default 1/2); ``constraint`` names the influence set, and no
     constraint tabulates every subset plus the best under key "best".
     """
+    seed = _check_seed(seed)
     if kind in ("extended_triangle", "three_path"):
         if p is not None:
             raise ValidationError(
@@ -526,7 +525,9 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     src, dst, w = g.edge_src, g.edge_dst, g.edge_weight
     chunk = max(16, _BLOCK_CELLS // max(4 * _philox_blocks(n), w.size))
     by_discount = strategy.price_ordered and not g.directed
-    seed = int(seed)
+    if seed is None:  # the report names the seed that reproduces it
+        raise ValidationError("simulate requires a seed")
+    seed = _check_seed(seed)
     streams = {}
 
     def draw(stream):  # every chunk draws each stream it uses once

@@ -19,7 +19,7 @@ from typing import (ClassVar, Iterable, Optional, Sequence, Union,
 
 import numpy as np
 
-from .netmodel import SocialNetwork, UnsupportedOperationError, ValidationError
+from .netmodel import SocialNetwork, ValidationError, _check_seed
 
 PRICE_PROB_MIN = 0.5
 PRICE_PROB_MAX = 1.0
@@ -246,7 +246,7 @@ class _ClassIEStrategy(_Strategy):
     def sample_classes(self, n: int, seed) -> np.ndarray:
         """Classes of ``n`` buyers drawn with ``np.random.default_rng(seed)``."""
         q, _ = self.classes()
-        u = np.random.default_rng(seed).random(n)
+        u = np.random.default_rng(_check_seed(seed)).random(n)
         return _class_drawer(q)(u).astype(np.intp)
 
     def expected_revenue(self, g: SocialNetwork) -> float:
@@ -570,27 +570,6 @@ def revenue_bounds(g: SocialNetwork) -> RevenueBounds:
     else:
         lower = (W + 2.0 * N) / 8.0
     return RevenueBounds(upper=upper, myopic_lower=lower)
-
-
-def best_ordering_for_prices(g: SocialNetwork, prices: Sequence[float]) -> MarketingStrategy:
-    """Optimal approach order for fixed pricing probabilities on an
-    undirected network: non-increasing ``p`` (ties broken by buyer index).
-
-    Swapping two adjacent buyers ``i`` just before ``j`` changes revenue by
-    ``p_i p_j w_ij (p_j - p_i)``, so any order with a cheaper-offer buyer
-    (larger ``p``) ahead of a pricier one can only improve by sorting.
-    Directed networks admit no such rule and are rejected.
-    """
-    if g.directed:
-        raise UnsupportedOperationError(
-            "ordering optimization by sorted prices applies to undirected "
-            "networks only")
-    p = _check_price_prob(list(prices), "prices")
-    if p.shape != (g.n,):
-        raise ValidationError(f"prices must have length n={g.n}")
-    order = np.argsort(-p, kind="stable")
-    return MarketingStrategy(tuple(int(i) for i in order),
-                             tuple(float(x) for x in p))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from scipy.optimize import minimize
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
-from .netmodel import SocialNetwork, ValidationError
+from .netmodel import SocialNetwork, ValidationError, _check_seed
 from .revenue import (IEStrategy, _batch_rows, _check_exploit_prob,
                       _require_normalized, ie_revenue_batch)
 
@@ -250,13 +250,13 @@ def _slacks(prob: SdpProblem, g: np.ndarray) -> np.ndarray:
     return np.einsum("pk,sk->ps", g[prob._edge_triples], CONSTRAINT_SIGNS) + 1.0
 
 
-def _scatter_matrix(prob: SdpProblem, diagonal: bool = False):
-    """CSR matrix on the symmetric pattern of the coefficient pairs (plus
-    the diagonal if ``diagonal``), and the pair each stored entry belongs
-    to (``coef.size`` on the diagonal).  The evaluation refills its
-    ``data`` with one weight per pair and multiplies it into V."""
+def _scatter_matrix(prob: SdpProblem):
+    """CSR matrix on the symmetric pattern of the coefficient pairs plus
+    the diagonal, and the pair each stored entry belongs to (``coef.size``
+    on the diagonal).  Each use refills its ``data`` with one weight per
+    pair and one for the diagonal, and multiplies it into V."""
     m, k = prob.num_vectors, prob.coef.size
-    diag = np.arange(m if diagonal else 0)
+    diag = np.arange(m)
     rows = np.concatenate([prob.coef_a, prob.coef_b, diag])
     cols = np.concatenate([prob.coef_b, prob.coef_a, diag])
     order = np.lexsort((cols, rows))
@@ -280,14 +280,14 @@ def _al_value_grad(xflat, prob, W, pair_of_entry, lam, mu):
     ``lam`` holds one multiplier per (edge pair, CONSTRAINT_SIGNS row).
     The value depends on V only through the Gram entries g of the
     coefficient pairs, so the gradient in V is W V with W carrying
-    dF/dg of each pair on both (a, b) and (b, a).
+    dF/dg of each pair on both (a, b) and (b, a), and 0 on the diagonal.
     """
     m = prob.num_vectors
     V, norms = _unit_rows(xflat.reshape(m, -1))
     g = _gram_entries(prob, V)
     mult = np.maximum(0.0, lam - mu * _slacks(prob, g))
     pen = float(np.einsum("ij,ij", mult, mult) - np.einsum("ij,ij", lam, lam)) / (2.0 * mu)
-    W.data = -_lagrangian_coef(prob, mult)[pair_of_entry]
+    W.data = np.append(-_lagrangian_coef(prob, mult), 0.0)[pair_of_entry]
     gV = W @ V
     gX = (gV - np.einsum("ij,ij->i", gV, V)[:, None] * V) / norms
     return pen - prob._objective(g), gX.ravel()
@@ -301,9 +301,10 @@ def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
     m = prob.num_vectors
     rng = np.random.default_rng(seed)
     # C is the symmetric matrix with objective constant + y^T C y, stored on
-    # the coefficient pattern; row k holds vector k's coefficient neighbours
+    # the coefficient pattern and a zero diagonal; row k holds vector k's
+    # coefficient neighbours
     C, pair_of_entry = _scatter_matrix(prob)
-    C.data = 0.5 * prob.coef[pair_of_entry]
+    C.data = 0.5 * np.append(prob.coef, 0.0)[pair_of_entry]
     best_y, best_v = None, -np.inf
     for trial in range(4):
         y = np.ones(m)
@@ -408,8 +409,8 @@ def _dual_bound(prob: SdpProblem, D, pair_of_entry: np.ndarray,
                 V: np.ndarray, lam: np.ndarray) -> float:
     """Weak-duality upper bound on the relaxation, from multipliers ``lam``
     and the complementary-slackness guess of the unit-diagonal multipliers
-    at the vectors ``V``; ``D`` is ``_scatter_matrix(prob, diagonal=True)``,
-    whose data this overwrites.
+    at the vectors ``V``; ``D`` is ``_scatter_matrix(prob)``, whose data
+    this overwrites.
 
     For every G >= 0 with unit diagonal, objective(G) <= constant + sum lam
     + sum y + <A, G> with A = M - Diag(y), where M carries
@@ -487,6 +488,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     ``SdpIEResult.solver_diagnostics`` reports as ``blas_pinned``.
     """
     m = prob.num_vectors
+    seed = _check_seed(seed)
     if rank is None:
         rank = default_rank(prob.n)
     if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) \
@@ -507,7 +509,6 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
                            upper_bound=int_obj * unit, certified_gap=0.0)
 
     W, pair_of_entry = _scatter_matrix(prob)
-    D, pair_of_diag_entry = _scatter_matrix(prob, diagonal=True)
     X = V_int + 0.2 * np.random.default_rng(seed).standard_normal((m, rank))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     lam = np.zeros((len(prob._edge_triples), len(CONSTRAINT_SIGNS)))
@@ -533,7 +534,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
             slack = _slacks(prob, g)
             max_viol = float(max(0.0, -np.min(slack))) if slack.size else 0.0
             lam = np.maximum(0.0, lam - mu * slack)
-            bound = _dual_bound(prob, D, pair_of_diag_entry, V, lam)
+            bound = _dual_bound(prob, W, pair_of_entry, V, lam)
             upper = min(upper, bound)
             trace.append(SdpRound(outer, ftol, int(res.nit), obj * unit,
                                   max_viol, mu, bound * unit))
@@ -673,6 +674,7 @@ def _hyperplane_members(Vrot: np.ndarray, rng, trials: int) -> np.ndarray:
 def round_hyperplane(sol: SdpSolution, gamma: float, seed=0) -> frozenset:
     """One random-hyperplane draw: the sampled influence set."""
     _check_gamma(gamma)
+    seed = _check_seed(seed)
     members = _hyperplane_members(_rotated_vectors(sol.vectors, gamma),
                                   np.random.default_rng(seed), 1)[0]
     return frozenset(int(i) for i in np.nonzero(members)[0])
@@ -723,6 +725,7 @@ def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
     not grow with ``trials``.
     """
     _require_normalized(g, "sdp_ie")
+    seed = _check_seed(seed)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if p is None:

@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .netmodel import SocialNetwork, ValidationError
+from .netmodel import SocialNetwork, ValidationError, _check_seed
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
                       _check_price_prob, _influence_mask, _require_normalized,
                       _revenue_ratio, class_moments, pricing_classes,
@@ -84,6 +84,7 @@ def ie_tuned(g: SocialNetwork, seed=0) -> TunedIE:
     myopic strategy IE(emptyset, 1/2), which is exactly optimal there.
     """
     _require_normalized(g, "ie_tuned")
+    seed = _check_seed(seed)
     if g.W == 0:
         return TunedIE(q=0.0, p=0.5, strategy=IEStrategy(frozenset(), 0.5),
                        expected_revenue=0.25 * g.N, ratio_bound=1.0)
@@ -268,6 +269,7 @@ def round_to_ie(g: SocialNetwork, prices: Sequence[float], seed=0,
     piecewise schedule) resp. 0.55289 (directed) times the revenue of the
     best ordering for ``prices``.
     """
+    seed = _check_seed(seed)
     if schedule is None:
         schedule = default_rounding_schedule(g)
     expected = rounding_expected_revenue(g, prices, schedule)  # checks prices

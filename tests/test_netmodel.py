@@ -12,16 +12,27 @@ from hypothesis import given, settings, strategies as st
 
 from netrev import (
     GADGET_SELECTION_NODES,
+    IEStrategy,
     ParseError,
+    RandomIEStrategy,
     SocialNetwork,
     UnsupportedOperationError,
     ValidationError,
+    best_strategy_search,
+    build_sdp,
     eliminate_selfloops,
     gadget,
+    gadget_revenue_table,
     generate,
+    ie_tuned,
     load_network,
     network_from_json,
+    round_hyperplane,
+    round_to_ie,
     save_network,
+    sdp_ie,
+    simulate,
+    solve_sdp,
 )
 from netrev.netmodel import MAX_NODES
 
@@ -362,6 +373,41 @@ def test_generate_refuses_options_that_cannot_apply(kind, options):
 def test_random_choices_require_a_seed(kind, options, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         generate(kind, 6, **options)
+
+
+# every public function that seeds a generator, called on the unit 4-cycle
+SEEDED_CALLS = {
+    "generate": lambda g, s: generate("random", 4, density=0.5, seed=s),
+    "ie_tuned": lambda g, s: ie_tuned(g, seed=s),
+    "RandomIEStrategy.sample":
+        lambda g, s: RandomIEStrategy(0.3, 0.6).sample(g, s),
+    "round_to_ie": lambda g, s: round_to_ie(g, [0.75] * 4, seed=s),
+    "solve_sdp": lambda g, s: solve_sdp(build_sdp(g, 0.6), seed=s),
+    "sdp_ie": lambda g, s: sdp_ie(g, seed=s),
+    "round_hyperplane": lambda g, s: round_hyperplane(
+        solve_sdp(build_sdp(g, 0.6)), 0.2, seed=s),
+    "best_strategy_search": lambda g, s: best_strategy_search(g, seed=s),
+    "gadget_revenue_table":
+        lambda g, s: gadget_revenue_table("three_path", seed=s),
+    "simulate": lambda g, s: simulate(g, IEStrategy(frozenset(), 0.5), 10,
+                                      seed=s),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, 2.0, np.float64(1.0), "1"])
+@pytest.mark.parametrize("entry", sorted(SEEDED_CALLS))
+def test_seeds_are_checked_at_the_api(cycle4, entry, seed):
+    with pytest.raises(ValidationError, match="^seed must be None or a "
+                                              "non-negative integer, got "):
+        SEEDED_CALLS[entry](cycle4, seed)
+    # None draws fresh entropy, except where a seed is required
+    required = {"generate": "random with random choices requires a seed",
+                "simulate": "simulate requires a seed"}
+    if entry in required:
+        with pytest.raises(ValidationError, match=required[entry]):
+            SEEDED_CALLS[entry](cycle4, None)
+    else:
+        SEEDED_CALLS[entry](cycle4, None)
 
 
 def test_generate_memory_grows_with_edges_not_n_squared():

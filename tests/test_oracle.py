@@ -18,7 +18,6 @@ from netrev import (
     ValidationError,
     best_ie_exhaustive,
     best_ordering_exhaustive,
-    best_ordering_for_prices,
     best_strategy_search,
     gadget,
     gadget_revenue_table,
@@ -245,15 +244,6 @@ def test_search_size_limits():
         best_strategy_search(SocialNetwork(False, 51, []))
 
 
-def test_best_ordering_exhaustive_agrees_with_sort_rule(random_net):
-    for seed in range(4):
-        g = random_net(60 + seed, n=6, self_weights=True)
-        prices = np.random.default_rng(seed).uniform(0.5, 1.0, size=6)
-        rep = best_ordering_exhaustive(g, prices)
-        sorted_rev = strategy_revenue(g, best_ordering_for_prices(g, prices))
-        assert rep.best_value == pytest.approx(sorted_rev)
-
-
 def test_best_ordering_exhaustive_checks_prices_before_enumerating(
         monkeypatch):
     def read_pairs(self):
@@ -261,7 +251,7 @@ def test_best_ordering_exhaustive_checks_prices_before_enumerating(
 
     # the subset recursion starts from the influence pairs
     monkeypatch.setattr(SocialNetwork, "influence_pairs", read_pairs)
-    g = generate("random", 10, density=0.5, seed=1)
+    g = generate("random", 10, directed=True, density=0.5, seed=1)
     prices = np.full(10, 0.75)
     for bad, message in ((2.0, "must lie in"), (np.nan, "must be finite")):
         prices[3] = bad
@@ -366,11 +356,13 @@ def test_best_positions_orders_each_column_as_alone(monkeypatch, n, directed,
         == alone
 
 
-@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("directed", [True])
 def test_best_ordering_exhaustive_tie_rule(directed):
     # dyadic weights and prices make every sum exact, so orders of equal
-    # revenue tie exactly; the rule puts the smallest index last among the
-    # optimal orders, then the smallest among those next to last, ...
+    # revenue tie exactly; on directed networks the rule puts the smallest
+    # index last among the optimal orders, then the smallest among those
+    # next to last, ...  (the undirected price sort's tie rule, by index,
+    # is pinned by test_best_ordering_sorts_by_price)
     for seed in range(4):
         g = generate("random", 6, directed=directed, density=0.7,
                      weight=1.0 if seed < 2 else 0.5, seed=seed)
@@ -381,9 +373,6 @@ def test_best_ordering_exhaustive_tie_rule(directed):
             expected = min(tuple(int(i) for i in o[::-1]) for o in best)[::-1]
             rep = best_ordering_exhaustive(g, prices)
             assert rep.best_witness.order == expected
-            if not directed and np.ptp(prices) == 0:
-                # equal prices on an undirected network tie every order
-                assert expected == (5, 4, 3, 2, 1, 0)
 
 
 def test_best_ordering_exhaustive_directed(random_net):

@@ -14,7 +14,7 @@ from netrev import (
     RandomIEStrategy,
     SocialNetwork,
     ValidationError,
-    best_ordering_for_prices,
+    best_ordering_exhaustive,
     class_moments,
     generalized_ie_revenue,
     generate,
@@ -425,7 +425,7 @@ def test_no_strategy_beats_upper_bound(random_net):
 def test_best_ordering_sorts_by_price(random_net):
     g = random_net(5, n=6, self_weights=True)
     prices = (0.6, 0.9, 0.5, 0.9, 1.0, 0.55)
-    s = best_ordering_for_prices(g, prices)
+    s = best_ordering_exhaustive(g, prices).best_witness
     assert s.order == (4, 1, 3, 0, 5, 2)  # non-increasing, stable by index
     assert s.prices == prices
 
@@ -435,17 +435,11 @@ def test_best_ordering_beats_random_orders(random_net):
     for seed in range(5):
         g = random_net(seed, n=6, self_weights=True)
         prices = tuple(rng.uniform(0.5, 1.0, size=6))
-        best = strategy_revenue(g, best_ordering_for_prices(g, prices))
+        best = best_ordering_exhaustive(g, prices).best_value
         for _ in range(50):
             order = tuple(int(i) for i in rng.permutation(6))
             r = strategy_revenue(g, MarketingStrategy(order, prices))
             assert r <= best + 1e-12
-
-
-def test_best_ordering_rejects_directed(wedge3):
-    from netrev import UnsupportedOperationError
-    with pytest.raises(UnsupportedOperationError):
-        best_ordering_for_prices(wedge3, (0.6, 0.6, 0.6))
 
 
 def test_myopic_price_quote():

@@ -395,8 +395,7 @@ def test_dual_bound_memory_grows_with_edges_not_n_squared():
     tracemalloc.start()
     try:
         with sdprelax._one_blas_thread():
-            bound = _dual_bound(prob, *_scatter_matrix(prob, diagonal=True),
-                                V, lam)
+            bound = _dual_bound(prob, *_scatter_matrix(prob), V, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -347,7 +347,7 @@ def test_class_ratio_terms_match_moment_identity(K, seed):
 def test_rounding_guarantee_spot_checks(seed):
     """Expectation of the rounded strategy stays above the certified factor
     times the best-ordering revenue (undirected piecewise schedule)."""
-    from netrev import best_ordering_for_prices, strategy_revenue
+    from netrev import best_ordering_exhaustive
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 8))
@@ -355,5 +355,5 @@ def test_rounding_guarantee_spot_checks(seed):
                  weight_range=(0.05, 1.5), self_weight_range=(0.0, 1.0),
                  seed=seed + 13)
     prices = rng.uniform(0.5, 1.0, size=n)
-    base = strategy_revenue(g, best_ordering_for_prices(g, prices))
+    base = best_ordering_exhaustive(g, prices).best_value
     assert rounding_expected_revenue(g, prices) >= 0.9111 * base - 1e-9
