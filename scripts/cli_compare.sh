@@ -92,4 +92,9 @@ run gen --kind complete_dag --n 4 --self-weight-range 0.1 0.5 --seed 1
 run ie --input corpus/cycle5.txt --mode bipartite
 run sdp-ie --input $R --seed 4 --trials 20000
 run oracle --input $C --mode best-ordering --prices 0.75,0.75,0.75,0.75
+# exits 2 at once; a tree without the MAX_TRIALS check runs it for hours
+run sdp-ie --input $R --trials 100000000000
+run simulate --input $C --strategy ie.json --trials 0
+run certify --kind random_ie --lam -0.5
+run gie --input $C --K 1
 cd /; rm -rf "$work"

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .netmodel import ValidationError
+from .netmodel import ValidationError, _check_int, _check_real
 from .revenue import (_BLOCK_CELLS, GeneralizedIEStrategy,
                       _check_exploit_prob, _random_ie_classes, class_moments)
 from .strategies import (DIRECTED_ROUNDING, RoundingSchedule,
@@ -288,10 +288,8 @@ def _tuned_random_ie(lam: float, directed: bool) -> dict:
 
 
 def _certify_random_ie(step: float, lam, directed) -> CertificateReport:
-    lam, directed = float(lam), bool(directed)
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValidationError(
-            f"self-weight ratio lam must be finite and non-negative, got {lam}")
+    lam = _check_real(lam, "self-weight ratio lam", 0, math.inf)
+    directed = bool(directed)
     val, (q, p) = _box_min(
         lambda q, p: -_random_ie_ratio(q, p, lam, directed),
         (_axis(0.0, 1.0, step), _axis(0.5, 1.0, step)))
@@ -308,7 +306,7 @@ def _certify_random_ie(step: float, lam, directed) -> CertificateReport:
 # ---------------------------------------------------------------------------
 
 def _certify_class_ie(step: float, K, q, directed) -> CertificateReport:
-    directed = bool(directed)
+    K, directed = _check_int(K, "class count K", 2), bool(directed)
     if q is None:
         if K != 6:
             raise ValidationError("default assignment vector exists for K=6 only")
@@ -360,10 +358,8 @@ def ratio_certificate(kind: str, grid_step: Optional[float] = None,
     are the kind's parameters, defaulting as ``_KINDS`` lists them; any
     other keyword is rejected.
     """
-    step = 1e-2 if grid_step is None else float(grid_step)
-    if not MIN_GRID_STEP <= step <= MAX_GRID_STEP:
-        raise ValidationError(f"grid_step must lie in [{MIN_GRID_STEP}, "
-                              f"{MAX_GRID_STEP}], got {step}")
+    step = 1e-2 if grid_step is None else _check_real(
+        grid_step, "grid_step", MIN_GRID_STEP, MAX_GRID_STEP)
     if kind not in CERTIFICATE_KINDS:  # a tuple: unhashable kinds fail here too
         raise ValidationError(
             f"unknown certificate kind {kind!r}; choose from {CERTIFICATE_KINDS}")

@@ -22,8 +22,8 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence, default_rng
 from scipy.sparse import csr_array
 
-from .netmodel import (GADGET_SELECTION_NODES, SocialNetwork, ValidationError,
-                       _check_seed, gadget)
+from .netmodel import (GADGET_SELECTION_NODES, MAX_TRIALS, SocialNetwork,
+                       ValidationError, _check_int, _check_seed, gadget)
 from .revenue import (_BLOCK_CELLS, IEStrategy, MarketingStrategy,
                       _check_exploit_prob, _check_price_prob, _ie_cubic,
                       _ie_weights, _marketing_revenue_rows, _require_normalized,
@@ -366,21 +366,16 @@ def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
 def _selection_pins(kind: str, constraint) -> dict:
     sel = GADGET_SELECTION_NODES[kind]
     if isinstance(constraint, dict):
-        pins = {int(k): float(v) for k, v in constraint.items()}
-        if not set(pins) <= set(sel):
+        nodes, prices = [int(k) for k in constraint], list(constraint.values())
+        if not set(nodes) <= set(sel):
             raise ValidationError(
-                f"{kind} selection nodes are {sel}; got pins for {sorted(pins)}")
+                f"{kind} selection nodes are {sel}; got pins for {sorted(nodes)}")
     else:
-        pattern = tuple(float(v) for v in constraint)
-        if len(pattern) != len(sel):
+        nodes, prices = sel, list(constraint)
+        if len(prices) != len(sel):
             raise ValidationError(
                 f"{kind} needs one pinned price per selection node {sel}")
-        pins = dict(zip(sel, pattern))
-    for node, price in pins.items():
-        if not 0.5 <= price <= 1.0:
-            raise ValidationError(
-                f"pinned price {price} for node {node} outside [1/2, 1]")
-    return pins
+    return dict(zip(nodes, _check_price_prob(prices, "pinned prices").tolist()))
 
 
 def _subset_report(g: SocialNetwork, members, p: float) -> OracleReport:
@@ -517,9 +512,7 @@ def simulate(g: SocialNetwork, strategy, trials: int, seed=0) -> SimulationRepor
     survives a revenue whose spread is tiny next to its mean.
     """
     _require_normalized(g, "simulate")
-    trials = int(trials)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _check_int(trials, "trials", 1, MAX_TRIALS)
     strategy_family(strategy)  # rejects a non-strategy
     n = g.n
     src, dst, w = g.edge_src, g.edge_dst, g.edge_weight

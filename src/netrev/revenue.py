@@ -12,6 +12,7 @@ influence set ``A`` and charge everyone else with a common probability.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import MISSING, dataclass, fields
 from typing import (ClassVar, Iterable, Optional, Sequence, Union,
@@ -19,7 +20,8 @@ from typing import (ClassVar, Iterable, Optional, Sequence, Union,
 
 import numpy as np
 
-from .netmodel import SocialNetwork, ValidationError, _check_seed
+from .netmodel import (SocialNetwork, ValidationError, _check_int,
+                       _check_real, _check_seed)
 
 PRICE_PROB_MIN = 0.5
 PRICE_PROB_MAX = 1.0
@@ -44,9 +46,10 @@ def _check_price_prob(p, name: str = "p"):
 
 def _check_exploit_prob(p, name: str = "p") -> float:
     """Exploit pricing probabilities live in the half-open [1/2, 1): a free
-    offer (p=1) belongs in the influence set, not the exploit phase."""
-    p = float(p)
-    if not (np.isfinite(p) and PRICE_PROB_MIN - _PROB_TOL <= p < PRICE_PROB_MAX):
+    offer (p=1) belongs in the influence set, not the exploit phase.  A p
+    at most _PROB_TOL below 1/2 is taken as 1/2."""
+    p = _check_real(p, name, PRICE_PROB_MIN - _PROB_TOL, PRICE_PROB_MAX)
+    if p == PRICE_PROB_MAX:
         raise ValidationError(f"{name} must lie in [1/2, 1), got {p}")
     return max(p, PRICE_PROB_MIN)
 
@@ -280,10 +283,7 @@ class RandomIEStrategy(_ClassIEStrategy):
     p: float
 
     def __post_init__(self):
-        q = float(self.q)
-        if not (np.isfinite(q) and 0.0 <= q <= 1.0):
-            raise ValidationError(f"q must lie in [0, 1], got {q}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _check_real(self.q, "q", 0, 1))
         object.__setattr__(self, "p", _check_exploit_prob(self.p))
 
     def sample(self, g: SocialNetwork, seed) -> IEStrategy:
@@ -298,9 +298,7 @@ def pricing_classes(K: int) -> np.ndarray:
     """Pricing probabilities ``p_k = 1 - (k - 1) / (2 (K - 1))`` for the
     ``K`` buyer classes, running from 1 (free riders, class 1) down to 1/2.
     """
-    K = int(K)
-    if K < 2:
-        raise ValidationError("class count K must be at least 2")
+    K = _check_int(K, "class count K", 2)
     k = np.arange(1, K + 1, dtype=np.float64)
     return 1.0 - (k - 1.0) / (2.0 * (K - 1.0))
 
@@ -317,22 +315,20 @@ class GeneralizedIEStrategy(_ClassIEStrategy):
     seed: Optional[int] = None
 
     def __post_init__(self):
-        K = int(self.K)
+        K = _check_int(self.K, "class count K", 2)
         q = np.asarray(self.q, dtype=np.float64)
-        if K < 2:
-            raise ValidationError("class count K must be at least 2")
         if q.shape != (K,):
             raise ValidationError(f"q must have length K={K}")
         if not np.all(np.isfinite(q)) or np.any(q < -1e-9):
             raise ValidationError("q must be non-negative")
         if abs(float(np.sum(q)) - 1.0) > 1e-9:
             raise ValidationError(f"q must sum to 1, got {float(np.sum(q))!r}")
-        if self.seed is not None and self.seed < 0:
-            raise ValidationError(f"seed must be None or >= 0, got {self.seed}")
+        seed = _check_seed(self.seed)
         q = np.clip(q, 0.0, None)
         q = q / np.sum(q)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "q", tuple(float(x) for x in q))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def class_prices(self) -> np.ndarray:
@@ -583,9 +579,7 @@ def myopic_price(M: float) -> MyopicQuote:
     """Revenue-maximizing single offer against a valuation uniform on
     ``[0, M]``: price ``M / 2`` sells with probability 1/2 for expected
     revenue ``M / 4``."""
-    M = float(M)
-    if not (np.isfinite(M) and M >= 0):
-        raise ValidationError(f"valuation cap must be finite and non-negative, got {M}")
+    M = _check_real(M, "valuation cap M", 0, math.inf)
     return MyopicQuote(price=0.5 * M, acceptance_probability=0.5,
                        expected_revenue=0.25 * M)
 
@@ -593,8 +587,6 @@ def myopic_price(M: float) -> MyopicQuote:
 def price_for_probability(M: float, p: float) -> float:
     """Offer accepted with probability ``p`` by a valuation uniform on
     ``[0, M]``: the price ``(1 - p) * M``."""
-    M = float(M)
-    if not (np.isfinite(M) and M >= 0):
-        raise ValidationError(f"valuation cap must be finite and non-negative, got {M}")
+    M = _check_real(M, "valuation cap M", 0, math.inf)
     p = float(_check_price_prob(p, "p"))
     return (1.0 - p) * M

@@ -34,7 +34,8 @@ from scipy.optimize import minimize
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
-from .netmodel import SocialNetwork, ValidationError, _check_seed
+from .netmodel import (MAX_TRIALS, SocialNetwork, ValidationError, _check_int,
+                       _check_real, _check_seed)
 from .revenue import (IEStrategy, _batch_rows, _check_exploit_prob,
                       _require_normalized, ie_revenue_batch)
 
@@ -489,12 +490,8 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     """
     m = prob.num_vectors
     seed = _check_seed(seed)
-    if rank is None:
-        rank = default_rank(prob.n)
-    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) \
-            or rank < 1:
-        raise ValidationError(f"rank must be an integer >= 1, got {rank!r}")
-    rank = max(2, min(int(rank), m)) if m > 1 else 1
+    rank = default_rank(prob.n) if rank is None else _check_int(rank, "rank", 1)
+    rank = max(2, min(rank, m)) if m > 1 else 1
     unit = _coefficient_unit(prob.coef)
     caller_prob = prob
     prob = dataclasses.replace(prob, coef=prob.coef / unit,
@@ -562,10 +559,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def _check_gamma(gamma) -> float:
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma must lie in [0, 1], got {gamma}")
-    return gamma
+    return _check_real(gamma, "gamma", 0, 1)
 
 
 def _rotate(t, gamma: float):
@@ -726,15 +720,14 @@ def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
     """
     _require_normalized(g, "sdp_ie")
     seed = _check_seed(seed)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _check_int(trials, "trials", 1, MAX_TRIALS)
     if p is None:
         p = DIRECTED_SDP_PRICING if g.directed else UNDIRECTED_SDP_PRICING
     if gamma is None:
         gamma = DIRECTED_SDP_GAMMA if g.directed else UNDIRECTED_SDP_GAMMA
+    _check_gamma(gamma)
     prob = build_sdp(g, p)
     p = prob.p
-    _check_gamma(gamma)
     sol = solve_sdp(prob, rank=rank, seed=seed)
     Vrot = _rotated_vectors(sol.vectors, gamma)
     rng = np.random.default_rng(seed)

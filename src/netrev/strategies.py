@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .netmodel import SocialNetwork, ValidationError, _check_seed
+from .netmodel import SocialNetwork, ValidationError, _check_int, _check_seed
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
                       _check_price_prob, _influence_mask, _require_normalized,
                       _revenue_ratio, class_moments, pricing_classes,
@@ -316,7 +316,7 @@ def generalized_ie(g: SocialNetwork, K: int, mode: str = "preset",
     ``seed`` seeds the strategy's class draws.
     """
     _require_normalized(g, "generalized_ie")
-    K = int(K)
+    K = _check_int(K, "class count K", 2)
     if mode == "preset":
         if K != 6:
             raise ValidationError("preset assignment probabilities exist for K=6 only")
@@ -346,10 +346,7 @@ def optimize_class_assignment(K: int) -> np.ndarray:
     the simplex.  scipy's BLAS runs at one thread: its thread-pool start
     took about 0.9 s on a first call with K >= 16, against 0.01 s.
     """
-    K = int(K)
-    if K > MAX_OPTIMIZE_CLASSES:
-        raise ValidationError(f"optimize mode takes K <= {MAX_OPTIMIZE_CLASSES}"
-                              f" (the ratio has saturated by then), got {K}")
+    K = _check_int(K, "class count K", 2, MAX_OPTIMIZE_CLASSES)
     p = pricing_classes(K)
     k = np.arange(K)
     a4 = 4.0 * p * (1.0 - p)

@@ -177,7 +177,7 @@ def test_eval_rejects_strategy_missing_key(cycle4_file, tmp_path, capsys,
     ({"K": 2, "q": [0.5, 0.5], "sed": 3}, "unknown key(s): sed"),
     ({"influence_set": [1, 3], "p": 0.5, "family": "random_ie"},
      "unknown key(s): family"),
-    ({"K": 2, "q": [0.5, 0.5], "seed": -1}, "seed must be None or >= 0"),
+    ({"K": 2, "q": [0.5, 0.5], "seed": -1}, "seed must be an integer >= 0"),
 ])
 def test_eval_rejects_unknown_keys_and_negative_seeds(cycle4_file, tmp_path,
                                                       capsys, doc, message):
@@ -256,7 +256,8 @@ def test_unrepresentable_network_is_a_validation_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("text, message", [
     ("undirected x\n", "line 1: invalid node count 'x'"),
-    ("directed -1\n", "line 1: node count must be non-negative"),
+    ("directed -1\n",
+     "line 1: node count must be an integer in [0, 10000000], got -1"),
     ("graph 3\n", "line 1: expected header"),
     ("undirected 3\n0 1\n", "line 2: expected 'i j w', got '0 1'"),
     ("undirected 3\n0 1 0.5 2\n", "line 2: expected 'i j w'"),
@@ -349,7 +350,7 @@ def test_gie_optimize_rejects_huge_k(cycle4_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error:") and captured.out == ""
-    assert "K <= 200" in captured.err
+    assert "class count K must be an integer in [2, 200]" in captured.err
 
 
 # ---------------------------------------------------------------------------

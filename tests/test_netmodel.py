@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from netrev import (
     GADGET_SELECTION_NODES,
+    GeneralizedIEStrategy,
     IEStrategy,
     ParseError,
     RandomIEStrategy,
@@ -23,10 +25,16 @@ from netrev import (
     eliminate_selfloops,
     gadget,
     gadget_revenue_table,
+    generalized_ie,
     generate,
     ie_tuned,
     load_network,
+    myopic_price,
     network_from_json,
+    optimize_class_assignment,
+    pricing_classes,
+    ratio_certificate,
+    rotate,
     round_hyperplane,
     round_to_ie,
     save_network,
@@ -34,7 +42,11 @@ from netrev import (
     simulate,
     solve_sdp,
 )
-from netrev.netmodel import MAX_NODES
+from netrev import sdprelax
+from netrev.certificates import MAX_GRID_STEP, MIN_GRID_STEP
+from netrev.netmodel import MAX_NODES, MAX_TRIALS
+from netrev.revenue import PRICE_PROB_MAX, PRICE_PROB_MIN, _PROB_TOL
+from netrev.strategies import MAX_OPTIMIZE_CLASSES
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -99,9 +111,11 @@ def test_non_finite_total_weight_rejected(text):
 
 @pytest.mark.parametrize("n", [10 ** 20, MAX_NODES + 1])
 def test_node_count_above_cap_rejected_before_allocation(n):
-    with pytest.raises(ValidationError, match="MAX_NODES"):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"node count must be an integer in [0, {MAX_NODES}], got {n}")):
         SocialNetwork(False, n)
-    with pytest.raises(ValidationError, match="MAX_NODES"):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"node count must be an integer in [1, {MAX_NODES}], got {n}")):
         generate("path", n)
     with pytest.raises(ParseError, match="line 2: node count"):
         load_network(f"# header\nundirected {n}\n")
@@ -397,8 +411,8 @@ SEEDED_CALLS = {
 @pytest.mark.parametrize("seed", [-1, True, 1.5, 2.0, np.float64(1.0), "1"])
 @pytest.mark.parametrize("entry", sorted(SEEDED_CALLS))
 def test_seeds_are_checked_at_the_api(cycle4, entry, seed):
-    with pytest.raises(ValidationError, match="^seed must be None or a "
-                                              "non-negative integer, got "):
+    with pytest.raises(ValidationError,
+                       match="^seed must be an integer >= 0, got "):
         SEEDED_CALLS[entry](cycle4, seed)
     # None draws fresh entropy, except where a seed is required
     required = {"generate": "random with random choices requires a seed",
@@ -408,6 +422,108 @@ def test_seeds_are_checked_at_the_api(cycle4, entry, seed):
             SEEDED_CALLS[entry](cycle4, None)
     else:
         SEEDED_CALLS[entry](cycle4, None)
+
+
+_IE = IEStrategy(frozenset(), 0.5)
+
+# every integer argument: (its name in messages, lo, hi or None, the call
+# with the value on the unit 4-cycle)
+INTEGER_ARGS = {
+    "SocialNetwork n": ("node count", 0, MAX_NODES,
+                        lambda g, v: SocialNetwork(False, v)),
+    "generate n": ("node count", 1, MAX_NODES, lambda g, v: generate("path", v)),
+    "solve_sdp rank": ("rank", 1, None,
+                       lambda g, v: solve_sdp(build_sdp(g, 0.6), rank=v)),
+    "sdp_ie trials": ("trials", 1, MAX_TRIALS, lambda g, v: sdp_ie(g, trials=v)),
+    "simulate trials": ("trials", 1, MAX_TRIALS,
+                        lambda g, v: simulate(g, _IE, v)),
+    "GeneralizedIEStrategy K": ("class count K", 2, None,
+                                lambda g, v: GeneralizedIEStrategy(v, (0.5, 0.5))),
+    "pricing_classes K": ("class count K", 2, None,
+                          lambda g, v: pricing_classes(v)),
+    "generalized_ie K": ("class count K", 2, None,
+                         lambda g, v: generalized_ie(g, v)),
+    "optimize_class_assignment K": ("class count K", 2, MAX_OPTIMIZE_CLASSES,
+                                    lambda g, v: optimize_class_assignment(v)),
+    "ratio_certificate K": ("class count K", 2, None,
+                            lambda g, v: ratio_certificate("class_ie", K=v)),
+}
+
+# every real argument: (its name in messages, lo, hi, the call)
+REAL_ARGS = {
+    "IEStrategy p": ("p", PRICE_PROB_MIN - _PROB_TOL, PRICE_PROB_MAX,
+                     lambda g, v: IEStrategy(frozenset(), v)),
+    "RandomIEStrategy p": ("p", PRICE_PROB_MIN - _PROB_TOL, PRICE_PROB_MAX,
+                           lambda g, v: RandomIEStrategy(0.3, v)),
+    "RandomIEStrategy q": ("q", 0, 1, lambda g, v: RandomIEStrategy(v, 0.6)),
+    "sdp_ie gamma": ("gamma", 0, 1, lambda g, v: sdp_ie(g, gamma=v)),
+    "rotate gamma": ("gamma", 0, 1, lambda g, v: rotate(0.5, v)),
+    "ratio_certificate gamma": ("gamma", 0, 1, lambda g, v: ratio_certificate(
+        "sdp_self", gamma=v)),
+    "ratio_certificate lam": ("self-weight ratio lam", 0, math.inf,
+                              lambda g, v: ratio_certificate("random_ie", lam=v)),
+    "generate density": ("density", 0, 1,
+                         lambda g, v: generate("cycle", 5, density=v, seed=0)),
+    "ratio_certificate grid_step": ("grid_step", MIN_GRID_STEP, MAX_GRID_STEP,
+                                    lambda g, v: ratio_certificate(
+                                        "sdp_self", grid_step=v)),
+    "myopic_price M": ("valuation cap M", 0, math.inf,
+                       lambda g, v: myopic_price(v)),
+}
+
+
+# None picks the default of these
+DEFAULTED_ARGS = {"solve_sdp rank", "sdp_ie gamma", "ratio_certificate grid_step"}
+
+
+def _bad_values(entry, values, lo, hi):
+    """``values`` (less None where it picks a default), then lo - 1 and,
+    with a finite hi, hi + 1."""
+    return ([v for v in values if not (v is None and entry in DEFAULTED_ARGS)]
+            + [lo - 1] + ([] if hi in (None, math.inf) else [hi + 1]))
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGS))
+def test_integer_arguments_follow_one_rule(cycle4, entry):
+    # an int or numpy integer in [lo, hi]; never a bool, a float or a string
+    name, lo, hi, call = INTEGER_ARGS[entry]
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    for value in _bad_values(entry, [2.5, 6.0, True, "3", None], lo, hi):
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"{name} must be an integer {bound}, got {value!r}") + "$"):
+            call(cycle4, value)
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ARGS))
+def test_real_arguments_follow_one_rule(cycle4, entry):
+    # a finite int or float in [lo, hi]; never a bool, a string or None
+    name, lo, hi, call = REAL_ARGS[entry]
+    huge = 10 ** 400  # an int beyond the float range
+    for value in _bad_values(entry, ["x", None, True, math.nan, math.inf, huge],
+                             lo, hi):
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"{name} must lie in [{lo}, {hi}], got {value!r}") + "$"):
+            call(cycle4, value)
+
+
+def test_checked_arguments_come_back_as_python_numbers():
+    s = GeneralizedIEStrategy(np.int64(2), (0.5, 0.5), seed=np.int64(3))
+    assert type(s.K) is int and type(s.seed) is int
+    json.dumps(s.to_json())
+
+
+def test_huge_trial_counts_fail_before_any_work(monkeypatch, cycle4):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked with an invalid trial count")
+
+    monkeypatch.setattr(sdprelax, "build_sdp", no_work)
+    monkeypatch.setattr(IEStrategy, "offer_sampler", no_work)
+    for trials in (MAX_TRIALS + 1, 10 ** 11):
+        message = re.escape(f"trials must be an integer in [1, {MAX_TRIALS}]")
+        with pytest.raises(ValidationError, match=message):
+            sdp_ie(cycle4, trials=trials)
+        with pytest.raises(ValidationError, match=message):
+            simulate(cycle4, _IE, trials)
 
 
 def test_generate_memory_grows_with_edges_not_n_squared():

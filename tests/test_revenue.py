@@ -502,9 +502,10 @@ def test_strategy_from_json_takes_the_family_it_detects():
 
 
 def test_generalized_ie_seed_must_be_none_or_non_negative():
-    with pytest.raises(ValidationError, match="seed must be None or >= 0"):
+    message = "seed must be an integer >= 0, got -1"
+    with pytest.raises(ValidationError, match=message):
         GeneralizedIEStrategy(2, (0.5, 0.5), seed=-1)
-    with pytest.raises(ValidationError, match="seed must be None or >= 0"):
+    with pytest.raises(ValidationError, match=message):
         strategy_from_json({"K": 2, "q": [0.5, 0.5], "seed": -1})
     assert GeneralizedIEStrategy(2, (0.5, 0.5), seed=0).sample_classes(4) \
         .shape == (4,)

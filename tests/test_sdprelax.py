@@ -474,11 +474,11 @@ def test_bad_gamma_is_rejected_by_every_rotating_entry(monkeypatch, cycle4,
     with pytest.raises(ValidationError, match=message):
         round_hyperplane(_solution_with_vectors([v0, v0]), gamma)
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved with an invalid gamma")
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the relaxation with an invalid gamma")
 
-    # rounding rotates unchecked, so sdp_ie checks gamma before solving
-    monkeypatch.setattr(sdprelax, "solve_sdp", no_solve)
+    # rounding rotates unchecked, so sdp_ie checks gamma before any work
+    monkeypatch.setattr(sdprelax, "build_sdp", no_build)
     with pytest.raises(ValidationError, match=message):
         sdp_ie(cycle4, gamma=gamma)
 
