@@ -13,6 +13,9 @@ echo '{"K": 3, "q": [0.2, 0.3, 0.5], "seed": 1}' > gie.json
 echo '{"influence_set": [Infinity], "p": 0.6}' > inf.json
 echo '{"K": 2, "q": [0.5, 0.5], "sed": 3}' > sed.json
 echo '{"K": 2, "q": [0.5, 0.5], "seed": -1}' > negseed.json
+echo '{"order": [0, 1.0, 2, 3], "prices": [0.9, 0.8, 0.7, 0.6]}' > floatorder.json
+echo '{"influence_set": [true], "p": 0.5}' > boolset.json
+echo '{"order": [0, 1, 2, 3], "prices": ["0.9", 0.8, 0.7, 0.6]}' > textprice.json
 printf 'undirected 4\n0 1 1.1e307\n1 2 1.1e307\n2 3 1.1e307\n3 0 1.1e307\n' > huge.txt
 C=corpus/cycle4.txt; R=corpus/random12.txt; B=corpus/bipartite33.txt
 i=0
@@ -97,4 +100,5 @@ run sdp-ie --input $R --trials 100000000000
 run simulate --input $C --strategy ie.json --trials 0
 run certify --kind random_ie --lam -0.5
 run gie --input $C --K 1
+for s in floatorder boolset textprice; do run eval --input $C --strategy $s.json; done
 cd /; rm -rf "$work"

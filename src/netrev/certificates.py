@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .netmodel import ValidationError, _check_int, _check_real
+from .netmodel import ValidationError, _check_bool, _check_int, _check_real
 from .revenue import (_BLOCK_CELLS, GeneralizedIEStrategy,
                       _check_exploit_prob, _random_ie_classes, class_moments)
 from .strategies import (DIRECTED_ROUNDING, RoundingSchedule,
@@ -289,7 +289,7 @@ def _tuned_random_ie(lam: float, directed: bool) -> dict:
 
 def _certify_random_ie(step: float, lam, directed) -> CertificateReport:
     lam = _check_real(lam, "self-weight ratio lam", 0, math.inf)
-    directed = bool(directed)
+    directed = _check_bool(directed, "directed")
     val, (q, p) = _box_min(
         lambda q, p: -_random_ie_ratio(q, p, lam, directed),
         (_axis(0.0, 1.0, step), _axis(0.5, 1.0, step)))
@@ -306,12 +306,12 @@ def _certify_random_ie(step: float, lam, directed) -> CertificateReport:
 # ---------------------------------------------------------------------------
 
 def _certify_class_ie(step: float, K, q, directed) -> CertificateReport:
-    K, directed = _check_int(K, "class count K", 2), bool(directed)
+    K, directed = _check_int(K, "class count K", 2), _check_bool(directed, "directed")
     if q is None:
         if K != 6:
             raise ValidationError("default assignment vector exists for K=6 only")
         q = SIX_CLASS_PRESET_Q
-    strategy = GeneralizedIEStrategy(K, tuple(q))
+    strategy = GeneralizedIEStrategy(K, q)
     t1, t2 = class_ratio_terms(strategy.K, strategy.q)
     undirected = class_ratio(strategy.K, strategy.q)
     directed_value = class_ratio(strategy.K, strategy.q, directed=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from typing import Iterable, Optional, Sequence
 
@@ -48,10 +49,14 @@ class UnsupportedOperationError(ValidationError):
 MAX_TRIALS = 10 ** 9
 
 
+_INTS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
+
 def _check_int(value, name: str, lo: int, hi: Optional[int] = None) -> int:
     """``value`` as an int: an integer in [lo, hi] (>= lo without ``hi``),
     never a bool and never a float however integral."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+    if isinstance(value, _INTS) and not isinstance(value, bool) \
             and lo <= value and (hi is None or value <= hi):
         return int(value)
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
@@ -61,27 +66,68 @@ def _check_int(value, name: str, lo: int, hi: Optional[int] = None) -> int:
 def _check_real(value, name: str, lo: float, hi: float) -> float:
     """``value`` as a float: a finite real number in [lo, hi], never a bool,
     a string or None."""
-    if isinstance(value, (int, float, np.integer, np.floating)) \
-            and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if math.isfinite(x) and lo <= x <= hi:
-            return x
+    if isinstance(value, _REALS) and not isinstance(value, bool) \
+            and lo <= value <= hi and abs(value) <= sys.float_info.max:
+        return float(value)
     raise ValidationError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+
+
+def _check_bool(value, name: str) -> bool:
+    """``value`` as a bool: a Python or numpy bool, never another value."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValidationError(f"{name} must be a bool, got {value!r}")
+
+
+def _entries(values, types: tuple, fail):
+    """``values`` (an array as a list) when a list, tuple or set of entries
+    of ``types``, none a bool, as one pass over the entry types tells; else
+    ``fail`` raises for the first bad entry, or for ``values`` itself."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(values, (list, tuple, set, frozenset)):
+        fail(values)
+    if not all(issubclass(t, types) and t is not bool for t in set(map(type, values))):
+        fail(next(v for v in values
+                  if isinstance(v, bool) or not isinstance(v, types)))
+    return values
+
+
+def _check_ints(values, name: str) -> np.ndarray:
+    """``values`` as a new int64 array (an object array past 64 bits, see
+    :func:`_int_array`): a 1-D integer array, or a list, tuple or set of
+    integers, never a bool or a float however integral."""
+    def fail(v):
+        raise ValidationError(f"{name} must be integers, got {v!r}")
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i" and values.ndim == 1:
+        return values.astype(np.int64)
+    return _int_array(_entries(values, _INTS, fail))
+
+
+def _check_reals(values, name: str, lo: float, hi: float) -> np.ndarray:
+    """``values`` as a new float64 array of finite numbers in [lo, hi]: one
+    real number, an array of a numeric dtype, or a list, tuple or set of
+    real numbers; :func:`_check_real` names the first bad entry."""
+    def check(v):
+        return _check_real(v, name, lo, hi)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        x = values.astype(np.float64)
+    elif not isinstance(values, (list, tuple, set, frozenset, np.ndarray)):
+        return np.float64(check(values))
+    else:
+        values = _entries(values, _REALS, check)
+        try:
+            x = np.fromiter(values, np.float64, len(values))
+        except OverflowError:  # an integer beyond the float range
+            x = None
+    if x is None or not (np.isfinite(x) & (x >= lo) & (x <= hi)).all():
+        for v in values.ravel().tolist() if isinstance(values, np.ndarray) else values:
+            check(v)  # raises at the first bad entry
+    return x
 
 
 def _check_seed(seed) -> Optional[int]:
     """``seed`` for numpy's generators: None or an integer >= 0."""
     return None if seed is None else _check_int(seed, "seed", 0)
-
-
-def _check_weights_finite(w: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(w)):
-        raise ValidationError(f"{what} must be finite (no NaN or infinity)")
-    if np.any(w < 0):
-        raise ValidationError(f"{what} must be non-negative")
 
 
 class SocialNetwork:
@@ -119,23 +165,23 @@ class SocialNetwork:
         if triples and set(map(len, triples)) != {3}:
             raise ValidationError("edges must be (i, j, w) triples")
         i, j, w = zip(*triples) if triples else ((), (), ())
-        self._assign(directed, n, _int_array(i), _int_array(j),
-                     list(map(float, w)), self_weights, labels)
+        self._assign(directed, n, i, j, w, self_weights, labels)
 
     @classmethod
-    def _from_arrays(cls, directed: bool, n: int, src: np.ndarray,
-                     dst: np.ndarray, w, self_weights=None,
-                     labels=None) -> "SocialNetwork":
+    def _from_arrays(cls, directed: bool, n: int, src, dst, w,
+                     self_weights=None, labels=None) -> "SocialNetwork":
         """Network from edge columns, validated as by the constructor."""
         g = cls.__new__(cls)
         g._assign(directed, n, src, dst, w, self_weights, labels)
         return g
 
     def _assign(self, directed, n, src, dst, w, self_weights, labels) -> None:
-        """The one validation path: node count, then the first edge (in
-        input order) out of range or a self-loop, then the weights, the
-        duplicate merge and the totals."""
+        """The one validation path: flag, node count and endpoint types,
+        then the first edge (in input order) out of range or a self-loop,
+        then weights, duplicate merge, self-weights, totals and labels."""
+        directed = _check_bool(directed, "directed")
         n = _check_int(n, "node count", 0, MAX_NODES)
+        src, dst = (_check_ints(v, "edge endpoints") for v in (src, dst))
         outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
         bad = np.flatnonzero(outside | (src == dst))
         if bad.size:
@@ -145,10 +191,7 @@ class SocialNetwork:
                 raise ValidationError(f"edge ({i}, {j}) out of range for n={n}")
             raise ValidationError(
                 f"edge ({i}, {i}) is a self-loop; pass self_weights instead")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        ew = np.asarray(w, dtype=np.float64)
-        _check_weights_finite(ew, "edge weights")
+        ew = _check_reals(w, "edge weights", 0, math.inf)
         if not directed:
             src, dst = np.minimum(src, dst), np.maximum(src, dst)
         # Merge duplicates by summation (in input order), then drop
@@ -162,18 +205,20 @@ class SocialNetwork:
         esrc, edst = np.divmod(uniq, n)
         sw = np.zeros(n)
         if self_weights is not None:
-            sw = np.array(self_weights, dtype=np.float64)
+            sw = _check_reals(self_weights, "self-weights", 0, math.inf)
             if sw.shape != (n,):
                 raise ValidationError("self_weights must have one entry per buyer")
-            _check_weights_finite(sw, "self-weights")
         with np.errstate(over="ignore"):
             totals = np.sum(ew), np.sum(sw)
         if not np.all(np.isfinite(totals)):
             raise ValidationError(
                 "total edge weight W and total self-weight N must be finite")
+        if labels is not None and not (isinstance(labels, (list, tuple))
+                                       and len(labels) == n):
+            raise ValidationError(f"labels must be a list or tuple of n={n} entries")
         for arr in (esrc, edst, ew, sw):
             arr.flags.writeable = False
-        object.__setattr__(self, "directed", bool(directed))
+        object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_src", esrc)
         object.__setattr__(self, "edge_dst", edst)
@@ -233,8 +278,7 @@ class SocialNetwork:
 
     def scaled(self, c: float) -> "SocialNetwork":
         """Network with every weight multiplied by ``c > 0``."""
-        if not c > 0:
-            raise ValidationError("scale factor must be positive")
+        c = _check_real(c, "scale factor c", math.ulp(0.0), math.inf)
         return SocialNetwork._from_arrays(
             self.directed, self.n, self.edge_src, self.edge_dst,
             self.edge_weight * c, self_weights=self.self_weights * c,
@@ -277,7 +321,7 @@ def _int_array(values: Sequence) -> np.ndarray:
     Python ints when one does not fit in 64 bits (it is then out of range
     of every node count and label check, and exact in their messages)."""
     try:
-        return np.fromiter(map(int, values), dtype=np.int64, count=len(values))
+        return np.fromiter(values, dtype=np.int64, count=len(values))
     except OverflowError:
         return np.array(list(map(int, values)), dtype=object)
 
@@ -294,20 +338,8 @@ def network_from_json(doc: dict) -> SocialNetwork:
     if not (isinstance(edges, list) and set(map(type, edges)) <= {list, tuple}
             and set(map(len, edges)) <= {3}):
         raise ValidationError("edges must be a list of [i, j, w] triples")
-    i, j, w = zip(*edges) if edges else ((), (), ())
-    if not (set(map(type, i + j)) <= {int} and set(map(type, w)) <= {int, float}):
-        raise ValidationError(
-            "edges must hold integer endpoints and numeric weights")
-    sw = doc.get("self_weights")
-    if sw is not None and not (isinstance(sw, list)
-                               and set(map(type, sw)) <= {int, float}):
-        raise ValidationError("self_weights must be a list of numbers")
-    try:
-        return SocialNetwork._from_arrays(
-            directedness == "directed", doc.get("n"), _int_array(i),
-            _int_array(j), w, self_weights=sw)
-    except OverflowError:  # an integer weight beyond the float range
-        raise ValidationError("weights must be finite (no NaN or infinity)") from None
+    return SocialNetwork(directedness == "directed", doc.get("n"), edges,
+                         self_weights=doc.get("self_weights"))
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +537,13 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
     density = _check_real(density, "density", 0, 1)
+    weight = _check_real(weight, "weight", 0, math.inf)
     for name, bounds in (("weight_range", weight_range),
                          ("self_weight_range", self_weight_range)):
-        if bounds is not None and not (np.shape(bounds) == (2,)
-                                       and np.all(np.isfinite(bounds))
-                                       and bounds[0] <= bounds[1]):
-            raise ValidationError(
-                f"{name} must be finite with low <= high, got {tuple(bounds)}")
-    directed = directed or kind == "complete_dag"
+        pair = None if bounds is None else _check_reals(bounds, name, 0, math.inf)
+        if pair is not None and (pair.shape != (2,) or pair[0] > pair[1]):
+            raise ValidationError(f"{name} must be a pair low <= high, got {bounds!r}")
+    directed = _check_bool(directed, "directed") or kind == "complete_dag"
     if parts is not None and kind != "bipartite":
         raise ValidationError(f"parts apply to the bipartite generator, not {kind}")
     if self_weight_range is not None and directed:
@@ -532,11 +563,11 @@ def generate(kind: str, n: int, *, weight: float = 1.0, directed: bool = False,
     elif kind == "bipartite":
         if directed:
             raise ValidationError("bipartite generator is undirected")
-        if parts is None:
-            parts = ((n + 1) // 2, n // 2)
-        a, b = parts
-        if a + b != n or a < 1 or b < 1:
-            raise ValidationError(f"parts {parts} must be positive and sum to n={n}")
+        sizes = _check_ints(((n + 1) // 2, n // 2) if parts is None else parts, "parts")
+        if sizes.shape != (2,) or min(sizes) < 1 or sum(sizes) != n:
+            raise ValidationError(
+                f"parts {sizes.tolist()} must be two positive sizes that sum to n={n}")
+        a = int(sizes[0])
         blocks = ((i, np.arange(a, n)) for i in range(a))
     elif directed:  # random: one block per source row
         blocks = ((i, np.delete(np.arange(n), i)) for i in range(n))
@@ -612,7 +643,6 @@ def gadget(kind: str, p: Optional[float] = None) -> SocialNetwork:
     if kind == "set_triangle":
         return SocialNetwork(False, 3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     if kind == "set_edge":
-        if p is None or not 0.5 <= p < 1.0:
-            raise ValidationError("set_edge requires a pricing probability p in [1/2, 1)")
+        p = _check_real(p, "p", 0.5, math.nextafter(1.0, 0.0))
         return SocialNetwork(False, 2, [(0, 1, 2.0 + p)])
     raise ValidationError(f"unknown gadget kind {kind!r}")

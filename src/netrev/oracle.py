@@ -23,11 +23,12 @@ from numpy.random import Generator, Philox, SeedSequence, default_rng
 from scipy.sparse import csr_array
 
 from .netmodel import (GADGET_SELECTION_NODES, MAX_TRIALS, SocialNetwork,
-                       ValidationError, _check_int, _check_seed, gadget)
+                       ValidationError, _check_int, _check_ints, _check_seed,
+                       gadget)
 from .revenue import (_BLOCK_CELLS, IEStrategy, MarketingStrategy,
                       _check_exploit_prob, _check_price_prob, _ie_cubic,
                       _ie_weights, _marketing_revenue_rows, _require_normalized,
-                      ie_revenue, strategy_family)
+                      strategy_family)
 
 _TINY = 1e-12
 
@@ -365,23 +366,23 @@ def best_ordering_exhaustive(g: SocialNetwork, prices) -> OracleReport:
 
 def _selection_pins(kind: str, constraint) -> dict:
     sel = GADGET_SELECTION_NODES[kind]
+    nodes, prices = sel, constraint
     if isinstance(constraint, dict):
-        nodes, prices = [int(k) for k in constraint], list(constraint.values())
+        nodes = _check_ints(list(constraint), "pinned nodes").tolist()
+        prices = list(constraint.values())
         if not set(nodes) <= set(sel):
             raise ValidationError(
                 f"{kind} selection nodes are {sel}; got pins for {sorted(nodes)}")
-    else:
-        nodes, prices = sel, list(constraint)
-        if len(prices) != len(sel):
-            raise ValidationError(
-                f"{kind} needs one pinned price per selection node {sel}")
-    return dict(zip(nodes, _check_price_prob(prices, "pinned prices").tolist()))
+    prices = _check_price_prob(prices, "pinned prices")
+    if prices.shape != (len(nodes),):
+        raise ValidationError(
+            f"{kind} needs one pinned price per selection node {sel}")
+    return dict(zip(nodes, prices.tolist()))
 
 
 def _subset_report(g: SocialNetwork, members, p: float) -> OracleReport:
-    A = frozenset(int(i) for i in members)  # ie_revenue checks the range
-    return OracleReport(best_value=ie_revenue(g, A, p),
-                        best_witness=IEStrategy(A, p),
+    witness = IEStrategy(members, p)
+    return OracleReport(best_value=witness.expected_revenue(g), best_witness=witness,
                         search_space_size=1, method="exhaustive")
 
 

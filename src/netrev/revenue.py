@@ -13,15 +13,13 @@ influence set ``A`` and charge everyone else with a common probability.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import MISSING, dataclass, fields
-from typing import (ClassVar, Iterable, Optional, Sequence, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netmodel import (SocialNetwork, ValidationError, _check_int,
-                       _check_real, _check_seed)
+from .netmodel import (SocialNetwork, ValidationError, _check_int, _check_ints,
+                       _check_real, _check_reals, _check_seed)
 
 PRICE_PROB_MIN = 0.5
 PRICE_PROB_MAX = 1.0
@@ -35,13 +33,11 @@ _BLOCK_CELLS = 15 << 10
 
 
 def _check_price_prob(p, name: str = "p"):
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValidationError(f"{name} must be finite")
-    if np.any(p < PRICE_PROB_MIN - _PROB_TOL) or np.any(p > PRICE_PROB_MAX + _PROB_TOL):
-        raise ValidationError(
-            f"{name} must lie in [{PRICE_PROB_MIN}, {PRICE_PROB_MAX}], got {p}")
-    return np.clip(p, PRICE_PROB_MIN, PRICE_PROB_MAX)
+    """Pricing probabilities ``p`` (one or an array) in [1/2, 1], each taken
+    to the range when at most _PROB_TOL outside it."""
+    return np.clip(_check_reals(p, name, PRICE_PROB_MIN - _PROB_TOL,
+                                PRICE_PROB_MAX + _PROB_TOL),
+                   PRICE_PROB_MIN, PRICE_PROB_MAX)
 
 
 def _check_exploit_prob(p, name: str = "p") -> float:
@@ -61,21 +57,6 @@ def _require_normalized(g: SocialNetwork, what: str) -> None:
             "apply eliminate_selfloops first")
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a parsed JSON value has the field type ``hint``: ``int``
-    takes integers and ``float`` any number (neither a bool), a tuple or
-    frozenset of either takes a list of them, and Optional also null."""
-    if get_origin(hint) is Union:
-        return any(_json_fits(value, arg) for arg in get_args(hint))
-    if get_origin(hint) in (tuple, frozenset):
-        return (isinstance(value, list)
-                and all(_json_fits(v, get_args(hint)[0]) for v in value))
-    if hint is type(None):
-        return value is None
-    return (isinstance(value, (int, float) if hint is float else hint)
-            and not isinstance(value, bool))
-
-
 # ---------------------------------------------------------------------------
 # Strategy types
 # ---------------------------------------------------------------------------
@@ -92,9 +73,9 @@ class _Strategy:
 
     @classmethod
     def from_json(cls, doc: dict):
-        """Inverse of ``to_json``; fields without defaults are required, no
-        other key is allowed but a "family" that names this family, and
-        each value must have its field's JSON type (``_json_fits``)."""
+        """Inverse of ``to_json``; fields without defaults are required and
+        no other key is allowed but a "family" that names this family.  The
+        constructor checks the values."""
         missing = [f.name for f in fields(cls)
                    if f.name not in doc and f.default is MISSING]
         if missing:
@@ -106,14 +87,7 @@ class _Strategy:
         if unknown:
             raise ValidationError(f"{cls.family} strategy document has unknown "
                                   f"key(s): {', '.join(sorted(unknown))}")
-        given = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
-        hints = get_type_hints(cls)
-        for f in fields(cls):
-            if f.name in given and not _json_fits(given[f.name], hints[f.name]):
-                raise ValidationError(
-                    f"{cls.family} strategy field {f.name!r} must encode "
-                    f"{f.type}, got {reprlib.repr(given[f.name])}")
-        return cls(**given)
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
     def to_json(self) -> dict:
         """The fields in field order, sets sorted and tuples as lists."""
@@ -154,15 +128,14 @@ class MarketingStrategy(_Strategy):
     prices: tuple[float, ...]
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
+        order = tuple(_check_ints(self.order, "order").tolist())
         if sorted(order) != list(range(len(order))):
             raise ValidationError(f"order {order} is not a permutation")
-        prices = tuple(float(x) for x in
-                       _check_price_prob(list(self.prices), "prices"))
-        if len(prices) != len(order):
+        prices = _check_price_prob(self.prices, "prices")
+        if prices.shape != (len(order),):
             raise ValidationError("order and prices must have equal length")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "prices", tuple(prices.tolist()))
 
     @property
     def n(self) -> int:
@@ -204,8 +177,8 @@ class IEStrategy(_Strategy):
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "influence_set",
-                           frozenset(int(i) for i in self.influence_set))
+        object.__setattr__(self, "influence_set", frozenset(
+            _check_ints(self.influence_set, "influence_set").tolist()))
         object.__setattr__(self, "p", _check_exploit_prob(self.p))
 
     def class_sampler(self, n: int):
@@ -288,7 +261,7 @@ class RandomIEStrategy(_ClassIEStrategy):
 
     def sample(self, g: SocialNetwork, seed) -> IEStrategy:
         members = np.flatnonzero(self.sample_classes(g.n, seed) == 0)
-        return IEStrategy(frozenset(int(i) for i in members), self.p)
+        return IEStrategy(members, self.p)
 
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         return _random_ie_classes(self.q, self.p)
@@ -316,11 +289,9 @@ class GeneralizedIEStrategy(_ClassIEStrategy):
 
     def __post_init__(self):
         K = _check_int(self.K, "class count K", 2)
-        q = np.asarray(self.q, dtype=np.float64)
+        q = _check_reals(self.q, "q", -1e-9, math.inf)
         if q.shape != (K,):
             raise ValidationError(f"q must have length K={K}")
-        if not np.all(np.isfinite(q)) or np.any(q < -1e-9):
-            raise ValidationError("q must be non-negative")
         if abs(float(np.sum(q)) - 1.0) > 1e-9:
             raise ValidationError(f"q must sum to 1, got {float(np.sum(q))!r}")
         seed = _check_seed(self.seed)
@@ -408,12 +379,12 @@ def _marketing_revenue_rows(g: SocialNetwork, P: np.ndarray,
 
 def _influence_mask(A: Iterable[int], n: int) -> np.ndarray:
     """Membership vector of influence set ``A``; members must lie in [0, n)."""
-    A = {int(i) for i in A}
-    bad = sorted(i for i in A if not 0 <= i < n)
-    if bad:
-        raise ValidationError(f"influence set member {bad[0]} out of range for n={n}")
+    A = _check_ints(A, "influence_set")
+    bad = A[(A < 0) | (A >= n)]
+    if bad.size:
+        raise ValidationError(f"influence set member {min(bad)} out of range for n={n}")
     in_A = np.zeros(n, dtype=bool)
-    in_A[list(A)] = True
+    in_A[A] = True
     return in_A
 
 
@@ -512,7 +483,7 @@ def random_ie_revenue(g: SocialNetwork, q: float, p: float) -> float:
 def generalized_ie_revenue(g: SocialNetwork, K: int, q: Sequence[float]) -> float:
     """Expected revenue of the K-class generalized IE strategy, averaged over
     the i.i.d. class assignment and within-class orders."""
-    return GeneralizedIEStrategy(K, tuple(q)).expected_revenue(g)
+    return GeneralizedIEStrategy(K, q).expected_revenue(g)
 
 
 def class_moments(q, p):
@@ -588,5 +559,4 @@ def price_for_probability(M: float, p: float) -> float:
     """Offer accepted with probability ``p`` by a valuation uniform on
     ``[0, M]``: the price ``(1 - p) * M``."""
     M = _check_real(M, "valuation cap M", 0, math.inf)
-    p = float(_check_price_prob(p, "p"))
-    return (1.0 - p) * M
+    return (1.0 - float(_check_price_prob(p, "p"))) * M

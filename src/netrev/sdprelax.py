@@ -35,7 +35,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 from .netmodel import (MAX_TRIALS, SocialNetwork, ValidationError, _check_int,
-                       _check_real, _check_seed)
+                       _check_real, _check_reals, _check_seed)
 from .revenue import (IEStrategy, _batch_rows, _check_exploit_prob,
                       _require_normalized, ie_revenue_batch)
 
@@ -562,6 +562,13 @@ def _check_gamma(gamma) -> float:
     return _check_real(gamma, "gamma", 0, 1)
 
 
+def _check_angle(theta, name: str):
+    """Angles ``theta`` (one or an array) in [0, pi], each taken to the
+    range when at most 1e-9 outside it."""
+    return np.clip(_check_reals(theta, name, -1e-9, math.pi + 1e-9),
+                   0.0, math.pi)
+
+
 def _rotate(t, gamma: float):
     """f_gamma(t), unchecked: ``t`` in [0, pi] and ``gamma`` a float in
     [0, 1], as :func:`rotate` checks them."""
@@ -575,10 +582,7 @@ def rotate(theta, gamma: float):
     intermediate angles toward the poles as gamma grows.
     """
     gamma = _check_gamma(gamma)
-    t = np.asarray(theta, dtype=np.float64)
-    if not np.all((t >= -1e-9) & (t <= math.pi + 1e-9)):  # NaN fails both
-        raise ValidationError("theta must lie in [0, pi]")
-    out = _rotate(np.clip(t, 0.0, math.pi), gamma)
+    out = _rotate(_check_angle(theta, "theta"), gamma)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -615,12 +619,8 @@ def rotated_pair_angle(theta_ij: float, theta_i: float, theta_j: float,
     cosines, with the dihedral angle at v_0 preserved.  The triple must be
     realizable by unit vectors: |cos x - cos y cos z| <= sin y sin z.
     """
-    for name, val in (("theta_ij", theta_ij), ("theta_i", theta_i),
-                      ("theta_j", theta_j)):
-        if not (np.isfinite(val) and -1e-9 <= val <= math.pi + 1e-9):
-            raise ValidationError(f"{name} must lie in [0, pi], got {val}")
-    x, y, z = (float(np.clip(v, 0.0, math.pi))
-               for v in (theta_ij, theta_i, theta_j))
+    x, y, z = (float(_check_angle(v, name)) for v, name in (
+        (theta_ij, "theta_ij"), (theta_i, "theta_i"), (theta_j, "theta_j")))
     slack = abs(math.cos(x) - math.cos(y) * math.cos(z)) \
         - math.sin(y) * math.sin(z)
     if slack > 1e-9:
@@ -671,7 +671,7 @@ def round_hyperplane(sol: SdpSolution, gamma: float, seed=0) -> frozenset:
     seed = _check_seed(seed)
     members = _hyperplane_members(_rotated_vectors(sol.vectors, gamma),
                                   np.random.default_rng(seed), 1)[0]
-    return frozenset(int(i) for i in np.nonzero(members)[0])
+    return frozenset(np.flatnonzero(members).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -740,7 +740,7 @@ def sdp_ie(g: SocialNetwork, p: Optional[float] = None,
         if best is None or revenues[k] > best[0]:  # the first best is kept
             best = float(revenues[k]), members[k]
     revenue, members = best
-    strategy = IEStrategy(frozenset(int(i) for i in np.nonzero(members)[0]), p)
+    strategy = IEStrategy(np.flatnonzero(members), p)
     return SdpIEResult(strategy=strategy, revenue=revenue, p=p,
                        gamma=gamma, sdp_objective=sol.objective_value,
                        solution=sol, trials=trials, seed=seed)

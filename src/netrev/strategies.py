@@ -133,17 +133,16 @@ def ie_bipartite(g: SocialNetwork,
         if odd.size:
             raise ValidationError(f"network is not bipartite: the component "
                                   f"of node {odd[0]} has an odd cycle")
-        A = frozenset(np.flatnonzero(labels[:n] < labels[n:]).tolist())
+        mask = labels[:n] < labels[n:]
     else:
-        A = frozenset(int(i) for i in influence_set)
-        mask = _influence_mask(A, g.n)
+        mask = _influence_mask(influence_set, g.n)
         same = np.flatnonzero(mask[src] == mask[dst])
         if same.size:
             i, j = src[same[0]], dst[same[0]]
             side = "influence set" if mask[i] else "priced side"
             raise ValidationError(f"partition is not bipartite: edge ({i}, {j}) "
                                   f"has both endpoints on the {side}")
-    return IEStrategy(A, 0.5)
+    return IEStrategy(np.flatnonzero(mask), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def rounding_expected_revenue(g: SocialNetwork, prices: Sequence[float],
     _require_normalized(g, "rounding_expected_revenue")
     if schedule is None:
         schedule = default_rounding_schedule(g)
-    p = _check_price_prob(list(prices), "prices")
+    p = _check_price_prob(prices, "prices")
     if p.shape != (g.n,):
         raise ValidationError(f"prices must have length n={g.n}")
     schedule.influence_probability(p)  # self_term and edge_term do not check
@@ -273,10 +272,9 @@ def round_to_ie(g: SocialNetwork, prices: Sequence[float], seed=0,
     if schedule is None:
         schedule = default_rounding_schedule(g)
     expected = rounding_expected_revenue(g, prices, schedule)  # checks prices
-    I = schedule.influence_probability(list(prices))
+    I = schedule.influence_probability(prices)
     rng = np.random.default_rng(seed)
-    members = np.nonzero(rng.random(g.n) < I)[0]
-    strategy = IEStrategy(frozenset(int(i) for i in members), schedule.p_hat)
+    strategy = IEStrategy(np.flatnonzero(rng.random(g.n) < I), schedule.p_hat)
     return RoundedIE(strategy=strategy, expected_revenue=expected,
                      influence_probabilities=tuple(float(x) for x in I),
                      schedule=schedule)

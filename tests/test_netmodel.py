@@ -15,11 +15,13 @@ from netrev import (
     GADGET_SELECTION_NODES,
     GeneralizedIEStrategy,
     IEStrategy,
+    MarketingStrategy,
     ParseError,
     RandomIEStrategy,
     SocialNetwork,
     UnsupportedOperationError,
     ValidationError,
+    best_ordering_exhaustive,
     best_strategy_search,
     build_sdp,
     eliminate_selfloops,
@@ -37,6 +39,7 @@ from netrev import (
     rotate,
     round_hyperplane,
     round_to_ie,
+    rounding_expected_revenue,
     save_network,
     sdp_ie,
     simulate,
@@ -504,6 +507,122 @@ def test_real_arguments_follow_one_rule(cycle4, entry):
         with pytest.raises(ValidationError, match="^" + re.escape(
                 f"{name} must lie in [{lo}, {hi}], got {value!r}") + "$"):
             call(cycle4, value)
+
+
+_WEIGHTS = (0, math.inf)
+_PRICES = (PRICE_PROB_MIN - _PROB_TOL, PRICE_PROB_MAX + _PROB_TOL)
+
+
+def _undirected_doc(**fields):
+    return {"directedness": "undirected", "n": 4, **fields}
+
+
+# every array argument: (its name in messages, (lo, hi) of its reals or None
+# for integers, a valid value, the call with a value on the unit 4-cycle,
+# whether the value is the whole argument or one column of the edges)
+ARRAY_ARGS = {
+    "SocialNetwork endpoints": (
+        "edge endpoints", None, [0, 1, 2],
+        lambda g, v: SocialNetwork(False, 4, [(i, 3, 1.0) for i in v]), False),
+    "SocialNetwork weights": (
+        "edge weights", _WEIGHTS, [1.0, 1.0, 1.0],
+        lambda g, v: SocialNetwork(False, 4, [(i, 3, w) for i, w in enumerate(v)]),
+        False),
+    "SocialNetwork self_weights": (
+        "self-weights", _WEIGHTS, [0.5] * 4,
+        lambda g, v: SocialNetwork(False, 4, self_weights=v), True),
+    "network_from_json endpoints": (
+        "edge endpoints", None, [0, 1, 2], lambda g, v: network_from_json(
+            _undirected_doc(edges=[[i, 3, 1.0] for i in v])), False),
+    "network_from_json weights": (
+        "edge weights", _WEIGHTS, [1.0, 1.0, 1.0], lambda g, v: network_from_json(
+            _undirected_doc(edges=[[i, 3, w] for i, w in enumerate(v)])), False),
+    "network_from_json self_weights": (
+        "self-weights", _WEIGHTS, [0.5] * 4,
+        lambda g, v: network_from_json(_undirected_doc(self_weights=v)), True),
+    "MarketingStrategy order": (
+        "order", None, [0, 1, 2, 3],
+        lambda g, v: MarketingStrategy(v, [0.9] * 4), True),
+    "MarketingStrategy prices": (
+        "prices", _PRICES, [0.9] * 4,
+        lambda g, v: MarketingStrategy([0, 1, 2, 3], v), True),
+    "IEStrategy influence_set": (
+        "influence_set", None, [0, 1],
+        lambda g, v: IEStrategy(v, 0.6).expected_revenue(g), True),
+    "GeneralizedIEStrategy q": (
+        "q", (-1e-9, math.inf), [0.5, 0.5],
+        lambda g, v: GeneralizedIEStrategy(2, v), True),
+    "best_ordering_exhaustive prices": (
+        "prices", _PRICES, [0.9] * 4,
+        lambda g, v: best_ordering_exhaustive(g, v), True),
+    "rounding_expected_revenue prices": (
+        "prices", _PRICES, [0.9] * 4,
+        lambda g, v: rounding_expected_revenue(g, v), True),
+    "rotate theta": (
+        "theta", (-1e-9, math.pi + 1e-9), [0.1, 0.2],
+        lambda g, v: rotate(v, 0.5), True),
+    "generate weight_range": (
+        "weight_range", _WEIGHTS, [0.1, 1.0],
+        lambda g, v: generate("cycle", 4, weight_range=v, seed=0), True),
+    "generate self_weight_range": (
+        "self_weight_range", _WEIGHTS, [0.1, 1.0],
+        lambda g, v: generate("cycle", 4, self_weight_range=v, seed=0), True),
+    "generate parts": (
+        "parts", None, [2, 2],
+        lambda g, v: generate("bipartite", 4, parts=v), True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ARGS))
+def test_array_arguments_follow_one_rule(cycle4, entry):
+    # a list, tuple, set or numeric array of the scalar rule's entries;
+    # never a bool, a string or None, nor a float for integers
+    name, bounds, valid, call, whole = ARRAY_ARGS[entry]
+    call(cycle4, valid)
+    if bounds is None:
+        rule = f"{name} must be integers, got "
+        entries = ["x", True, 1.5, math.nan]
+    else:
+        lo, hi = bounds
+        rule = f"{name} must lie in [{lo}, {hi}], got "
+        entries = ["x", True, math.nan, 10 ** 400, lo - 1] \
+            + ([] if hi == math.inf else [hi + 1])
+    cases = [(valid[:-1] + [v], v) for v in entries]
+    if whole:
+        opaque = object()  # neither a number nor a collection
+        cases += [("01", "01"), ([valid], valid), (opaque, opaque)]
+        if bounds is None:  # a float array is refused by its dtype alone
+            cases.append((np.array(valid, dtype=float), float(valid[0])))
+    for value, named in cases:
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                rule + repr(named)) + "$"):
+            call(cycle4, value)
+    if bounds is None:
+        # an integer beyond 64 bits has the right type: its range check,
+        # not an OverflowError, refuses it
+        with pytest.raises(ValidationError):
+            call(cycle4, valid[:-1] + [10 ** 400])
+
+
+@pytest.mark.parametrize("value", ["no", 1, None, [0], np.int64(1)])
+def test_flags_are_bools(value):
+    message = "^" + re.escape(f"directed must be a bool, got {value!r}") + "$"
+    for call in (lambda: SocialNetwork(value, 2),
+                 lambda: generate("cycle", 4, directed=value),
+                 lambda: ratio_certificate("random_ie", directed=value),
+                 lambda: ratio_certificate("class_ie", directed=value)):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    assert SocialNetwork(np.bool_(True), 2).directed is True
+
+
+@pytest.mark.parametrize("labels", [[1], 5, "abc", (0, 1, 2, 3)])
+def test_labels_are_a_list_or_tuple_of_n_entries(labels):
+    with pytest.raises(ValidationError, match=re.escape(
+            "labels must be a list or tuple of n=3 entries")):
+        SocialNetwork(False, 3, [(0, 1, 1.0)], labels=labels)
+    assert SocialNetwork(False, 3, labels=["a", "b", None]).labels \
+        == ("a", "b", None)
 
 
 def test_checked_arguments_come_back_as_python_numbers():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from netrev import (
     strategy_from_json,
     strategy_revenue,
 )
+from netrev.revenue import PRICE_PROB_MAX, PRICE_PROB_MIN, _PROB_TOL
 
 
 @pytest.fixture
@@ -522,28 +524,37 @@ def test_strategy_to_json_is_the_fields_in_order():
                 .items()) == [("K", 2), ("q", [0.5, 0.5]), ("seed", 1)]
 
 
-# JSON documents whose values have the wrong type for their field
+# JSON documents whose values have the wrong type for their field, and the
+# message of the rule that refuses each
+_PRICES = f"[{PRICE_PROB_MIN - _PROB_TOL}, {PRICE_PROB_MAX + _PROB_TOL}]"
 MALFORMED_STRATEGY_DOCS = [
-    {"influence_set": [math.inf], "p": 0.6},
-    {"K": math.inf, "q": [0.5, 0.5]},
-    {"influence_set": [0, 0.5], "p": 0.6},
-    {"influence_set": "01", "p": 0.6},
-    {"order": "10", "prices": [0.9, 0.8]},
-    {"order": [1, 0], "prices": "0.9"},
-    {"K": 6.9, "q": [0.5, 0.5]},
-    {"K": "6", "q": [0.5, 0.5]},
-    {"K": True, "q": [0.5, 0.5]},
-    {"K": 2, "q": [True, False]},
-    {"K": 2, "q": [0.5, 0.5], "seed": 1.0},
-    {"q": "0.3", "p": 0.6},
-    {"q": True, "p": 0.6},
-    {"q": 0.3, "p": True},
+    ({"influence_set": [math.inf], "p": 0.6},
+     "influence_set must be integers, got inf"),
+    ({"K": math.inf, "q": [0.5, 0.5]},
+     "class count K must be an integer >= 2, got inf"),
+    ({"influence_set": [0, 0.5], "p": 0.6},
+     "influence_set must be integers, got 0.5"),
+    ({"influence_set": "01", "p": 0.6}, "influence_set must be integers, got '01'"),
+    ({"order": "10", "prices": [0.9, 0.8]}, "order must be integers, got '10'"),
+    ({"order": [1, 0], "prices": "0.9"}, f"prices must lie in {_PRICES}, got '0.9'"),
+    ({"K": 6.9, "q": [0.5, 0.5]}, "class count K must be an integer >= 2, got 6.9"),
+    ({"K": "6", "q": [0.5, 0.5]}, "class count K must be an integer >= 2, got '6'"),
+    ({"K": True, "q": [0.5, 0.5]},
+     "class count K must be an integer >= 2, got True"),
+    ({"K": 2, "q": [True, False]}, "q must lie in [-1e-09, inf], got True"),
+    ({"K": 2, "q": [0.5, 0.5], "seed": 1.0},
+     "seed must be an integer >= 0, got 1.0"),
+    ({"q": "0.3", "p": 0.6}, "q must lie in [0, 1], got '0.3'"),
+    ({"q": True, "p": 0.6}, "q must lie in [0, 1], got True"),
+    ({"q": 0.3, "p": True},
+     f"p must lie in [{PRICE_PROB_MIN - _PROB_TOL}, {PRICE_PROB_MAX}], got True"),
 ]
 
 
-@pytest.mark.parametrize("doc", MALFORMED_STRATEGY_DOCS)
-def test_strategy_from_json_checks_json_types(doc):
-    with pytest.raises(ValidationError, match="must encode"):
+@pytest.mark.parametrize("doc, message", MALFORMED_STRATEGY_DOCS,
+                         ids=[f"doc{k}" for k in range(len(MALFORMED_STRATEGY_DOCS))])
+def test_strategy_from_json_checks_json_types(doc, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         strategy_from_json(doc)
 
 
