@@ -10,9 +10,12 @@ of both checkouts once, which makes one pair; the side that runs first
 alternates from pair to pair.  Each run's metrics go to standard error as it
 finishes.  At the end, for every metric, standard output gets one row with
 each side's median and quartiles, the change in the median, the number of
-pairs the change won (ties count for neither side), and whether that is a
-gain: the change won at least nine tenths of the pairs and its median is
-better by more than the parent's interquartile range.  Whether lower or
+pairs the change won (ties count for neither side, and a pair whose
+change run reports failed operations is never a win), and whether that is
+a gain: the change won at least nine tenths of the pairs and its median is
+better by more than the parent's interquartile range.  Under each
+workload's table, every run that reported failed operations or an
+incorrect result is listed with its side, seed and failed count.  Whether lower or
 higher is better is read from the change's ``BENCHMARK.json``.  The script
 only invokes ``bench/run.py``; it changes nothing under either checkout
 except what that script writes to its own ``bench/out/``.
@@ -52,8 +55,9 @@ def metric_directions(checkout: Path) -> dict[str, str]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> dict[str, float]:
-    """One ``bench/run.py`` run; its metrics as name -> value."""
+             trace: int) -> tuple[dict[str, float], int]:
+    """One ``bench/run.py`` run: its metrics as name -> value, and its count
+    of failed operations (at least 1 when it reports itself incorrect)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
@@ -66,7 +70,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
                            f"{proc.returncode} without a result:\n"
                            f"{proc.stderr}") from None
-    return {name: m["value"] for name, m in metrics.items()}
+    failed = max(int(result.get("failed", 0)),
+                 int(not result.get("correct", True)))
+    return {name: m["value"] for name, m in metrics.items()}, failed
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -77,16 +83,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]],
-              better: dict[str, str]) -> list[dict]:
-    """One row per metric over (parent, change) pairs of metric dicts."""
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              change_failed=None) -> list[dict]:
+    """One row per metric over (parent, change) pairs of metric dicts; a
+    pair flagged in ``change_failed`` is never a win for the change."""
+    change_failed = change_failed or [False] * len(pairs)
     rows = []
     for name in pairs[0][0]:
         direction = better.get(name, "lower")
         sign = 1.0 if direction == "lower" else -1.0
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
-        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        wins = sum(sign * (p - c) > 0 and not bad
+                   for p, c, bad in zip(parent, change, change_failed))
         pq, cq = quartiles(parent), quartiles(change)
         better_by = sign * (pq[1] - cq[1])
         rows.append({
@@ -135,19 +144,25 @@ def main(argv=None) -> int:
 
     reports = []
     for workload in args.workload:
-        pairs = []
+        pairs, change_failed, failures = [], [], []
         for i, seed in enumerate(args.seeds):
             order = (("parent", "change") if i % 2 == 0
                      else ("change", "parent"))
-            runs = {}
+            runs, failed = {}, {}
             for side in order:
-                runs[side] = run_once(sides[side], workload, seed,
-                                      args.seconds, args.trace)
+                runs[side], failed[side] = run_once(
+                    sides[side], workload, seed, args.seconds, args.trace)
                 print(json.dumps({"workload": workload, "seed": seed,
-                                  "side": side, "metrics": runs[side]}),
+                                  "side": side, "failed": failed[side],
+                                  "metrics": runs[side]}),
                       file=sys.stderr, flush=True)
+                if failed[side]:
+                    failures.append(f"failed run: {workload} {side} seed "
+                                    f"{seed}: {failed[side]} failed")
             pairs.append((runs["parent"], runs["change"]))
-        reports.append(format_rows(workload, summarize(pairs, better)))
+            change_failed.append(failed["change"] > 0)
+        reports.append("\n".join([format_rows(
+            workload, summarize(pairs, better, change_failed)), *failures]))
     print("\n\n".join(reports))
     return 0
 

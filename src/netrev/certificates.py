@@ -50,7 +50,7 @@ from scipy.optimize import minimize
 
 from .netmodel import ValidationError, _check_bool, _check_int, _check_real
 from .revenue import (_BLOCK_CELLS, GeneralizedIEStrategy,
-                      _check_exploit_prob, _random_ie_classes, class_moments)
+                      _check_exploit_prob, _class_moments, _random_ie_classes)
 from .strategies import (DIRECTED_ROUNDING, RoundingSchedule,
                          SIX_CLASS_PRESET_Q, TUNED_EXPLOIT_PROB,
                          UNDIRECTED_ROUNDING, UNDIRECTED_ROUNDING_FLAT,
@@ -275,7 +275,7 @@ def _random_ie_ratio(q, p, lam: float, directed: bool):
     N / W = lam (N = 0 when directed), broadcast over ``q`` and ``p``: the
     two-class moments give S1 per unit self-weight and S2 per unit edge
     weight (S2 / 2 directed), against (W + N) / 4."""
-    S1, S2 = class_moments(*_random_ie_classes(q, p))
+    S1, S2 = _class_moments(*_random_ie_classes(q, p))
     if directed:
         return 4.0 * (0.5 * S2)
     return 4.0 * (S1 * lam + S2) / (1.0 + lam)

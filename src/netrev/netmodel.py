@@ -161,9 +161,14 @@ class SocialNetwork:
                  edges: Iterable[tuple[int, int, float]] = (),
                  self_weights: Optional[Sequence[float]] = None,
                  labels: Optional[Sequence] = None):
-        triples = list(edges)
-        if triples and set(map(len, triples)) != {3}:
-            raise ValidationError("edges must be (i, j, w) triples")
+        try:
+            triples = list(edges)
+            lengths = set(map(len, triples))
+        except TypeError:  # edges, or one of them, is no sequence
+            lengths = None
+        if lengths is None or triples and lengths != {3}:
+            raise ValidationError(
+                f"edges must be (i, j, w) triples, got {edges!r}")
         i, j, w = zip(*triples) if triples else ((), (), ())
         self._assign(directed, n, i, j, w, self_weights, labels)
 

@@ -229,7 +229,7 @@ class _ClassIEStrategy(_Strategy):
         """Exact expected revenue on ``g``, averaged over classes and order:
         ``S1 N + S2 W`` undirected, ``S2 W / 2`` directed (:func:`class_moments`)."""
         _require_normalized(g, f"{self.family}_revenue")
-        S1, S2 = class_moments(*self.classes())
+        S1, S2 = _class_moments(*self.classes())
         if g.directed:
             return float(0.5 * S2 * g.W)
         return float(S1 * g.N + S2 * g.W)
@@ -490,15 +490,19 @@ def class_moments(q, p):
     """Per-unit-weight revenue moments of a class-based IE assignment.
 
     ``q`` holds the class probabilities and ``p`` the class pricing
-    probabilities, classes ordered by non-increasing ``p`` along the last
-    axis; leading axes broadcast.  ``S1`` is the expected margin
+    probabilities, in [0, 1], classes ordered by non-increasing ``p`` along
+    the last axis; leading axes broadcast.  ``S1`` is the expected margin
     ``p (1 - p)`` of a single buyer (the self-weight multiplier).  ``S2`` is
     the expected contribution of one undirected unit edge: conditioning on
     the classes ``k <= l`` of its endpoints, the later buyer earns
     ``p_k p_l (1 - p_l)``; a directed unit edge earns ``S2 / 2`` by symmetry.
     """
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
+    return _class_moments(_check_reals(q, "q", 0, 1),
+                          _check_reals(p, "p", 0, 1))
+
+
+def _class_moments(q, p):
+    """:func:`class_moments` of float arrays ``q`` and ``p``, unchecked."""
     a = p * (1.0 - p)
     qp = q * p
     prefix = np.cumsum(qp, axis=-1) - qp  # sum_{l<k} q_l p_l

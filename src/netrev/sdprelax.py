@@ -23,14 +23,12 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import scipy
 import scipy.linalg
-from scipy.optimize import minimize
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
@@ -91,19 +89,9 @@ class SdpProblem:
     def num_vectors(self) -> int:
         return self.n + 1
 
-    @cached_property
-    def _edge_triples(self) -> np.ndarray:
-        """(edge pairs, 3) positions in ``coef`` of the entries
-        (v_i . v_j, v_0 . v_i, v_0 . v_j) of each constrained pair."""
-        k0 = int(np.searchsorted(self.coef_a, 1))
-        ref = self.coef_b[:k0]
-        return np.column_stack([np.arange(k0, self.coef.size),
-                                np.searchsorted(ref, self.coef_a[k0:]),
-                                np.searchsorted(ref, self.coef_b[k0:])])
-
     def _objective(self, g: np.ndarray) -> float:
         """Objective at the Gram entries ``g`` of the coefficient pairs."""
-        return self.constant + float(np.einsum("i,i", self.coef, g))
+        return self.constant + float(self.coef @ g)
 
     def objective_at_signs(self, y: np.ndarray) -> float:
         """Objective at an integral assignment y in {-1,+1}^(n+1)."""
@@ -170,7 +158,7 @@ def build_sdp(g: SocialNetwork, p: float) -> SdpProblem:
 @dataclass(frozen=True)
 class SdpRound:
     """One outer augmented-Lagrangian round of ``solve_sdp``: the inner
-    L-BFGS ``ftol`` and iteration count, then the objective and the
+    ``_lbfgs`` ``ftol`` and accepted steps, then the objective and the
     certified upper bound from the round's multipliers (both in the
     caller's units) and max violation at its end, and the penalty mu the
     round ran with."""
@@ -226,9 +214,9 @@ INNER_ITERATIONS = 200
 #: Initial augmented-Lagrangian penalty, in units of one coefficient (see
 #: ``_coefficient_unit``); it grows 4x per stalled round up to 1e8 times this.
 MU_START = 10.0
-#: Inner L-BFGS-B relative reduction test (``ftol``) of outer round 0; it
-#: tightens 10x per round down to FTOL_FLOOR, scipy's default (factr 1e7
-#: times machine epsilon), so the final rounds are solved as tightly as ever.
+#: Inner L-BFGS relative reduction test (``ftol``) of outer round 0; it
+#: tightens 10x per round down to FTOL_FLOOR, scipy's L-BFGS-B default (factr
+#: 1e7 times machine epsilon), so the final rounds are solved as tightly.
 FTOL_START = OBJ_TOL / 10.0
 FTOL_FLOOR = 2.220446049250313e-09
 
@@ -241,14 +229,8 @@ def _unit_rows(X: np.ndarray):
 
 def _gram_entries(prob: SdpProblem, V: np.ndarray) -> np.ndarray:
     """v_a . v_b for each coefficient pair (a, b), as row-wise dots."""
-    return np.einsum("ij,ij->i", V[prob.coef_a], V[prob.coef_b])
-
-
-def _slacks(prob: SdpProblem, g: np.ndarray) -> np.ndarray:
-    """(edge pairs, 4) constraint values plus one, >= 0 meaning satisfied:
-    s1 (v_i . v_j) + s2 (v_0 . v_i) + s3 (v_0 . v_j) + 1 for each row
-    (s1, s2, s3) of CONSTRAINT_SIGNS, read from the Gram entries ``g``."""
-    return np.einsum("pk,sk->ps", g[prob._edge_triples], CONSTRAINT_SIGNS) + 1.0
+    return np.einsum("ij,ij->i", V.take(prob.coef_a, 0),
+                     V.take(prob.coef_b, 0))
 
 
 def _scatter_matrix(prob: SdpProblem):
@@ -266,67 +248,163 @@ def _scatter_matrix(prob: SdpProblem):
     return W, np.where(order < 2 * k, order % max(k, 1), k)
 
 
-def _lagrangian_coef(prob: SdpProblem, lam: np.ndarray) -> np.ndarray:
-    """Per pair, coef plus the multipliers ``lam`` times the pair's sign
-    in each (edge pair, CONSTRAINT_SIGNS row): dL/dg of the Lagrangian."""
-    return prob.coef + np.bincount(
-        prob._edge_triples.ravel(),
-        np.einsum("ps,sk->pk", lam, CONSTRAINT_SIGNS).ravel(),
-        minlength=prob.coef.size)
+class _Lagrangian:
+    """One problem's constraint rows as sparse maps built once per solve, over
+    flat multipliers (four per edge pair in CONSTRAINT_SIGNS order)."""
+
+    def __init__(self, prob: SdpProblem):
+        k, k0 = prob.coef.size, int(np.searchsorted(prob.coef_a, 1))
+        ref = prob.coef_b[:k0]
+        # positions in coef of (v_i . v_j, v_0 . v_i, v_0 . v_j) per edge pair
+        triples = np.column_stack([np.arange(k0, k),
+                                   np.searchsorted(ref, prob.coef_a[k0:]),
+                                   np.searchsorted(ref, prob.coef_b[k0:])])
+        self.num_rows = 4 * len(triples)
+        self.slack_map = csr_array((
+            np.tile(CONSTRAINT_SIGNS.ravel(), len(triples)),
+            (np.arange(self.num_rows).repeat(3), triples.repeat(4, 0).ravel())),
+            shape=(self.num_rows, k))
+        self.prob, (self.W, pair_of_entry) = prob, _scatter_matrix(prob)
+        self.on_diag = pair_of_entry == k
+        off = np.flatnonzero(~self.on_diag)
+        self.weight_map = csr_array(csr_array(
+            (np.ones(off.size), (off, pair_of_entry[off])),
+            shape=(pair_of_entry.size, k)) @ self.slack_map.T)
+        self.coef_entries = np.append(prob.coef, 0.0)[pair_of_entry]
+
+    def slacks(self, g: np.ndarray) -> np.ndarray:
+        """s1 (v_i . v_j) + s2 (v_0 . v_i) + s3 (v_0 . v_j) + 1 per row, from
+        the Gram entries ``g`` of the coefficient pairs; >= 0 is feasible."""
+        return self.slack_map @ g + 1.0
+
+    def weights(self, lam: np.ndarray) -> np.ndarray:
+        """dL/dg of the Lagrangian at ``lam`` (coef plus each multiplier times
+        its row's sign) on the stored entries of ``W``, 0 on the diagonal."""
+        return self.coef_entries + self.weight_map @ lam
 
 
-def _al_value_grad(xflat, prob, W, pair_of_entry, lam, mu):
+def _al_value_grad(xflat, lag: _Lagrangian, lam, mu):
     """Negated augmented Lagrangian and its gradient in the unnormalized X.
 
-    ``lam`` holds one multiplier per (edge pair, CONSTRAINT_SIGNS row).
     The value depends on V only through the Gram entries g of the
     coefficient pairs, so the gradient in V is W V with W carrying
     dF/dg of each pair on both (a, b) and (b, a), and 0 on the diagonal.
     """
-    m = prob.num_vectors
-    V, norms = _unit_rows(xflat.reshape(m, -1))
+    prob = lag.prob
+    V, norms = _unit_rows(xflat.reshape(prob.num_vectors, -1))
     g = _gram_entries(prob, V)
-    mult = np.maximum(0.0, lam - mu * _slacks(prob, g))
-    pen = float(np.einsum("ij,ij", mult, mult) - np.einsum("ij,ij", lam, lam)) / (2.0 * mu)
-    W.data = np.append(-_lagrangian_coef(prob, mult), 0.0)[pair_of_entry]
-    gV = W @ V
-    gX = (gV - np.einsum("ij,ij->i", gV, V)[:, None] * V) / norms
-    return pen - prob._objective(g), gX.ravel()
+    mult = lam - mu * lag.slacks(g)
+    np.maximum(mult, 0.0, out=mult)
+    pen = (mult @ mult - lam @ lam) / (2.0 * mu)
+    lag.W.data = -lag.weights(mult)
+    gV = lag.W @ V
+    gV -= np.einsum("ij,ij->i", gV, V)[:, None] * V
+    gV /= norms
+    return pen - prob._objective(g), gV.ravel()
+
+
+#: Inner L-BFGS: correction pairs, Armijo constant, line-search evaluations
+#: and max |gradient| stop (the first, third and last as in scipy's L-BFGS-B).
+_LBFGS_PAIRS = 10
+_ARMIJO = 1e-4
+_MAX_LINE_EVALS = 20
+_GTOL = 1e-5
+
+
+def _lbfgs(fun, x: np.ndarray, maxiter: int, ftol: float):
+    """Minimize ``fun`` (value and gradient) from ``x`` by unconstrained
+    L-BFGS; the last point and its number of accepted steps.
+
+    The inverse Hessian is the compact form (Byrd, Nocedal & Schnabel 1994)
+    gamma I + [S Y] M [S Y]^T, whose M needs R^-1 (R_ij = s_i . y_j, i <= j),
+    diag(s_i . y_i) and Y^T Y.  Pairs sit in a ring of slots: one leaves by
+    zeroing its row and column of R^-1 and enters as R's last column.  A
+    pair with s . y <= eps y . y is skipped.  Steps backtrack from 1 (from
+    1 / |g| without pairs) to the Armijo condition, dropping all pairs on
+    failure.  Stops as scipy's L-BFGS-B: at (f_k - f_k+1) / max(|f_k|,
+    |f_k+1|, 1) <= ftol, at max |g| <= _GTOL, or after ``maxiter`` steps.
+    """
+    P = _LBFGS_PAIRS
+    Z = np.zeros((2 * P, x.size))  # slot j holds s_j in row j, y_j in P + j
+    Rinv, YY, D = np.zeros((P, P)), np.zeros((P, P)), np.zeros(P)
+    gamma, pairs, slot = 1.0, 0, 0
+    (f, g), steps, small = fun(x), 0, False
+    while steps < maxiter and not small and np.abs(g).max() > _GTOL:
+        if pairs:
+            Zg = Z @ g
+            p = Rinv @ Zg[:P]
+            t = D * p + gamma * (YY @ p - Zg[P:])
+            d = np.concatenate([-(t @ Rinv), gamma * p]) @ Z - gamma * g
+            step = 1.0
+        else:
+            d = -g
+            step = 1.0 / math.sqrt(g @ g)
+        slope = g @ d
+        for _ in range(_MAX_LINE_EVALS if slope < 0.0 else 0):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            if f_new <= f + _ARMIJO * step * slope:
+                break
+            # minimizer of the quadratic through f, slope and f_new,
+            # kept within [0.1, 0.5] of the step
+            step *= max(0.1, min(0.5, -0.5 * slope * step
+                                 / (f_new - f - slope * step)))
+        else:  # no descent along d: retry along -g, or stop
+            if not pairs:
+                break
+            Rinv[:], pairs = 0.0, 0
+            continue
+        small = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
+        s, y = x_new - x, g_new - g
+        sy, yy = s @ y, y @ y
+        if sy > _EPS * yy:
+            Rinv[slot], Rinv[:, slot] = 0.0, 0.0
+            Zy = Z @ y
+            Rinv[:, slot] = Rinv @ Zy[:P] / -sy
+            Rinv[slot, slot] = 1.0 / sy
+            YY[slot], YY[:, slot] = Zy[P:], Zy[P:]
+            YY[slot, slot], D[slot] = yy, sy
+            Z[slot], Z[P + slot] = s, y
+            gamma, pairs, slot = sy / yy, min(pairs + 1, P), (slot + 1) % P
+        steps += 1
+        x, f, g = x_new, f_new, g_new
+    return x, steps
+
+
+def _flip_descent(C, y: np.ndarray) -> np.ndarray:
+    """Flip the buyer of largest gain in ``y`` (in place) until no flip
+    gains; ``C`` is ``_sign_matrix``."""
+    h = C @ y
+    while True:
+        gains = -4.0 * y * h
+        gains[0] = -np.inf  # v_0 is the reference
+        k = int(np.argmax(gains))
+        if gains[k] <= 1e-12:
+            return y
+        y[k] = -y[k]
+        # h = C y moves by 2 y_k C[:, k], at k's neighbours only
+        lo, hi = C.indptr[k], C.indptr[k + 1]
+        h[C.indices[lo:hi]] += 2.0 * y[k] * C.data[lo:hi]
+
+
+def _sign_matrix(prob: SdpProblem):
+    """The symmetric C with objective constant + y^T C y, on the coefficient
+    pattern and a zero diagonal: row k holds vector k's neighbours."""
+    C, pair_of_entry = _scatter_matrix(prob)
+    C.data = 0.5 * np.append(prob.coef, 0.0)[pair_of_entry]
+    return C
 
 
 def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
     """Good integral assignment (free buyers signed like v_0, y_0 = 1): the
-    best of four greedy descents, from all buyers free and from three
-    seeded random signs, each flipping the buyer of largest gain until no
-    flip gains; a flip updates C y at the flipped buyer's neighbours only."""
-    m = prob.num_vectors
+    best of four ``_flip_descent`` runs, from all buyers free and from
+    three seeded random signs."""
     rng = np.random.default_rng(seed)
-    # C is the symmetric matrix with objective constant + y^T C y, stored on
-    # the coefficient pattern and a zero diagonal; row k holds vector k's
-    # coefficient neighbours
-    C, pair_of_entry = _scatter_matrix(prob)
-    C.data = 0.5 * np.append(prob.coef, 0.0)[pair_of_entry]
-    best_y, best_v = None, -np.inf
-    for trial in range(4):
-        y = np.ones(m)
-        if trial > 0:
-            y[1:] = rng.choice([-1.0, 1.0], size=prob.n)
-        h = C @ y
-        while True:
-            gains = -4.0 * y * h
-            gains[0] = -np.inf  # v_0 is the reference
-            k = int(np.argmax(gains))
-            if gains[k] <= 1e-12:
-                break
-            y[k] = -y[k]
-            # flipping y_k moves h = C y by 2 y_k C[:, k], only at k's
-            # neighbours
-            lo, hi = C.indptr[k], C.indptr[k + 1]
-            h[C.indices[lo:hi]] += 2.0 * y[k] * C.data[lo:hi]
-        v = prob.objective_at_signs(y)
-        if v > best_v:
-            best_v, best_y = v, y.copy()
-    return best_y
+    C = _sign_matrix(prob)
+    starts = [np.ones(prob.num_vectors)] + [
+        np.append(1.0, rng.choice([-1.0, 1.0], size=prob.n)) for _ in range(3)]
+    return max((_flip_descent(C, y) for y in starts),  # the first best
+               key=prob.objective_at_signs)
 
 
 def _coefficient_unit(coef: np.ndarray) -> float:
@@ -341,37 +419,38 @@ def _coefficient_unit(coef: np.ndarray) -> float:
 
 
 @functools.cache
-def _scipy_openblas():
-    """scipy's bundled OpenBLAS, the BLAS of its L-BFGS-B, through ctypes;
-    None where it or its thread-count symbols are not found."""
-    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs")
-                       .glob("libscipy_openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, set_ = (lib.scipy_openblas_get_num_threads,
-                         lib.scipy_openblas_set_num_threads)
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return lib
-    return None
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread counts, through ctypes, of the OpenBLAS bundled with
+    numpy (symbols suffixed ``64_``) and with scipy; one per library found."""
+    controls = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with scipy's OpenBLAS at one thread, then restore its
-    thread count; unpinned where the library is not found."""
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    old = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
+    """Run the body with each OpenBLAS found at one thread, then restore."""
+    controls = _openblas_thread_controls()
+    old = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads(old)
+        for (_, set_), n in zip(controls, old):
+            set_(n)
 
 
 #: First shift tried by the dual bound: RITZ_FACTOR times the Ritz estimate
@@ -406,12 +485,10 @@ def _is_positive_definite(B) -> bool:
                 and np.all(lu.U.diagonal() > 0.0))
 
 
-def _dual_bound(prob: SdpProblem, D, pair_of_entry: np.ndarray,
-                V: np.ndarray, lam: np.ndarray) -> float:
+def _dual_bound(lag: _Lagrangian, V: np.ndarray, lam: np.ndarray) -> float:
     """Weak-duality upper bound on the relaxation, from multipliers ``lam``
     and the complementary-slackness guess of the unit-diagonal multipliers
-    at the vectors ``V``; ``D`` is ``_scatter_matrix(prob)``, whose data
-    this overwrites.
+    at the vectors ``V``; it overwrites the data of ``lag.W``.
 
     For every G >= 0 with unit diagonal, objective(G) <= constant + sum lam
     + sum y + <A, G> with A = M - Diag(y), where M carries
@@ -427,9 +504,9 @@ def _dual_bound(prob: SdpProblem, D, pair_of_entry: np.ndarray,
     over together with the rounding of forming M and of the Gershgorin
     sums; the sum margin covers the rounding of the final sums.
     """
-    m, k = prob.num_vectors, prob.coef.size
-    on_diag = pair_of_entry == k
-    D.data = np.append(0.5 * _lagrangian_coef(prob, lam), 0.0)[pair_of_entry]
+    prob, D, on_diag = lag.prob, lag.W, lag.on_diag
+    m = prob.num_vectors
+    D.data = 0.5 * lag.weights(lam)
     y = np.einsum("ij,ij->i", V, D @ V)
     D.data[on_diag] = -y
     row_abs = np.add.reduceat(np.abs(D.data), D.indptr[:-1])
@@ -460,10 +537,11 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     if None) and runs one local ascent, started from the greedy integral
     assignment of ``_best_integral_signs`` jittered by seeded noise.  Every
     edge pair's four constraint rows sit in the augmented Lagrangian from
-    the first inner solve.  The integral assignment is returned instead
-    (``winning_start`` -1) when the ascent ends infeasible or no higher, so
-    the objective never falls below its value; ``converged`` is False if
-    the ascent did not reach the tolerances.
+    the first inner solve.  The better integral assignment, the greedy one
+    or the ascent's sign-rounded vectors (y_i = sign(v_i . v_0)) improved by
+    ``_flip_descent``, is returned instead (``winning_start`` -1) when the
+    ascent ends infeasible or no higher; ``converged`` is False if the
+    ascent did not reach the tolerances.
 
     After every outer round, the round's multipliers give a proven upper
     bound on the relaxation (``_dual_bound``), and so on the best IE
@@ -475,18 +553,19 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     ``constant`` divided by the power of two nearest the mean |coef|), so
     MU_START, the tolerances and L-BFGS's absolute gradient test mean the
     same at any weight scale, and scaling every weight by a power of two
-    scales the objective and bound bit for bit.  Outer round k passes
-    L-BFGS-B ``ftol = max(FTOL_START / 10**k, FTOL_FLOOR)``: early inner
-    solves, while the multipliers are still far off, are inexact (Conn,
-    Gould & Toint's LANCELOT), and later ones run at scipy's default.
+    scales the objective and bound bit for bit.  Outer round k runs
+    ``_lbfgs`` at ``ftol = max(FTOL_START / 10**k, FTOL_FLOOR)``: early
+    inner solves, while the multipliers are still far off, are inexact
+    (Conn, Gould & Toint's LANCELOT), and later ones run at scipy's default.
 
     Each evaluation costs O((|E| + n) rank) and builds no (n+1) x (n+1)
-    array; the bound keeps that with sparse products, an (n+1) x 3 rank
-    Krylov block and a sparse factorization.  The ascent and bounds run
-    with scipy's OpenBLAS pinned to one thread (restored afterwards), so
-    the output does not depend on the BLAS thread count at any n; where
-    that library is not found they run unpinned, which
-    ``SdpIEResult.solver_diagnostics`` reports as ``blas_pinned``.
+    array: two row gathers and three sparse products (``_Lagrangian``).
+    The bound keeps that with sparse products, an (n+1) x 3 rank Krylov
+    block and a sparse factorization.  The ascent and bounds run with
+    numpy's and scipy's OpenBLAS pinned to one thread (restored
+    afterwards), so the output does not depend on the BLAS thread count at
+    any n; ``SdpIEResult.solver_diagnostics`` reports ``blas_pinned`` only
+    where both libraries were found.
     """
     m = prob.num_vectors
     seed = _check_seed(seed)
@@ -505,10 +584,10 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
         return SdpSolution(V_int, int_obj * unit, 0.0, 0, True, caller_prob,
                            upper_bound=int_obj * unit, certified_gap=0.0)
 
-    W, pair_of_entry = _scatter_matrix(prob)
+    lag = _Lagrangian(prob)
     X = V_int + 0.2 * np.random.default_rng(seed).standard_normal((m, rank))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    lam = np.zeros((len(prob._edge_triples), len(CONSTRAINT_SIGNS)))
+    lam = np.zeros(lag.num_rows)
     mu = MU_START
     prev_obj, prev_viol = None, np.inf
     converged = False
@@ -518,23 +597,19 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     with _one_blas_thread():
         for outer in range(MAX_OUTER):
             ftol = max(FTOL_START / 10.0 ** outer, FTOL_FLOOR)
-            res = minimize(_al_value_grad, X.ravel(),
-                           args=(prob, W, pair_of_entry, lam, mu),
-                           jac=True, method="L-BFGS-B",
-                           options={"maxiter": INNER_ITERATIONS,
-                                    "ftol": ftol})
-            total_iters += int(res.nit)
-            X = res.x.reshape(m, rank)
-            V = _unit_rows(X)[0]
+            fun = functools.partial(_al_value_grad, lag=lag, lam=lam, mu=mu)
+            X, iters = _lbfgs(fun, X.ravel(), INNER_ITERATIONS, ftol)
+            total_iters += iters
+            V = _unit_rows(X.reshape(m, rank))[0]
             g = _gram_entries(prob, V)
             obj = prob._objective(g)
-            slack = _slacks(prob, g)
+            slack = lag.slacks(g)
             max_viol = float(max(0.0, -np.min(slack))) if slack.size else 0.0
             lam = np.maximum(0.0, lam - mu * slack)
-            bound = _dual_bound(prob, W, pair_of_entry, V, lam)
+            bound = _dual_bound(lag, V, lam)
             upper = min(upper, bound)
-            trace.append(SdpRound(outer, ftol, int(res.nit), obj * unit,
-                                  max_viol, mu, bound * unit))
+            trace.append(SdpRound(outer, ftol, iters, obj * unit, max_viol,
+                                  mu, bound * unit))
             if max_viol <= FEAS_TOL and prev_obj is not None \
                     and abs(obj - prev_obj) <= OBJ_TOL * max(1.0, abs(obj)):
                 converged = True
@@ -542,6 +617,11 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
             if max_viol > 0.5 * prev_viol and outer > 0:
                 mu = min(mu * 4.0, 1e8 * MU_START)
             prev_obj, prev_viol = obj, max(max_viol, 1e-16)
+        # the ascent stops within OBJ_TOL, so its rounding can still beat it
+        y = _flip_descent(_sign_matrix(prob),
+                          np.where(V @ V[0] >= 0.0, 1.0, -1.0))
+    if prob.objective_at_signs(y) > int_obj:
+        V_int[:, 0], int_obj = y, prob.objective_at_signs(y)
 
     winner = 0
     if max_viol > FEAS_TOL or obj <= int_obj:
@@ -690,12 +770,13 @@ class SdpIEResult:
     def solver_diagnostics(self) -> dict:
         """The relaxation's certified upper bound and gap, whether the
         ascent (0) or the integral assignment (-1) was rounded, and whether
-        the solver found scipy's OpenBLAS to pin to one thread."""
+        the solver found both numpy's and scipy's OpenBLAS to pin to one
+        thread."""
         sol = self.solution
         return {"sdp_upper_bound": sol.upper_bound,
                 "sdp_certified_gap": sol.certified_gap,
                 "winning_start": sol.winning_start,
-                "blas_pinned": _scipy_openblas() is not None}
+                "blas_pinned": len(_openblas_thread_controls()) == 2}
 
     def to_json(self) -> dict:
         return {"strategy": self.strategy.to_json(), "revenue": self.revenue,

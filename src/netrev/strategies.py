@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from .netmodel import SocialNetwork, ValidationError, _check_int, _check_seed
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
                       _check_price_prob, _influence_mask, _require_normalized,
-                      _revenue_ratio, class_moments, pricing_classes,
+                      _class_moments, _revenue_ratio, pricing_classes,
                       revenue_bounds)
 from .sdprelax import _one_blas_thread
 
@@ -293,7 +293,7 @@ def class_ratio_terms(K: int, q: Sequence[float]) -> tuple[float, float]:
     guarantee is half the second term.
     """
     q = np.asarray(q, dtype=np.float64)
-    S1, S2 = class_moments(q, pricing_classes(K))
+    S1, S2 = _class_moments(q, pricing_classes(K))
     return 4.0 * S1, 4.0 * S2
 
 

@@ -23,17 +23,20 @@ log = pathlib.Path(__file__).parents[2] / "order.log"
 with open(log, "a") as fh:
     fh.write(f"{SIDE} {args.seed}\\n")
 seed = int(args.seed)
-print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+failed = FAILS
+print(json.dumps({"correct": failed == 0, "attempted": 3, "failed": failed,
+                  "metrics": {
     "wall_ref": {"value": WALL, "unit": "ref"},
     "ok_ratio": {"value": 1.0, "unit": "ok/attempted"}}}))
 """
 
 
-def _checkout(root: Path, side: str, wall: str) -> Path:
+def _checkout(root: Path, side: str, wall: str, fails: str = "0") -> Path:
     bench = root / side / "bench"
     bench.mkdir(parents=True)
-    (bench / "run.py").write_text(
-        FAKE_RUN.replace("SIDE", repr(side)).replace("WALL", wall))
+    (bench / "run.py").write_text(FAKE_RUN.replace("SIDE", repr(side))
+                                  .replace("WALL", wall)
+                                  .replace("FAILS", fails))
     (root / side / "BENCHMARK.json").write_text(json.dumps({
         "end_to_end": [{"name": "wall_ref", "better": "lower"},
                        {"name": "ok_ratio", "better": "higher"}]}))
@@ -79,3 +82,19 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
     wall = next(line for line in out.splitlines()
                 if line.startswith("wall_ref"))
     assert wall.split()[-2:] == ["4/4", "yes"]
+
+
+def test_failed_runs_are_listed_and_never_win(tmp_path, capsys):
+    # the change is faster in every pair but fails two operations at seed
+    # 2, and the parent one at seed 3
+    parent = _checkout(tmp_path, "parent", "10.0", "int(seed == 3)")
+    change = _checkout(tmp_path, "change", "8.0", "2 * (seed == 2)")
+    rc = ab_bench.main(["--parent", str(parent), "--change", str(change),
+                        "--workload", "sdp-scale", "--seeds", "1-4",
+                        "--seconds", "1"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    wall = next(line for line in lines if line.startswith("wall_ref"))
+    assert wall.split()[-2:] == ["3/4", "no"]
+    assert lines[-2:] == ["failed run: sdp-scale change seed 2: 2 failed",
+                          "failed run: sdp-scale parent seed 3: 1 failed"]

@@ -11,7 +11,7 @@ from netrev import (IEStrategy, RandomIEStrategy, generalized_ie,
                     generalized_ie_revenue, generate, ie_revenue, ie_tuned,
                     load_network, save_network)
 from netrev.cli import _TABLE_COLUMNS, main
-from netrev.sdprelax import _scipy_openblas
+from netrev.sdprelax import _openblas_thread_controls
 
 
 @pytest.fixture()
@@ -437,7 +437,8 @@ def test_sdp_reports_carry_the_certificate_and_repeat_byte_for_byte(
             assert row["sdp_certified_gap"] >= -1e-4
             assert "starts_run" not in row
             assert row["winning_start"] in (-1, 0)
-            assert row["blas_pinned"] is (_scipy_openblas() is not None)
+            assert row["blas_pinned"] is (
+                len(_openblas_thread_controls()) == 2)
 
 
 def test_seed_env_var_feeds_default(cycle4_file, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from netrev import (
     best_ordering_exhaustive,
     best_strategy_search,
     build_sdp,
+    class_moments,
     eliminate_selfloops,
     gadget,
     gadget_revenue_table,
@@ -570,6 +571,12 @@ ARRAY_ARGS = {
     "generate parts": (
         "parts", None, [2, 2],
         lambda g, v: generate("bipartite", 4, parts=v), True),
+    "class_moments q": (
+        "q", (0, 1), [0.5, 0.5],
+        lambda g, v: class_moments(v, [1.0, 0.5]), True),
+    "class_moments p": (
+        "p", (0, 1), [1.0, 0.5],
+        lambda g, v: class_moments([0.5, 0.5], v), True),
 }
 
 
@@ -602,6 +609,13 @@ def test_array_arguments_follow_one_rule(cycle4, entry):
         # not an OverflowError, refuses it
         with pytest.raises(ValidationError):
             call(cycle4, valid[:-1] + [10 ** 400])
+
+
+@pytest.mark.parametrize("edges", [5, [5], [(0, 1)], [(0, 1, 1.0), 7]])
+def test_edges_must_be_triples(edges):
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            f"edges must be (i, j, w) triples, got {edges!r}") + "$"):
+        SocialNetwork(False, 3, edges)
 
 
 @pytest.mark.parametrize("value", ["no", 1, None, [0], np.int64(1)])

@@ -34,8 +34,8 @@ from netrev import (
     solve_sdp,
 )
 from netrev.sdprelax import (CONSTRAINT_SIGNS, _al_value_grad,
-                              _best_integral_signs, _dual_bound,
-                              _scatter_matrix, _unit_rows, default_rank)
+                              _best_integral_signs, _dual_bound, _Lagrangian,
+                              _lbfgs, _unit_rows, default_rank)
 
 
 def test_headline_parameters():
@@ -167,6 +167,8 @@ def test_solver_runs_one_start_and_bounds_it(n, seed):
     assert sol.converged
     assert [r.round for r in sol.trace] == list(range(len(sol.trace)))
     assert sol.upper_bound == min(r.upper_bound for r in sol.trace)
+    assert sum(r.iterations for r in sol.trace) == sol.iterations
+    assert all(r.iterations <= sdprelax.INNER_ITERATIONS for r in sol.trace)
     # the gap is taken in coefficient units, a power of two off the caller's
     unit = sdprelax._coefficient_unit(prob.coef)
     upper, obj = sol.upper_bound / unit, sol.objective_value / unit
@@ -296,7 +298,7 @@ def test_al_evaluation_matches_dense_formula_and_finite_differences(
     # multipliers chosen so that some rows are slack and some are penalized
     lam = rng.uniform(0.0, 2.0, size=(pairs, 4))
     mu = 1.5
-    args = (prob, *_scatter_matrix(prob), lam, mu)
+    args = (_Lagrangian(prob), lam.ravel(), mu)
     X = rng.standard_normal((m, rank))
 
     F, grad = _al_value_grad(X.ravel(), *args)
@@ -312,6 +314,64 @@ def test_al_evaluation_matches_dense_formula_and_finite_differences(
         fd[k] = (_al_value_grad(X.ravel() + e, *args)[0]
                  - _al_value_grad(X.ravel() - e, *args)[0]) / (2 * h)
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+
+
+def _rosenbrock(x):
+    a, b = x
+    return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+            np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                      200.0 * (b - a * a)]))
+
+
+def test_lbfgs_minimizes_a_convex_quadratic_and_rosenbrock():
+    rng = np.random.default_rng(0)
+    Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    A = Q @ np.diag(np.linspace(1.0, 50.0, 10)) @ Q.T
+    c = rng.standard_normal(10)
+
+    def quadratic(x):
+        return 0.5 * (x - c) @ A @ (x - c), A @ (x - c)
+
+    x, steps = _lbfgs(quadratic, np.zeros(10), 1000, 0.0)
+    assert 0 < steps < 1000
+    assert quadratic(x)[0] <= 1e-10
+    assert np.abs(quadratic(x)[1]).max() <= sdprelax._GTOL
+    x, steps = _lbfgs(_rosenbrock, np.array([-1.2, 1.0]), 1000, 0.0)
+    assert 0 < steps < 1000
+    assert _rosenbrock(x)[0] <= 1e-10
+
+
+def test_lbfgs_stops_at_maxiter_and_at_ftol():
+    x0 = np.array([-1.2, 1.0])
+    assert _lbfgs(_rosenbrock, x0, 5, 0.0)[1] == 5
+    x, steps = _lbfgs(_rosenbrock, x0, 0, 0.0)
+    assert steps == 0 and np.array_equal(x, x0)
+    # a loose ftol stops at the first step whose relative reduction is
+    # below it, still short of the gradient test; the iterates do not
+    # depend on ftol, so a maxiter stop one step earlier gives the last
+    # but one
+    x, steps = _lbfgs(_rosenbrock, x0, 1000, 1e-3)
+    assert 0 < steps < _lbfgs(_rosenbrock, x0, 1000, 0.0)[1]
+    f_prev = _rosenbrock(_lbfgs(_rosenbrock, x0, steps - 1, 0.0)[0])[0]
+    f_last = _rosenbrock(x)[0]
+    assert f_prev - f_last <= 1e-3 * max(abs(f_prev), abs(f_last), 1.0)
+    assert np.abs(_rosenbrock(x)[1]).max() > sdprelax._GTOL
+
+
+def test_one_blas_thread_pins_and_restores_both_openblas_libraries():
+    controls = sdprelax._openblas_thread_controls()
+    if not controls:
+        pytest.skip("neither numpy's nor scipy's bundled OpenBLAS found")
+    before = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        with sdprelax._one_blas_thread():
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), n in zip(controls, before):
+            set_(n)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -365,8 +425,8 @@ def test_solver_memory_grows_with_edges_not_n_squared():
         _best_integral_signs(prob, seed=0)
         X = np.random.default_rng(0).standard_normal(
             (prob.num_vectors, default_rank(g.n)))
-        lam = np.ones((g.num_edges, 4))
-        _al_value_grad(X.ravel(), prob, *_scatter_matrix(prob), lam, 1.0)
+        lam = np.ones(4 * g.num_edges)
+        _al_value_grad(X.ravel(), _Lagrangian(prob), lam, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,11 +451,11 @@ def test_dual_bound_memory_grows_with_edges_not_n_squared():
     prob = build_sdp(g, UNDIRECTED_SDP_PRICING)
     V = _unit_rows(np.random.default_rng(0).standard_normal(
         (prob.num_vectors, default_rank(g.n))))[0]
-    lam = np.ones((g.num_edges, 4))
+    lam = np.ones(4 * g.num_edges)
     tracemalloc.start()
     try:
         with sdprelax._one_blas_thread():
-            bound = _dual_bound(prob, *_scatter_matrix(prob), V, lam)
+            bound = _dual_bound(_Lagrangian(prob), V, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -651,7 +711,9 @@ def test_upper_bound_dominates_exhaustive_best_ie_and_sdp_ie(instances):
 #: float.hex of ``sdp_ie(g, seed=11).revenue`` and its influence set on the
 #: 30 networks of the benchmark's small-table workload at seed 11 and on
 #: corpus/, recorded while the solver still ran up to three starts (more
-#: than one on 8 of these): the single start rounds to the same sets.
+#: than one on 8 of these): the single start rounds to the same sets.  The
+#: in-house L-BFGS rounds cycle6.txt and bipartite33.txt to the mirror
+#: images of their earlier sets, at bit-identical revenues.
 SDP_IE_PINS = {
     "small-table-0": ("0x1.21b9e2f0ff53dp+0", [0, 4, 5]),
     "small-table-1": ("0x1.271ef605a62ebp+1", [2, 4]),
@@ -683,10 +745,10 @@ SDP_IE_PINS = {
     "small-table-27": ("0x1.3fe72572c536fp+1", [2, 3, 9, 10]),
     "small-table-28": ("0x1.f537ec36c5fd8p+1", [1, 4, 7, 8]),
     "small-table-29": ("0x1.3d7b3d4f3e2f9p+1", [0, 6, 7, 9, 10, 11]),
-    "bipartite33.txt": ("0x1.177ad4b2745bfp+1", [3, 4, 5]),
+    "bipartite33.txt": ("0x1.177ad4b2745bfp+1", [0, 1, 2]),
     "cycle4.txt": ("0x1.f0da5daf07bffp-1", [0, 2]),
     "cycle5.txt": ("0x1.1cd22b9799a07p+0", [0, 2]),
-    "cycle6.txt": ("0x1.74a3c64345cffp+0", [0, 2, 4]),
+    "cycle6.txt": ("0x1.74a3c64345cffp+0", [1, 3, 5]),
     "dag4.txt": ("0x1.ed097b425ed09p-1", [0, 1]),
     "dag6.txt": ("0x1.1c71c71c71c72p+1", [0, 1, 2]),
     "dagrand10.txt": ("0x1.fb34b563bd134p+0", [0, 1, 2]),
