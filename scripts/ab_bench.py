@@ -13,12 +13,18 @@ each side's median and quartiles, the change in the median, the number of
 pairs the change won (ties count for neither side, and a pair whose
 change run reports failed operations is never a win), and whether that is
 a gain: the change won at least nine tenths of the pairs and its median is
-better by more than the parent's interquartile range.  Under each
-workload's table, every run that reported failed operations or an
-incorrect result is listed with its side, seed and failed count.  Whether lower or
-higher is better is read from the change's ``BENCHMARK.json``.  The script
-only invokes ``bench/run.py``; it changes nothing under either checkout
-except what that script writes to its own ``bench/out/``.
+better by more than the parent's interquartile range.  Beside it stands the
+no-regression verdict of each metric that has a ``bound`` among the
+``end_to_end`` metrics: ``worse`` when the change's median is worse than the
+parent's by more than that bound (a fraction of the parent's median),
+``unresolved`` when the parent's interquartile range is wider than the bound
+and not every change run beats every parent run, and ``ok`` otherwise; a
+metric without a bound reads ``-``.  Under each workload's table, every run
+that reported failed operations or an incorrect result is listed with its
+side, seed and failed count.  Whether lower or higher is better, and the
+bounds, are read from the change's ``BENCHMARK.json``.  The script only
+invokes ``bench/run.py``; it changes nothing under either checkout except
+what that script writes to its own ``bench/out/``.
 """
 
 from __future__ import annotations
@@ -46,12 +52,16 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def metric_directions(checkout: Path) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", from the checkout's contract."""
+def metric_contract(checkout: Path) -> tuple[dict[str, str],
+                                             dict[str, float]]:
+    """From the checkout's contract: metric name -> "lower" or "higher",
+    and end-to-end metric name -> its regression bound."""
     contract = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"]
-            for m in contract.get("end_to_end", [])
-            + contract.get("per_layer", [])}
+    end_to_end = contract.get("end_to_end", [])
+    better = {m["name"]: m["better"]
+              for m in end_to_end + contract.get("per_layer", [])}
+    return better, {m["name"]: float(m["bound"])
+                    for m in end_to_end if "bound" in m}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -83,11 +93,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], sign: float,
+            bound: float) -> str:
+    """"worse", "unresolved" or "ok" for one metric's runs under its
+    relative ``bound``; ``sign`` is 1 when lower is better, else -1."""
+    pq, cq = quartiles(parent), quartiles(change)
+    scale = bound * abs(pq[1])
+    if sign * (cq[1] - pq[1]) > scale:
+        return "worse"
+    beats_all = min(sign * p for p in parent) > max(sign * c for c in change)
+    return "unresolved" if pq[2] - pq[0] > scale and not beats_all else "ok"
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
-              change_failed=None) -> list[dict]:
+              change_failed=None, bounds=None) -> list[dict]:
     """One row per metric over (parent, change) pairs of metric dicts; a
-    pair flagged in ``change_failed`` is never a win for the change."""
+    pair flagged in ``change_failed`` is never a win for the change, and a
+    metric with an entry in ``bounds`` gets a ``verdict``."""
     change_failed = change_failed or [False] * len(pairs)
+    bounds = bounds or {}
     rows = []
     for name in pairs[0][0]:
         direction = better.get(name, "lower")
@@ -103,6 +127,8 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
             "parent": pq, "change": cq, "wins": wins,
             "delta_rel": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
             "gain": wins >= 0.9 * len(pairs) and better_by > pq[2] - pq[0],
+            "verdict": (verdict(parent, change, sign, bounds[name])
+                        if name in bounds else "-"),
         })
     return rows
 
@@ -113,13 +139,14 @@ def format_rows(workload: str, rows: list[dict]) -> str:
 
     out = [f"## {workload}",
            f"{'metric':36} {'parent median [q1, q3]':>34} "
-           f"{'change median [q1, q3]':>34} {'delta':>8} {'won':>6} gain"]
+           f"{'change median [q1, q3]':>34} {'delta':>8} {'won':>6} gain "
+           "verdict"]
     for r in rows:
         delta = "n/a" if r["delta_rel"] is None else f"{r['delta_rel']:+.1%}"
         won = f"{r['wins']}/{r['pairs']}"
         out.append(f"{r['metric']:36} {spread(r['parent']):>34} "
                    f"{spread(r['change']):>34} {delta:>8} {won:>6} "
-                   f"{'yes' if r['gain'] else 'no'}")
+                   f"{'yes' if r['gain'] else 'no':4} {r['verdict']}")
     return "\n".join(out)
 
 
@@ -140,7 +167,7 @@ def main(argv=None) -> int:
     for side, path in sides.items():
         if not (path / "bench" / "run.py").is_file():
             ap.error(f"--{side} {path} has no bench/run.py")
-    better = metric_directions(sides["change"])
+    better, bounds = metric_contract(sides["change"])
 
     reports = []
     for workload in args.workload:
@@ -162,7 +189,8 @@ def main(argv=None) -> int:
             pairs.append((runs["parent"], runs["change"]))
             change_failed.append(failed["change"] > 0)
         reports.append("\n".join([format_rows(
-            workload, summarize(pairs, better, change_failed)), *failures]))
+            workload, summarize(pairs, better, change_failed, bounds)),
+            *failures]))
     print("\n\n".join(reports))
     return 0
 

@@ -276,6 +276,17 @@ def pricing_classes(K: int) -> np.ndarray:
     return 1.0 - (k - 1.0) / (2.0 * (K - 1.0))
 
 
+def _check_class_assignment(K, q) -> tuple[int, np.ndarray]:
+    """K >= 2 classes and K assignment probabilities q (sum 1 to 1e-9)."""
+    K = _check_int(K, "class count K", 2)
+    q = _check_reals(q, "q", -1e-9, math.inf)
+    if q.shape != (K,):
+        raise ValidationError(f"q must have length K={K}")
+    if abs(float(np.sum(q)) - 1.0) > 1e-9:
+        raise ValidationError(f"q must sum to 1, got {float(np.sum(q))!r}")
+    return K, q
+
+
 @dataclass(frozen=True)
 class GeneralizedIEStrategy(_ClassIEStrategy):
     """Multi-class IE: buyer classes drawn i.i.d. from ``q``; classes are
@@ -288,17 +299,11 @@ class GeneralizedIEStrategy(_ClassIEStrategy):
     seed: Optional[int] = None
 
     def __post_init__(self):
-        K = _check_int(self.K, "class count K", 2)
-        q = _check_reals(self.q, "q", -1e-9, math.inf)
-        if q.shape != (K,):
-            raise ValidationError(f"q must have length K={K}")
-        if abs(float(np.sum(q)) - 1.0) > 1e-9:
-            raise ValidationError(f"q must sum to 1, got {float(np.sum(q))!r}")
+        K, q = _check_class_assignment(self.K, self.q)
         seed = _check_seed(self.seed)
         q = np.clip(q, 0.0, None)
-        q = q / np.sum(q)
         object.__setattr__(self, "K", K)
-        object.__setattr__(self, "q", tuple(float(x) for x in q))
+        object.__setattr__(self, "q", tuple(float(x) for x in q / np.sum(q)))
         object.__setattr__(self, "seed", seed)
 
     @property

@@ -72,9 +72,8 @@ class SdpProblem:
     (a, b) are sorted with a < b, and every buyer pair (i, j) that carries
     an edge comes with both (0, i) and (0, j).  Constraints are implicit:
     all four CONSTRAINT_SIGNS rows per edge pair, over the entries
-    (v_i . v_j, v_0 . v_i, v_0 . v_j).  These O(|E| + n) pairs are the only
-    Gram entries the solver reads: O((|E| + n)·rank) per evaluation, with
-    no (n+1)² array.
+    (v_i . v_j, v_0 . v_i, v_0 . v_j): the only Gram entries the solver
+    reads are these O(|E| + n) pairs.
     """
 
     n: int
@@ -227,12 +226,6 @@ def _unit_rows(X: np.ndarray):
     return X / norms, norms
 
 
-def _gram_entries(prob: SdpProblem, V: np.ndarray) -> np.ndarray:
-    """v_a . v_b for each coefficient pair (a, b), as row-wise dots."""
-    return np.einsum("ij,ij->i", V.take(prob.coef_a, 0),
-                     V.take(prob.coef_b, 0))
-
-
 def _scatter_matrix(prob: SdpProblem):
     """CSR matrix on the symmetric pattern of the coefficient pairs plus
     the diagonal, and the pair each stored entry belongs to (``coef.size``
@@ -249,56 +242,58 @@ def _scatter_matrix(prob: SdpProblem):
 
 
 class _Lagrangian:
-    """One problem's constraint rows as sparse maps built once per solve, over
-    flat multipliers (four per edge pair in CONSTRAINT_SIGNS order)."""
+    """One problem's constraint rows, over flat multipliers (four per edge
+    pair in CONSTRAINT_SIGNS order), as one (edge pairs, 3) array built once
+    per solve: ``triples``, the positions in ``coef`` of (v_i . v_j,
+    v_0 . v_i, v_0 . v_j), which each row reads and adds its weight back to."""
 
     def __init__(self, prob: SdpProblem):
         k, k0 = prob.coef.size, int(np.searchsorted(prob.coef_a, 1))
-        ref = prob.coef_b[:k0]
-        # positions in coef of (v_i . v_j, v_0 . v_i, v_0 . v_j) per edge pair
-        triples = np.column_stack([np.arange(k0, k),
-                                   np.searchsorted(ref, prob.coef_a[k0:]),
-                                   np.searchsorted(ref, prob.coef_b[k0:])])
-        self.num_rows = 4 * len(triples)
-        self.slack_map = csr_array((
-            np.tile(CONSTRAINT_SIGNS.ravel(), len(triples)),
-            (np.arange(self.num_rows).repeat(3), triples.repeat(4, 0).ravel())),
-            shape=(self.num_rows, k))
-        self.prob, (self.W, pair_of_entry) = prob, _scatter_matrix(prob)
-        self.on_diag = pair_of_entry == k
-        off = np.flatnonzero(~self.on_diag)
-        self.weight_map = csr_array(csr_array(
-            (np.ones(off.size), (off, pair_of_entry[off])),
-            shape=(pair_of_entry.size, k)) @ self.slack_map.T)
-        self.coef_entries = np.append(prob.coef, 0.0)[pair_of_entry]
+        self.prob, self.ref = prob, prob.coef_b[:k0]
+        self.pair_a, self.pair_b = prob.coef_a[k0:], prob.coef_b[k0:]
+        self.triples = np.column_stack([np.arange(k0, k),
+                                        np.searchsorted(self.ref, self.pair_a),
+                                        np.searchsorted(self.ref, self.pair_b)])
+        self.num_rows = 4 * len(self.triples)
+        self.W, self.pair_of_entry = _scatter_matrix(prob)
+        self.on_diag = self.pair_of_entry == k
+        self.coef = np.append(prob.coef, 0.0)  # the diagonal's slot is k
+
+    def gram(self, V: np.ndarray) -> np.ndarray:
+        """v_a . v_b per coefficient pair; the (0, i) ones from one V v_0."""
+        return np.concatenate([(V @ V[0]).take(self.ref), np.einsum(
+            "ij,ij->i", V.take(self.pair_a, 0), V.take(self.pair_b, 0))])
 
     def slacks(self, g: np.ndarray) -> np.ndarray:
         """s1 (v_i . v_j) + s2 (v_0 . v_i) + s3 (v_0 . v_j) + 1 per row, from
         the Gram entries ``g`` of the coefficient pairs; >= 0 is feasible."""
-        return self.slack_map @ g + 1.0
+        return (g.take(self.triples) @ CONSTRAINT_SIGNS.T).ravel() + 1.0
 
     def weights(self, lam: np.ndarray) -> np.ndarray:
         """dL/dg of the Lagrangian at ``lam`` (coef plus each multiplier times
         its row's sign) on the stored entries of ``W``, 0 on the diagonal."""
-        return self.coef_entries + self.weight_map @ lam
+        return (self.coef + np.bincount(
+            self.triples.ravel(), (lam.reshape(-1, 4) @ CONSTRAINT_SIGNS)
+            .ravel(), minlength=self.coef.size)).take(self.pair_of_entry)
 
 
 def _al_value_grad(xflat, lag: _Lagrangian, lam, mu):
     """Negated augmented Lagrangian and its gradient in the unnormalized X.
 
     The value depends on V only through the Gram entries g of the
-    coefficient pairs, so the gradient in V is W V with W carrying
-    dF/dg of each pair on both (a, b) and (b, a), and 0 on the diagonal.
+    coefficient pairs, so the gradient in V is W V (the one sparse product)
+    with W carrying dL/dg of each pair on both (a, b) and (b, a), and 0 on
+    the diagonal; it is negated and projected onto the unit rows' tangents.
     """
     prob = lag.prob
     V, norms = _unit_rows(xflat.reshape(prob.num_vectors, -1))
-    g = _gram_entries(prob, V)
+    g = lag.gram(V)
     mult = lam - mu * lag.slacks(g)
     np.maximum(mult, 0.0, out=mult)
     pen = (mult @ mult - lam @ lam) / (2.0 * mu)
-    lag.W.data = -lag.weights(mult)
+    lag.W.data = lag.weights(mult)
     gV = lag.W @ V
-    gV -= np.einsum("ij,ij->i", gV, V)[:, None] * V
+    gV = np.einsum("ij,ij->i", gV, V)[:, None] * V - gV
     gV /= norms
     return pen - prob._objective(g), gV.ravel()
 
@@ -410,9 +405,7 @@ def _best_integral_signs(prob: SdpProblem, seed: int) -> np.ndarray:
 def _coefficient_unit(coef: np.ndarray) -> float:
     """The power of two nearest (in ratio) the mean |coef|, or 1 if all
     coefficients are 0.  Dividing by it is exact in floating point."""
-    if not coef.size:
-        return 1.0
-    mant, exp = math.frexp(float(np.mean(np.abs(coef))))
+    mant, exp = math.frexp(float(np.mean(np.abs(coef))) if coef.size else 0.0)
     if mant == 0.0:
         return 1.0
     return math.ldexp(1.0, exp if mant >= math.sqrt(0.5) else exp - 1)
@@ -453,9 +446,9 @@ def _one_blas_thread():
             set_(n)
 
 
-#: First shift tried by the dual bound: RITZ_FACTOR times the Ritz estimate
-#: of the largest eigenvalue (which it can only underestimate), but at
-#: least SHIFT_FLOOR, in coefficient units.
+#: First shift tried by the dual bound: RITZ_FACTOR times the estimate of
+#: the largest eigenvalue (exact when dense, else a Ritz value, which can
+#: only underestimate it), but at least SHIFT_FLOOR, in coefficient units.
 RITZ_FACTOR = 1.1
 SHIFT_FLOOR = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
@@ -473,13 +466,16 @@ def _ritz_top(A, V: np.ndarray) -> float:
 
 
 def _is_positive_definite(B) -> bool:
-    """Whether the sparse LDL^T of the symmetric ``B`` (SuperLU in
-    symmetric mode, diagonal pivots only) runs with a symmetric
-    permutation and all-positive pivots."""
+    """Whether the symmetric ``B`` factors with all-positive pivots: by
+    Cholesky when dense, else by SuperLU's LDL^T in symmetric mode (diagonal
+    pivots only), which must also keep a symmetric permutation."""
     try:
+        if isinstance(B, np.ndarray):
+            np.linalg.cholesky(B)
+            return True
         lu = splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly zero pivot
+    except (np.linalg.LinAlgError, RuntimeError):  # RuntimeError: a 0 pivot
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c)
                 and np.all(lu.U.diagonal() > 0.0))
@@ -493,16 +489,19 @@ def _dual_bound(lag: _Lagrangian, V: np.ndarray, lam: np.ndarray) -> float:
     For every G >= 0 with unit diagonal, objective(G) <= constant + sum lam
     + sum y + <A, G> with A = M - Diag(y), where M carries
     (coef + sum lam * sign) / 2 on both (a, b) and (b, a) of each pair, and
-    <A, G> <= (n+1) s once sI - A is positive definite.  s is proven by a
-    sparse LDL^T of sI - A: tried at RITZ_FACTOR times the Ritz estimate of
-    A's largest eigenvalue, doubled on failure, and never above
-    Gershgorin's bound.  The computed factors are the exact LDL^T of a
-    matrix within 2 gamma_(n+2) tr(sI - A) of sI - A in the 2-norm
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, with
-    || |L| D |L^T| ||_2 <= tr(L D L^T)).  The shift margin,
-    8 (n+3) eps (tr(sI - A) + sum |coef| + 3 sum lam), covers that twice
-    over together with the rounding of forming M and of the Gershgorin
-    sums; the sum margin covers the rounding of the final sums.
+    <A, G> <= (n+1) s once sI - A is positive definite.  s is tried at
+    RITZ_FACTOR times an estimate of A's largest eigenvalue, doubled until
+    a factorization proves it, and never above Gershgorin's bound.  When
+    3 rank >= n+1, [V, A V, A^2 V] would span the space: A is taken dense
+    (at most 3 times V's memory), with its top eigenvalue from ``eigvalsh``
+    and a Cholesky proof.  Otherwise the estimate is ``_ritz_top`` on that
+    block and the proof a sparse LDL^T.  Either way the computed factors
+    are exact for a matrix within 2 gamma_(n+2) tr(sI - A) of sI - A in
+    the 2-norm (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3, for Cholesky as for LDL^T, with || |L| D |L^T| ||_2 <=
+    tr(L D L^T)).  The shift margin, 8 (n+3) eps (tr(sI - A) + sum |coef|
+    + 3 sum lam), covers that twice over with the rounding of forming M
+    and of the Gershgorin sums; the sum margin, that of the final sums.
     """
     prob, D, on_diag = lag.prob, lag.W, lag.on_diag
     m = prob.num_vectors
@@ -511,12 +510,16 @@ def _dual_bound(lag: _Lagrangian, V: np.ndarray, lam: np.ndarray) -> float:
     D.data[on_diag] = -y
     row_abs = np.add.reduceat(np.abs(D.data), D.indptr[:-1])
     gershgorin = float(np.max(row_abs - np.abs(y) - y))
-    s = max(RITZ_FACTOR * _ritz_top(D, V), SHIFT_FLOOR)
-    while s < gershgorin:
-        B = csc_array((np.where(on_diag, s, 0.0) - D.data, D.indices,
-                       D.indptr), shape=(m, m))
-        if _is_positive_definite(B):
-            break
+    if 3 * V.shape[1] >= m:
+        A = D.toarray()
+        top, shifted = np.linalg.eigvalsh(A)[-1], lambda s: s * np.eye(m) - A
+    else:
+        top = _ritz_top(D, V)
+        shifted = lambda s: csc_array(
+            (np.where(on_diag, s, 0.0) - D.data, D.indices, D.indptr),
+            shape=(m, m))
+    s = max(RITZ_FACTOR * float(top), SHIFT_FLOOR)
+    while s < gershgorin and not _is_positive_definite(shifted(s)):
         s *= 2.0
     s = min(s, gershgorin)
     lam_sum, y_sum = float(np.sum(lam)), float(np.sum(y))
@@ -559,13 +562,12 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     (Conn, Gould & Toint's LANCELOT), and later ones run at scipy's default.
 
     Each evaluation costs O((|E| + n) rank) and builds no (n+1) x (n+1)
-    array: two row gathers and three sparse products (``_Lagrangian``).
-    The bound keeps that with sparse products, an (n+1) x 3 rank Krylov
-    block and a sparse factorization.  The ascent and bounds run with
-    numpy's and scipy's OpenBLAS pinned to one thread (restored
-    afterwards), so the output does not depend on the BLAS thread count at
-    any n; ``SdpIEResult.solver_diagnostics`` reports ``blas_pinned`` only
-    where both libraries were found.
+    array: one matrix-vector product, two row gathers, array arithmetic and
+    one sparse product (``_Lagrangian``).  The bound is dense while 3 rank
+    >= n+1 (n <= 29 at the default rank), else sparse in O((|E| + n) rank)
+    memory (``_dual_bound``).  The ascent and bounds run with numpy's and
+    scipy's OpenBLAS pinned to one thread (restored afterwards), so the
+    output does not depend on the BLAS thread count at any n.
     """
     m = prob.num_vectors
     seed = _check_seed(seed)
@@ -590,10 +592,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
     lam = np.zeros(lag.num_rows)
     mu = MU_START
     prev_obj, prev_viol = None, np.inf
-    converged = False
-    total_iters = 0
-    trace = []
-    upper = math.inf
+    converged, total_iters, trace, upper = False, 0, [], math.inf
     with _one_blas_thread():
         for outer in range(MAX_OUTER):
             ftol = max(FTOL_START / 10.0 ** outer, FTOL_FLOOR)
@@ -601,7 +600,7 @@ def solve_sdp(prob: SdpProblem, rank: Optional[int] = None,
             X, iters = _lbfgs(fun, X.ravel(), INNER_ITERATIONS, ftol)
             total_iters += iters
             V = _unit_rows(X.reshape(m, rank))[0]
-            g = _gram_entries(prob, V)
+            g = lag.gram(V)
             obj = prob._objective(g)
             slack = lag.slacks(g)
             max_viol = float(max(0.0, -np.min(slack))) if slack.size else 0.0
@@ -719,20 +718,15 @@ def rotated_pair_angle(theta_ij: float, theta_i: float, theta_j: float,
 def _rotated_vectors(V: np.ndarray, gamma: float) -> np.ndarray:
     """Materialize each v_i rotated to angle f_gamma(theta_i) within the
     span of {v_0, v_i} (degenerate v_i = +-v_0 stay put)."""
-    v0 = V[0]
-    buyers = V[1:]
+    v0, buyers = V[0], V[1:]
     cos_t = np.clip(buyers @ v0, -1.0, 1.0)
     theta = np.arccos(cos_t)
-    ft = _rotate(theta, float(gamma))
-    sin_t = np.sin(theta)
-    ortho = buyers - cos_t[:, None] * v0[None, :]
-    safe = np.maximum(sin_t, 1e-12)[:, None]
-    u = ortho / safe
-    rotated = np.cos(ft)[:, None] * v0[None, :] + np.sin(ft)[:, None] * u
+    ft, sin_t = _rotate(theta, float(gamma)), np.sin(theta)
+    u = (buyers - cos_t[:, None] * v0) / np.maximum(sin_t, 1e-12)[:, None]
+    rotated = np.cos(ft)[:, None] * v0 + np.sin(ft)[:, None] * u
     degenerate = sin_t < 1e-9
-    if np.any(degenerate):
-        rotated[degenerate] = np.sign(cos_t[degenerate])[:, None] * v0[None, :]
-    return np.vstack([v0[None, :], rotated])
+    rotated[degenerate] = np.sign(cos_t[degenerate])[:, None] * v0
+    return np.vstack([v0, rotated])
 
 
 def _hyperplane_members(Vrot: np.ndarray, rng, trials: int) -> np.ndarray:

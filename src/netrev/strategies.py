@@ -19,9 +19,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .netmodel import SocialNetwork, ValidationError, _check_int, _check_seed
 from .revenue import (IEStrategy, GeneralizedIEStrategy, RandomIEStrategy,
-                      _check_price_prob, _influence_mask, _require_normalized,
-                      _class_moments, _revenue_ratio, pricing_classes,
-                      revenue_bounds)
+                      _check_class_assignment, _check_price_prob,
+                      _class_moments, _influence_mask, _require_normalized,
+                      _revenue_ratio, pricing_classes, revenue_bounds)
 from .sdprelax import _one_blas_thread
 
 SQRT2 = math.sqrt(2.0)
@@ -290,9 +290,10 @@ def class_ratio_terms(K: int, q: Sequence[float]) -> tuple[float, float]:
     Returns ``(4*S1, 4*S2)`` — the guaranteed revenue per unit self-weight
     resp. unit undirected edge weight, each normalized by the myopic upper
     bound of 1/4.  The undirected guarantee is their minimum; the directed
-    guarantee is half the second term.
+    guarantee is half the second term.  ``K`` and ``q`` are checked as
+    :class:`GeneralizedIEStrategy` checks them.
     """
-    q = np.asarray(q, dtype=np.float64)
+    K, q = _check_class_assignment(K, q)
     S1, S2 = _class_moments(q, pricing_classes(K))
     return 4.0 * S1, 4.0 * S2
 

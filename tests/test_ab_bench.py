@@ -38,7 +38,7 @@ def _checkout(root: Path, side: str, wall: str, fails: str = "0") -> Path:
                                   .replace("WALL", wall)
                                   .replace("FAILS", fails))
     (root / side / "BENCHMARK.json").write_text(json.dumps({
-        "end_to_end": [{"name": "wall_ref", "better": "lower"},
+        "end_to_end": [{"name": "wall_ref", "better": "lower", "bound": 0.25},
                        {"name": "ok_ratio", "better": "higher"}]}))
     return root / side
 
@@ -81,7 +81,10 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
     assert out.startswith("## sdp-scale")
     wall = next(line for line in out.splitlines()
                 if line.startswith("wall_ref"))
-    assert wall.split()[-2:] == ["4/4", "yes"]
+    assert wall.split()[-3:] == ["4/4", "yes", "ok"]
+    ok_ratio = next(line for line in out.splitlines()
+                    if line.startswith("ok_ratio"))
+    assert ok_ratio.split()[-1] == "-"  # no bound, no verdict
 
 
 def test_failed_runs_are_listed_and_never_win(tmp_path, capsys):
@@ -95,6 +98,37 @@ def test_failed_runs_are_listed_and_never_win(tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     wall = next(line for line in lines if line.startswith("wall_ref"))
-    assert wall.split()[-2:] == ["3/4", "no"]
+    assert wall.split()[-3:] == ["3/4", "no", "ok"]
     assert lines[-2:] == ["failed run: sdp-scale change seed 2: 2 failed",
                           "failed run: sdp-scale parent seed 3: 1 failed"]
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    # the change's median 13.0 is worse than 10.0 by more than 25%
+    ([9.8, 10.0, 10.2, 9.9, 10.1], [13.0, 12.9, 13.1, 13.0, 13.2], "worse"),
+    # the parent's quartiles 8 and 12 spread by 40% of its median 10, and
+    # one change run (11.5) reads worse than the parent's best (6.0)
+    ([6.0, 8.0, 10.0, 12.0, 14.0], [9.0, 9.5, 10.0, 10.5, 11.5], "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ([6.0, 8.0, 10.0, 12.0, 14.0], [5.0, 5.2, 5.4, 5.6, 5.8], "ok"),
+    # 20% worse is inside the bound
+    ([9.8, 10.0, 10.2, 9.9, 10.1], [12.0, 11.9, 12.1, 12.0, 12.2], "ok"),
+])
+def test_verdict_applies_the_bound_of_each_metric(parent, change, expected):
+    pairs = [({"wall_ref": p}, {"wall_ref": c})
+             for p, c in zip(parent, change)]
+    row, = ab_bench.summarize(pairs, {"wall_ref": "lower"},
+                              bounds={"wall_ref": 0.25})
+    assert row["verdict"] == expected
+    assert ab_bench.summarize(pairs, {"wall_ref": "lower"})[0]["verdict"] \
+        == "-"
+
+
+@pytest.mark.parametrize("change, expected", [(0.7, "worse"), (0.8, "ok"),
+                                              (1.3, "ok")])
+def test_verdict_reads_higher_is_better_metrics_the_other_way(change,
+                                                              expected):
+    pairs = [({"ok_ratio": 1.0}, {"ok_ratio": change})] * 3
+    row, = ab_bench.summarize(pairs, {"ok_ratio": "higher"},
+                              bounds={"ok_ratio": 0.25})
+    assert row["verdict"] == expected

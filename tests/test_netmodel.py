@@ -25,6 +25,7 @@ from netrev import (
     best_strategy_search,
     build_sdp,
     class_moments,
+    class_ratio_terms,
     eliminate_selfloops,
     gadget,
     gadget_revenue_table,
@@ -443,6 +444,8 @@ INTEGER_ARGS = {
                         lambda g, v: simulate(g, _IE, v)),
     "GeneralizedIEStrategy K": ("class count K", 2, None,
                                 lambda g, v: GeneralizedIEStrategy(v, (0.5, 0.5))),
+    "class_ratio_terms K": ("class count K", 2, None,
+                            lambda g, v: class_ratio_terms(v, (0.5, 0.5))),
     "pricing_classes K": ("class count K", 2, None,
                           lambda g, v: pricing_classes(v)),
     "generalized_ie K": ("class count K", 2, None,
@@ -553,6 +556,9 @@ ARRAY_ARGS = {
     "GeneralizedIEStrategy q": (
         "q", (-1e-9, math.inf), [0.5, 0.5],
         lambda g, v: GeneralizedIEStrategy(2, v), True),
+    "class_ratio_terms q": (
+        "q", (-1e-9, math.inf), [0.5, 0.5],
+        lambda g, v: class_ratio_terms(2, v), True),
     "best_ordering_exhaustive prices": (
         "prices", _PRICES, [0.9] * 4,
         lambda g, v: best_ordering_exhaustive(g, v), True),

@@ -17,6 +17,8 @@ from netrev import (
     ValidationError,
     best_ordering_exhaustive,
     class_moments,
+    class_ratio,
+    class_ratio_terms,
     generalized_ie_revenue,
     generate,
     ie_coefficients_batch,
@@ -392,10 +394,17 @@ def test_draw_classes_past_a_sum_that_ends_below_one():
 
 
 def test_generalized_strategy_validation():
-    with pytest.raises(ValidationError):
-        GeneralizedIEStrategy(1, (1.0,))
-    with pytest.raises(ValidationError):
-        GeneralizedIEStrategy(2, (0.7, 0.7))
+    # the strategy and the ratio formulas of its (K, q) share one rule
+    for K, q, message in [
+            (1, (1.0,), "class count K must be an integer >= 2, got 1"),
+            (2, (0.7, 0.7), "q must sum to 1, got 1.4"),
+            (3, ["x", 0.5, 0.5], "q must lie in [-1e-09, inf], got 'x'"),
+            (3, [0.5, 0.5], "q must have length K=3"),
+            (3, [2.0, -1.0, 0.0], "q must lie in [-1e-09, inf], got -1.0")]:
+        for call in (GeneralizedIEStrategy, class_ratio_terms, class_ratio):
+            with pytest.raises(ValidationError,
+                               match="^" + re.escape(message) + "$"):
+                call(K, q)
 
 
 # ---------------------------------------------------------------------------
